@@ -11,7 +11,7 @@ from .channels import (
     save_dataset,
     topology_of,
 )
-from .ensemble import EnsembleResult, infer
+from .ensemble import BatchResult, EnsembleResult, infer, infer_batch
 from .gradients import (
     ObjectiveGradient,
     finite_difference_gradient,

@@ -26,7 +26,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker count cap")
+        p.add_argument(
+            "--threads", type=int, default=None,
+            help="accepted and ignored; outputs are identical for any value",
+        )
     return parser
 
 

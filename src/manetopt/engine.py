@@ -436,6 +436,34 @@ def pgd_step_batch(
     return project_with_tangent(p + mu * grad)[0]
 
 
+def iterate_schedule(
+    net: NetIndex,
+    ops: ChannelOperands,
+    p0: np.ndarray,
+    mu,
+    eval_ops: ChannelOperands | None = None,
+):
+    """Run the step schedule, yielding ``(p_k, rates_k)`` for k = 0..K.
+
+    ``rates_k`` holds each element's min rate at iterate ``p_k``, measured
+    under ``eval_ops`` (default ``ops``, the channel driving the updates).
+    ``mu[k]`` is a scalar, or an array of shape (q, 1, 1) for a step per
+    element.  Yielded iterates are never modified afterwards.
+    """
+    if eval_ops is None:
+        eval_ops = ops
+    p = np.array(p0, dtype=np.float64)
+    for k in range(len(mu)):
+        rp = rate_pass(net, ops, p)
+        if eval_ops is ops:
+            yield p, rp.message.min(axis=-1)
+        else:
+            yield p, rate_pass(net, eval_ops, p).message.min(axis=-1)
+        grad, _, _, _, _ = gradient_pass(net, ops, rp)
+        p = project_with_tangent(p + mu[k] * grad)[0]
+    yield p, rate_pass(net, eval_ops, p).message.min(axis=-1)
+
+
 def run_schedule_batch(
     net: NetIndex,
     ops: ChannelOperands,
@@ -449,26 +477,13 @@ def run_schedule_batch(
     ``eval_ops`` lets the recorded rates be measured on a different channel
     than the one driving the updates (both default to ``ops``).
     """
-    if eval_ops is None:
-        eval_ops = ops
-    steps = len(mu)
-    p = np.array(p0, dtype=np.float64)
-    q = p.shape[0]
-    rates = np.empty((steps + 1, q))
-    iterates = np.empty((steps + 1,) + p.shape) if record_iterates else None
-    for k in range(steps):
-        rp = rate_pass(net, ops, p)
-        if eval_ops is ops:
-            rates[k] = rp.message.min(axis=-1)
-        else:
-            rates[k] = rate_pass(net, eval_ops, p).message.min(axis=-1)
+    shape = np.shape(p0)
+    rates = np.empty((len(mu) + 1, shape[0]))
+    iterates = np.empty((len(mu) + 1,) + shape) if record_iterates else None
+    for k, (p, rate) in enumerate(iterate_schedule(net, ops, p0, mu, eval_ops)):
+        rates[k] = rate
         if record_iterates:
             iterates[k] = p
-        grad, _, _, _, _ = gradient_pass(net, ops, rp)
-        p = project_with_tangent(p + mu[k] * grad)[0]
-    rates[steps] = rate_pass(net, eval_ops, p).message.min(axis=-1)
-    if record_iterates:
-        iterates[steps] = p
     return rates, iterates
 
 

@@ -15,16 +15,21 @@ callers evaluate the realized rate separately.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine
 from .channels import ChannelRealization, NoiseProfile, topology_of
 from .pgd import PgdTrajectory, run_pgd_batch
 from .pilots import PilotBlock, lmmse_estimate
 from .power import random_init, uniform_init
 
-__all__ = ["EnsembleResult", "infer", "member_starts"]
+__all__ = ["EnsembleResult", "BatchResult", "infer", "infer_batch", "member_starts"]
+
+# Channels per batch in ``infer_batch``; bounds its peak memory.
+_CHUNK = 64
 
 
 @dataclass
@@ -53,6 +58,17 @@ class EnsembleResult:
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_json(), fh)
+
+
+@dataclass
+class BatchResult:
+    """Per-channel selections of ``infer_batch``, one row per channel; the
+    fields mean what they mean in ``EnsembleResult``."""
+
+    selected: np.ndarray                # (channels, rows, N)
+    selected_min_rate_eval: np.ndarray  # (channels,)
+    member_index: np.ndarray
+    iteration_index: np.ndarray
 
 
 def member_starts(topology, ensemble_size: int, seed: int) -> np.ndarray:
@@ -115,3 +131,54 @@ def infer(
         iteration_index=iteration,
         trajectories=trajectories,
     )
+
+
+def infer_batch(
+    channels: Sequence[ChannelRealization],
+    noise: NoiseProfile,
+    mu: np.ndarray,
+    ensemble_size: int,
+    seeds: Sequence[int],
+) -> BatchResult:
+    """``infer`` on many channels at once; channel ``i`` uses ``seeds[i]``.
+
+    The results are bit-identical to one ``infer`` call per channel.  Every
+    (channel, member) pair of a chunk of channels runs in one batch and keeps
+    its best iterate so far (strict ``>``: the earliest iteration wins a tie);
+    the lowest member holding the channel's best value is selected.
+    """
+    if ensemble_size < 1:
+        raise ValueError("the ensemble needs at least one member")
+    mu = np.asarray(mu, dtype=np.float64)
+    if len(mu) < 1:
+        raise ValueError("the step schedule must contain at least one step")
+    channels = list(channels)
+    topology = topology_of(channels[0])
+    net = engine.net_index(topology)
+    sig2 = np.asarray(noise.hop_noise_vars)
+    parts = []
+    for start in range(0, len(channels), _CHUNK):
+        chunk = channels[start : start + _CHUNK]
+        first, later = engine.stack_channels(chunk)
+        ops = engine.prepare_operands(
+            np.repeat(first, ensemble_size, axis=0),
+            tuple(np.repeat(mat, ensemble_size, axis=0) for mat in later),
+            sig2,
+        )
+        starts = np.concatenate(
+            [member_starts(topology, ensemble_size, s) for s in seeds[start : start + _CHUNK]]
+        )
+        trajectory = engine.iterate_schedule(net, ops, starts, mu)
+        next(trajectory)  # initial guesses are never candidates
+        best_p, best = next(trajectory)
+        best_p = best_p.copy()
+        iteration = np.ones(len(best), dtype=np.int64)
+        for k, (p, rate) in enumerate(trajectory, start=2):
+            better = rate > best
+            best = np.where(better, rate, best)
+            best_p[better] = p[better]
+            iteration[better] = k
+        member = np.argmax(best.reshape(len(chunk), ensemble_size), axis=1)
+        pick = np.arange(len(chunk)) * ensemble_size + member
+        parts.append((best_p[pick], best[pick], member, iteration[pick]))
+    return BatchResult(*(np.concatenate(field) for field in zip(*parts)))

@@ -4,8 +4,10 @@ Each scenario consumes an ``ExperimentConfig``, derives every random stream
 from the master seed (disjoint roles for train data, test data, calibration,
 training, ensemble starts and pilot noise), and writes CSV tables plus a JSON
 run manifest into the output directory.  Outputs are byte-identical across
-re-runs with the same configuration and seed, independent of the worker
-count.
+re-runs with the same configuration and seed.  The ``threads`` setting is
+accepted and ignored: test channels, ensemble members and step candidates
+run on one batch axis in a single thread, so outputs are identical for any
+value.
 
 Noise levels are given in dB relative to the unit channel variance:
 ``sigma_b^2 = 10^(dB/10)`` on every hop.
@@ -20,18 +22,18 @@ import json
 import os
 import platform
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__ as _version
 from .channels import ChannelDataset, NoiseProfile, Topology, build_dataset
-from .ensemble import infer
+from .ensemble import infer_batch
 from .errors import CapabilityError, ConfigurationError
 from .gridsearch import grid_capacity
+from .jsonfile import write_json
 from .pgd import calibrate_fixed_step, run_pgd_batch
-from .pilots import make_pilots, simulate_pilot_rx
+from .pilots import lmmse_estimate, make_pilots, simulate_pilot_rx
 from .power import uniform_init
 from .rates import min_rate
 from .training import FULL_CSI, NOISY_CSI, TrainConfig, load_schedule, save_schedule, train
@@ -146,14 +148,6 @@ def dataset_fingerprint(dataset: ChannelDataset) -> str:
     return digest.hexdigest()
 
 
-def parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
-    """Order-preserving map; results do not depend on the worker count."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -185,9 +179,9 @@ def _write_manifest(config: ExperimentConfig, outputs: list[str], seeds: dict) -
         },
         "outputs": sorted(outputs),
     }
-    path = os.path.join(config.out_dir, "run_manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+    write_json(
+        os.path.join(config.out_dir, "run_manifest.json"), manifest, sort_keys=True, indent=2
+    )
 
 
 def _cache_path(config: ExperimentConfig, kind: str, descriptor: dict) -> str | None:
@@ -239,9 +233,14 @@ def _calibrated_step(
     calib = build_dataset(topology, noise, config.calib_size, descriptor["seed"])
     step = calibrate_fixed_step(list(calib.channels()), noise)
     if path is not None:
-        with open(path, "w") as fh:
-            json.dump({"step": step, "descriptor": descriptor}, fh)
+        write_json(path, {"step": step, "descriptor": descriptor})
     return step
+
+
+def _training_disabled(tag: str) -> ConfigurationError:
+    return ConfigurationError(
+        f"no schedule artifact or cached schedule for {tag} and training is disabled"
+    )
 
 
 def _trained_schedule(
@@ -261,10 +260,8 @@ def _trained_schedule(
                 f"schedule {artifact} has {len(mu)} steps, config expects {iterations}"
             )
         return mu
-    if not config.allow_training:
-        raise ConfigurationError(
-            f"no schedule artifact for {tag} and training is disabled"
-        )
+    if not config.allow_training and config.cache_dir is None:
+        raise _training_disabled(tag)  # no cache could hold the schedule
     train_cfg = dataclasses.replace(config.train, mode=mode)
     if train_cfg.init_step is None:
         train_cfg = dataclasses.replace(
@@ -283,6 +280,8 @@ def _trained_schedule(
     cached = _read_cache(path)
     if cached is not None:
         mu = np.array(cached["steps"], dtype=np.float64)
+    elif not config.allow_training:
+        raise _training_disabled(tag)
     else:
         noise = noise_profile(db, topology.num_hops)
         dataset = build_dataset(
@@ -303,6 +302,10 @@ def _uniform_starts(topology: Topology, count: int) -> np.ndarray:
     )
 
 
+def _ensemble_seeds(config: ExperimentConfig, level_index: int, count: int) -> list[int]:
+    return [derive_seed(config.seed, ENSEMBLE, level_index, i) for i in range(count)]
+
+
 def _ensemble_rates(
     config: ExperimentConfig,
     channels,
@@ -311,19 +314,10 @@ def _ensemble_rates(
     level_index: int,
 ) -> np.ndarray:
     """Full-CSI ensemble min rates per test channel."""
-
-    def one(item):
-        index, ch = item
-        result = infer(
-            ch,
-            noise,
-            mu,
-            config.ensemble_size,
-            seed=derive_seed(config.seed, ENSEMBLE, level_index, index),
-        )
-        return result.selected_min_rate_eval
-
-    return np.array(parallel_map(one, list(enumerate(channels)), config.threads))
+    seeds = _ensemble_seeds(config, level_index, len(channels))
+    return infer_batch(
+        channels, noise, mu, config.ensemble_size, seeds
+    ).selected_min_rate_eval
 
 
 def _ensemble_rates_noisy(
@@ -334,27 +328,19 @@ def _ensemble_rates_noisy(
     level_index: int,
 ) -> np.ndarray:
     """Realized (true-channel) min rates when inferring from noisy pilots."""
-    topology = Topology(config.hop_sizes)
-    pilots = make_pilots(topology)
-
-    def one(item):
-        index, ch = item
-        rng = np.random.default_rng(
-            [derive_seed(config.seed, PILOTS, level_index), index]
-        )
-        block = simulate_pilot_rx(ch, noise, pilots, rng)
-        result = infer(
-            block,
+    pilots = make_pilots(Topology(config.hop_sizes))
+    pilot_seed = derive_seed(config.seed, PILOTS, level_index)
+    estimates = [
+        lmmse_estimate(
+            simulate_pilot_rx(ch, noise, pilots, np.random.default_rng([pilot_seed, i])),
             noise,
-            mu,
-            config.ensemble_size,
-            seed=derive_seed(config.seed, ENSEMBLE, level_index, index),
-            channel_var=noise.channel_var,
+            noise.channel_var,
         )
-        realized, _ = min_rate(ch, result.selected, noise)
-        return float(realized)
-
-    return np.array(parallel_map(one, list(enumerate(channels)), config.threads))
+        for i, ch in enumerate(channels)
+    ]
+    seeds = _ensemble_seeds(config, level_index, len(channels))
+    selected = infer_batch(estimates, noise, mu, config.ensemble_size, seeds).selected
+    return np.array([float(min_rate(ch, p, noise)[0]) for ch, p in zip(channels, selected)])
 
 
 def _fixed_final_rates(
@@ -368,12 +354,11 @@ def _fixed_final_rates(
 def _oracle_rates(
     config: ExperimentConfig, channels, noise: NoiseProfile
 ) -> np.ndarray:
-    def one(ch):
-        return grid_capacity(
-            ch, noise, config.oracle_resolution, cache_dir=config.cache_dir
-        ).best_min_rate
-
-    return np.array(parallel_map(one, list(channels), config.threads))
+    return np.array([
+        grid_capacity(ch, noise, config.oracle_resolution, cache_dir=config.cache_dir)
+        .best_min_rate
+        for ch in channels
+    ])
 
 
 def run_iter_curve(config: ExperimentConfig) -> dict:

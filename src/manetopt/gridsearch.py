@@ -24,6 +24,7 @@ import numpy as np
 from . import engine
 from .channels import ChannelRealization, NoiseProfile, topology_of
 from .errors import CapabilityError
+from .jsonfile import write_json
 from .rates import min_rate
 
 __all__ = ["GridResult", "grid_capacity", "MAX_GRID_POINTS"]
@@ -144,6 +145,5 @@ def _maybe_cache(result: GridResult, cache_path: str | None) -> GridResult:
             "resolution": result.resolution,
             "evaluations": result.evaluations,
         }
-        with open(cache_path, "w") as fh:
-            json.dump(doc, fh)
+        write_json(cache_path, doc)
     return result

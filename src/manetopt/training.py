@@ -24,6 +24,7 @@ import numpy as np
 
 from . import engine
 from .channels import ChannelDataset, ChannelRealization, NoiseProfile, Topology
+from .jsonfile import write_json
 from .pgd import PgdTrajectory, calibrate_fixed_step
 from .pilots import lmmse_estimate, make_pilots, simulate_pilot_rx
 from .power import random_init
@@ -285,8 +286,7 @@ def save_schedule(
         "seed": seed,
         "config_hash": config_hash(config) if config is not None else None,
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    write_json(path, doc)
 
 
 def load_schedule(path: str) -> tuple[np.ndarray, dict]:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import manetopt as mo
+from manetopt import ensemble
 from manetopt.ensemble import member_starts
 
 
@@ -139,3 +140,75 @@ def test_result_serializes(world, tmp_path):
     doc = json.loads(path.read_text())
     assert doc["member_index"] == res.member_index
     assert np.allclose(doc["selected"], res.selected)
+
+
+def _assert_batch_matches_infer(batch, results):
+    assert len(batch.selected) == len(results)
+    for i, res in enumerate(results):
+        assert np.array_equal(batch.selected[i], res.selected)
+        assert batch.selected_min_rate_eval[i] == res.selected_min_rate_eval
+        assert batch.member_index[i] == res.member_index
+        assert batch.iteration_index[i] == res.iteration_index
+
+
+@pytest.mark.parametrize("hop_sizes", [(2, 2), (3, 3), (1, 2, 2)])
+@pytest.mark.parametrize("ensemble_size", [1, 4])
+def test_infer_batch_matches_infer_full_csi(monkeypatch, hop_sizes, ensemble_size):
+    # Seven channels over chunks of three also cover a partial last chunk.
+    monkeypatch.setattr(ensemble, "_CHUNK", 3)
+    topo = mo.Topology(hop_sizes)
+    noise = mo.NoiseProfile((0.5,) * topo.num_hops)
+    rng = np.random.default_rng(31)
+    channels = [mo.sample_channel(topo, 1.0, rng) for _ in range(7)]
+    mu = np.geomspace(0.5, 0.01, 10)
+    seeds = [100 + i for i in range(7)]
+    batch = mo.infer_batch(channels, noise, mu, ensemble_size, seeds)
+    _assert_batch_matches_infer(
+        batch, [mo.infer(ch, noise, mu, ensemble_size, seed=s) for ch, s in zip(channels, seeds)]
+    )
+
+
+def test_infer_batch_matches_infer_from_pilots(world):
+    topo, noise, _, mu = world
+    rng = np.random.default_rng(41)
+    pilots = mo.make_pilots(topo)
+    blocks = [
+        mo.simulate_pilot_rx(mo.sample_channel(topo, 1.0, rng), noise, pilots, rng)
+        for _ in range(5)
+    ]
+    estimates = [mo.lmmse_estimate(block, noise, 1.0) for block in blocks]
+    batch = mo.infer_batch(estimates, noise, mu, 3, [7, 8, 9, 10, 11])
+    _assert_batch_matches_infer(
+        batch, [mo.infer(b, noise, mu, 3, seed=s) for b, s in zip(blocks, range(7, 12))]
+    )
+
+
+def test_infer_batch_tie_rule_matches_infer(world):
+    # A zero schedule never moves: every iteration of a member ties, so the
+    # first iterate wins.  With one end user every feasible matrix is all
+    # ones, so every member and iteration ties and member 0, iteration 1 wins.
+    topo, noise, ch, mu = world
+    zero = np.zeros(5)
+    batch = mo.infer_batch([ch, ch], noise, zero, 4, [3, 4])
+    _assert_batch_matches_infer(
+        batch, [mo.infer(ch, noise, zero, 4, seed=s) for s in (3, 4)]
+    )
+    assert list(batch.iteration_index) == [1, 1]
+
+    single = mo.Topology((2, 1))
+    rng = np.random.default_rng(8)
+    channels = [mo.sample_channel(single, 1.0, rng) for _ in range(3)]
+    batch = mo.infer_batch(channels, noise, mu, 3, [0, 1, 2])
+    _assert_batch_matches_infer(
+        batch, [mo.infer(c, noise, mu, 3, seed=s) for c, s in zip(channels, range(3))]
+    )
+    assert list(batch.member_index) == [0, 0, 0]
+    assert list(batch.iteration_index) == [1, 1, 1]
+
+
+def test_infer_batch_rejects_empty_ensemble(world):
+    topo, noise, ch, mu = world
+    with pytest.raises(ValueError):
+        mo.infer_batch([ch], noise, mu, 0, [0])
+    with pytest.raises(ValueError):
+        mo.infer_batch([ch], noise, np.zeros(0), 1, [0])

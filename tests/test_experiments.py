@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import manetopt.cli as cli
+import manetopt.experiments as experiments
 from manetopt import NoiseProfile, Topology, build_dataset
 from manetopt.errors import CapabilityError, ConfigurationError
 from manetopt.experiments import (
@@ -20,7 +21,8 @@ from manetopt.experiments import (
     run_scenario,
     run_transfer,
 )
-from manetopt.training import TrainConfig
+from manetopt.gridsearch import grid_capacity
+from manetopt.training import FULL_CSI, TrainConfig
 
 
 def tiny_config(tmp_path, scenario, **overrides):
@@ -85,10 +87,76 @@ def test_iter_curve_single_channel_mean(tmp_path):
     assert len(rows) == 7
 
 
-def test_iter_curve_requires_schedule_or_training(tmp_path):
+def test_iter_curve_requires_schedule_or_training(tmp_path, monkeypatch):
     config = tiny_config(tmp_path, "iter-curve", allow_training=False)
     with pytest.raises(ConfigurationError):
         run_iter_curve(config)
+    # Without a cache nothing can serve the schedule: refuse before calibrating.
+    monkeypatch.setattr(experiments, "calibrate_fixed_step", None)
+    uncached = tiny_config(
+        tmp_path, "iter-curve", allow_training=False, cache_dir=None,
+        train=TrainConfig(iterations=6),
+    )
+    with pytest.raises(ConfigurationError):
+        run_iter_curve(uncached)
+
+
+def test_training_disabled_reads_the_cache(tmp_path):
+    # A schedule trained into the cache serves a later run that may not train.
+    first = tiny_config(tmp_path, "iter-curve", out_dir=str(tmp_path / "a"))
+    run_iter_curve(first)
+    second = tiny_config(
+        tmp_path, "iter-curve", out_dir=str(tmp_path / "b"), allow_training=False
+    )
+    run_iter_curve(second)
+    for name in ("iter_curve.csv", "mu_full_0db.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    # The manifests record each run's config, so they differ in that flag only.
+    a, b = (json.loads((tmp_path / d / "run_manifest.json").read_text()) for d in "ab")
+    assert a["config"].pop("allow_training") is True
+    assert b["config"].pop("allow_training") is False
+    del a["config_hash"], b["config_hash"]
+    assert a == b
+
+
+def _cache_writes(tmp_path):
+    """One writer per cache kind: calibrated step, trained schedule, grid."""
+    config = tiny_config(tmp_path, "iter-curve")
+    topology = Topology(config.hop_sizes)
+    noise = noise_profile(0.0, topology.num_hops)
+    channel = next(iter(build_dataset(topology, noise, 1, 5).channels()))
+    return {
+        "calib": lambda: experiments._calibrated_step(config, topology, 0.0),
+        "mu": lambda: experiments._trained_schedule(
+            config, topology, 0.0, FULL_CSI, None, "full"
+        ).tolist(),
+        "grid": lambda: grid_capacity(
+            channel, noise, 0.1, cache_dir=config.cache_dir
+        ).best_min_rate,
+    }
+
+
+@pytest.mark.parametrize("kind", ["calib", "mu", "grid"])
+def test_failed_cache_write_leaves_nothing(tmp_path, monkeypatch, kind):
+    write = _cache_writes(tmp_path)[kind]
+    expected = write()
+    cache = tmp_path / "cache"
+    for path in cache.iterdir():
+        path.unlink()
+
+    def broken_dump(doc, fh, **kwargs):
+        fh.write('{"partial')
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            write()
+    assert list(cache.iterdir()) == []
+    # The next run recomputes and caches the whole entry.
+    assert write() == expected
+    (entry,) = cache.iterdir()
+    assert json.loads(entry.read_text())
 
 
 def test_noise_sweep_outputs(tmp_path):

@@ -140,6 +140,47 @@ def test_calibrate_fixed_step_small():
     assert step in STEP_CANDIDATES
 
 
+def _sequential_calibration(channels, noise, candidates, iterations, tol):
+    """One run per candidate, largest first, stopping at the first that
+    settles: the reference the batched calibration must reproduce."""
+    topo = mo.topology_of(channels[0])
+    p0 = np.broadcast_to(
+        mo.uniform_init(topo), (len(channels), topo.stacked_rows, topo.end_users)
+    )
+    ordered = sorted(candidates)[::-1]
+    for step in ordered:
+        rates, _ = mo.run_pgd_batch(channels, noise, p0, np.full(iterations, step))
+        tail = rates.mean(axis=1)[-max(2, round(0.1 * iterations)):]
+        if np.all(np.diff(tail) >= -tol):
+            return step
+    return ordered[-1]
+
+
+@pytest.mark.parametrize(
+    "hop_sizes, sigma2, candidates, tol, expected",
+    [
+        # One end user: every feasible matrix is all ones, so 1.0 settles.
+        ((2, 1), 1.0, (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01), 1e-12, 1.0),
+        # Only the smallest step settles.
+        ((2, 2), 1.0, (1.0, 0.5, 0.2, 1e-4), 1e-12, 1e-4),
+        # None settles: the smallest candidate is the fallback.
+        ((2, 2), 1.0, (0.2, 1.0, 0.5), 1e-12, 0.2),
+        # A looser tolerance settles a middle candidate.
+        ((2, 2), 10.0, (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01), 1e-4, 0.02),
+    ],
+)
+def test_calibrate_fixed_step_matches_sequential_runs(
+    hop_sizes, sigma2, candidates, tol, expected
+):
+    topo = mo.Topology(hop_sizes)
+    noise = mo.NoiseProfile((sigma2,) * topo.num_hops)
+    rng = np.random.default_rng(3)
+    channels = [mo.sample_channel(topo, 1.0, rng) for _ in range(5)]
+    step = mo.calibrate_fixed_step(channels, noise, candidates, iterations=300, tol=tol)
+    assert step == _sequential_calibration(channels, noise, candidates, 300, tol)
+    assert step == expected
+
+
 def test_trajectory_csv(tmp_path, net_122):
     topo, ch, noise = net_122
     traj = mo.run_pgd(ch, noise, mo.uniform_init(topo), np.full(3, 0.1))
