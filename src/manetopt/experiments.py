@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__ as _version
 from .channels import ChannelDataset, NoiseProfile, Topology, build_dataset
 from .ensemble import infer_batch
-from .errors import CapabilityError, ConfigurationError
-from .gridsearch import grid_capacity
+from .errors import ConfigurationError
+from .gridsearch import grid_capacity, grid_points
 from .jsonfile import write_json
 from .pgd import calibrate_fixed_step, run_pgd_batch
 from .pilots import lmmse_estimate, make_pilots, simulate_pilot_rx
@@ -365,6 +365,9 @@ def run_iter_curve(config: ExperimentConfig) -> dict:
     """Mean min rate per iteration: learned schedule vs fixed step (vs oracle)."""
     os.makedirs(config.out_dir, exist_ok=True)
     topology = Topology(config.hop_sizes)
+    with_oracle = config.include_oracle and topology.end_users <= 2
+    if with_oracle:
+        grid_points(topology, config.oracle_resolution)  # refuse before training
     db = config.noise_db[0]
     noise = noise_profile(db, topology.num_hops)
     _, test_ds = _datasets(config, topology, db)
@@ -381,7 +384,7 @@ def run_iter_curve(config: ExperimentConfig) -> dict:
     )
     header = ["iteration", "unfolded_mean", "fixed_mean"]
     oracle_mean = None
-    if config.include_oracle and topology.end_users <= 2:
+    if with_oracle:
         oracle_mean = float(_oracle_rates(config, channels, noise).mean())
         header.append("oracle_mean")
     rows = []
@@ -402,6 +405,8 @@ def run_noise_sweep(config: ExperimentConfig) -> dict:
     topology = Topology(config.hop_sizes)
     iterations = config.train.iterations
     with_oracle = config.include_oracle and topology.end_users <= 2
+    if with_oracle:
+        grid_points(topology, config.oracle_resolution)  # refuse before training
 
     header = ["noise_db", "unfolded_mean", "fixed40_mean", "fixed_long_mean"]
     if with_oracle:
@@ -553,8 +558,7 @@ def run_oracle_compare(config: ExperimentConfig) -> dict:
     """Per-channel ensemble min rate against the exhaustive grid reference."""
     os.makedirs(config.out_dir, exist_ok=True)
     topology = Topology(config.hop_sizes)
-    if topology.end_users > 2:
-        raise CapabilityError("the grid reference supports at most two end users")
+    grid_points(topology, config.oracle_resolution)  # refuse before training
     db = config.noise_db[0]
     noise = noise_profile(db, topology.num_hops)
     _, test_ds = _datasets(config, topology, db)

@@ -252,6 +252,31 @@ def test_oracle_compare_large_topology_refused(tmp_path):
         run_oracle_compare(config)
 
 
+def test_iter_curve_oracle_on_deeper_two_user_network(tmp_path):
+    # Four stacked rows at the default resolution: 101 + 101^2 + 101 grid points.
+    config = tiny_config(tmp_path, "iter-curve", hop_sizes=(1, 2, 2), oracle_resolution=1e-2)
+    header, rows = run_iter_curve(config)["iter_curve"]
+    assert header == ["iteration", "unfolded_mean", "fixed_mean", "oracle_mean"]
+    topology = Topology(config.hop_sizes)
+    noise = noise_profile(0.0, topology.num_hops)
+    channels = build_dataset(
+        topology, noise, config.test_size, derive_seed(config.seed, experiments.TEST_DATA)
+    ).channels()
+    oracle = [grid_capacity(ch, noise, 1e-2).best_min_rate for ch in channels]
+    assert {r[3] for r in rows} == {float(np.mean(oracle))}
+
+
+@pytest.mark.parametrize("scenario", ["iter-curve", "noise-sweep", "oracle-compare"])
+def test_refused_oracle_fails_before_any_work(tmp_path, scenario):
+    # (4, 2) at resolution 1e-2 needs 101^4 + 101 grid points; the refusal
+    # comes before any schedule or calibration reaches the cache.
+    config = tiny_config(tmp_path, scenario, hop_sizes=(4, 2), oracle_resolution=1e-2)
+    with pytest.raises(CapabilityError):
+        run_scenario(config)
+    cache = tmp_path / "cache"
+    assert not cache.exists() or not any(cache.iterdir())
+
+
 def _run_cli(tmp_path, scenario, config, extra=()):
     cfg_path = tmp_path / "cfg.json"
     doc = config.to_dict()

@@ -1,8 +1,58 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import manetopt as mo
+from manetopt import engine
 from manetopt.errors import CapabilityError
+from manetopt.experiments import TEST_DATA, derive_seed, noise_profile
+from manetopt.gridsearch import _cache_key
+
+ACCEPTANCE_CACHE = Path(__file__).resolve().parent.parent / ".acceptance_cache"
+
+
+def brute_force_grid(channel, noise, resolution, chunk=131_072):
+    """Reference search over the whole product grid of a two-user network.
+
+    Returns the best min rate and the matrix at the first C-order grid index
+    that reaches it.
+    """
+    topology = mo.topology_of(channel)
+    rows = topology.stacked_rows
+    points = int(round(1.0 / resolution)) + 1
+    total = points**rows
+    axis = np.linspace(0.0, 1.0, points)
+    other = np.sqrt(1.0 - axis * axis)
+    net = engine.net_index(topology)
+    ops = engine.operands_from(channel, noise)
+    best_value = -np.inf
+    best_index = 0
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total))
+        combo = np.array(np.unravel_index(idx, (points,) * rows)).T
+        p = np.empty((len(idx), rows, 2))
+        p[:, :, 0] = axis[combo]
+        p[:, :, 1] = other[combo]
+        values = engine.rate_pass(net, ops, p).message.min(axis=-1)
+        local = int(np.argmax(values))
+        if values[local] > best_value:
+            best_value = float(values[local])
+            best_index = start + local
+    combo = np.array(np.unravel_index(best_index, (points,) * rows))
+    return best_value, np.stack([axis[combo], other[combo]], axis=-1)
+
+
+def zeroed(channel, hop):
+    """``channel`` with every coefficient of ``hop`` (1..B) set to zero."""
+    if hop == 1:
+        return mo.ChannelRealization(
+            first_hop=np.zeros_like(channel.first_hop), later_hops=channel.later_hops
+        )
+    later = list(channel.later_hops)
+    later[hop - 2] = np.zeros_like(later[hop - 2])
+    return mo.ChannelRealization(first_hop=channel.first_hop, later_hops=tuple(later))
 
 
 @pytest.fixture
@@ -61,7 +111,58 @@ def test_capability_guard():
         mo.grid_capacity(big, noise, 1e-2)
     _, noise2, ch = (None, noise, mo.sample_channel(mo.Topology((2, 2)), 1.0, np.random.default_rng(4)))
     with pytest.raises(CapabilityError):
-        mo.grid_capacity(ch, noise2, 1e-4)  # 10001^3 points exceed the guard
+        mo.grid_capacity(ch, noise2, 1e-4)  # 10001^2 + 10001 points exceed the guard
+    wide = mo.sample_channel(mo.Topology((4, 2)), 1.0, np.random.default_rng(4))
+    with pytest.raises(CapabilityError):
+        mo.grid_capacity(wide, noise2, 1e-2)  # 101^4 + 101 points
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 2)])
+def test_deeper_and_wider_networks_accepted(sizes):
+    topology = mo.Topology(sizes)
+    noise = mo.NoiseProfile((1.0,) * topology.num_hops)
+    ch = mo.sample_channel(topology, 1.0, np.random.default_rng(6))
+    res = mo.grid_capacity(ch, noise, 1e-2)
+    assert res.evaluations == 101**topology.stacked_rows
+    assert mo.is_feasible(res.best_matrix)
+    assert mo.min_rate(ch, res.best_matrix, noise)[0] == res.best_min_rate
+
+
+@pytest.mark.parametrize(
+    "sizes, resolution",
+    [((1, 2), 0.05), ((2, 2), 0.05), ((2, 2), 0.5), ((1, 2, 2), 0.1), ((3, 2), 0.2)],
+)
+@pytest.mark.parametrize("dead_hop", [None, "first", "last"])
+def test_matches_brute_force(sizes, resolution, dead_hop):
+    # Bit for bit, ties included: a dead hop makes every point of its block
+    # score zero, so the optimum ties across that whole block.
+    topology = mo.Topology(sizes)
+    noise = mo.NoiseProfile((1.0,) * topology.num_hops)
+    rng = np.random.default_rng(sum(sizes))
+    for _ in range(3):
+        ch = mo.sample_channel(topology, 1.0, rng)
+        if dead_hop is not None:
+            ch = zeroed(ch, 1 if dead_hop == "first" else topology.num_hops)
+        res = mo.grid_capacity(ch, noise, resolution)
+        value, matrix = brute_force_grid(ch, noise, resolution)
+        assert res.best_min_rate == value
+        assert np.array_equal(res.best_matrix, matrix)
+
+
+def test_acceptance_cache_matches_current_numerics():
+    # A cached grid value must be what the current code computes: the first
+    # ten criterion-4 channels (1x2x2 at 0 dB) against a fresh search.
+    topology = mo.Topology((2, 2))
+    noise = noise_profile(0.0, topology.num_hops)
+    test = mo.build_dataset(topology, noise, 10, derive_seed(0, TEST_DATA))
+    for ch in test.channels():
+        path = ACCEPTANCE_CACHE / (_cache_key(ch, noise, 1e-2) + ".json")
+        doc = json.loads(path.read_text())
+        fresh = mo.grid_capacity(ch, noise, 1e-2)
+        assert doc["best_min_rate"] == fresh.best_min_rate
+        assert np.array_equal(np.array(doc["best_matrix"]), fresh.best_matrix)
+        assert doc["evaluations"] == fresh.evaluations
+        assert doc["resolution"] == fresh.resolution
 
 
 def test_resolution_validation(world):
