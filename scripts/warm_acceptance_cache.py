@@ -4,10 +4,12 @@
 Runs the schedule trainings, step calibrations and grid-reference values into
 .acceptance_cache/ so `pytest tests/test_acceptance.py` only has to evaluate.
 Safe to re-run; everything is keyed by content.  Optional argv: a subset of
-job tags to run (default: all).
+job tags to run (default: all).  The scenario's own copies of the schedules
+go to a temporary directory; only the cache is kept.
 """
 
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -54,23 +56,23 @@ def jobs():
 
 def main() -> None:
     wanted = set(sys.argv[1:])
-    out = str(ROOT / ".acceptance_cache" / "warm_out")
-    for tag, (sizes, db, mode) in jobs():
-        if wanted and tag not in wanted:
-            continue
-        t0 = time.time()
-        config = config_for(sizes, out)
-        topology = mo.Topology(sizes)
-        if mode == "oracle":
-            noise = noise_profile(db, topology.num_hops)
-            test = mo.build_dataset(topology, noise, 200, derive_seed(0, TEST_DATA))
-            for ch in test.channels():
-                mo.grid_capacity(ch, noise, 1e-2, cache_dir=CACHE)
-        elif mode is None:
-            _calibrated_step(config, topology, db)
-        else:
-            _trained_schedule(config, topology, db, mode, None, f"warm_{tag}")
-        print(f"{tag}: {time.time() - t0:.0f}s", flush=True)
+    with tempfile.TemporaryDirectory() as out:
+        for tag, (sizes, db, mode) in jobs():
+            if wanted and tag not in wanted:
+                continue
+            t0 = time.time()
+            config = config_for(sizes, out)
+            topology = mo.Topology(sizes)
+            if mode == "oracle":
+                noise = noise_profile(db, topology.num_hops)
+                test = mo.build_dataset(topology, noise, 200, derive_seed(0, TEST_DATA))
+                for ch in test.channels():
+                    mo.grid_capacity(ch, noise, 1e-2, cache_dir=CACHE)
+            elif mode is None:
+                _calibrated_step(config, topology, db)
+            else:
+                _trained_schedule(config, topology, db, mode, None, f"warm_{tag}")
+            print(f"{tag}: {time.time() - t0:.0f}s", flush=True)
 
 
 if __name__ == "__main__":

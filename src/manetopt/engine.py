@@ -1,10 +1,14 @@
 """Vectorized rate, gradient and unrolled-optimizer kernels.
 
 Internal module.  Every kernel works on one explicit batch axis ``q``; public
-modules flatten arbitrary leading axes down to it.  Forward-mode tangent
-arrays carry an extra leading direction axis so the same code paths serve
-plain evaluation, objective gradients and differentiation of the unrolled
-optimizer with respect to its per-iteration step sizes.
+modules flatten arbitrary leading axes down to it.
+
+``unrolled_loss`` differentiates the unrolled optimizer with respect to its
+per-iteration step sizes in reverse mode: a forward sweep keeps every
+iterate, then one backward sweep carries a single adjoint array.  Each
+backward step needs a Hessian-vector product of the objective, which is the
+derivative of ``gradient_pass`` in one direction: ``rate_pass`` then carries
+one tangent (the shape of ``p``) beside its values.
 
 Index conventions: hops are numbered 1..B (hop 1 is the source broadcast);
 node, message and row indices are 0-based.  Reception at hop b depends on the
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChannelRealization, NoiseProfile, Topology
-from .power import project_with_tangent
+from .power import project_adjoint, project_with_tangent
 
 LN2 = float(np.log(2.0))
 INV_LN2 = 1.0 / LN2
@@ -125,10 +129,9 @@ class RatePass:
     denb: list[np.ndarray | None]
     elig: np.ndarray                    # (q, N, N) end-user decode obligations [l, n]
     message: np.ndarray                 # (q, N)
-    # tangents (leading direction axis), populated when dP was supplied
+    # tangents in one direction, populated when dp was supplied
     dphi: np.ndarray | None = None
     di1: np.ndarray | None = None
-    drates: list[np.ndarray | None] = field(default_factory=list)
     dc_re: list[np.ndarray | None] = field(default_factory=list)
     dc_im: list[np.ndarray | None] = field(default_factory=list)
     dgains: list[np.ndarray | None] = field(default_factory=list)
@@ -143,8 +146,9 @@ def rate_pass(
 ) -> RatePass:
     """Evaluate every reception rate for a batch of power matrices.
 
-    ``p`` is (q, stacked_rows, N); ``dp``, when given, is (k, q, rows, N) and
-    every stored intermediate gains a matching tangent.
+    ``p`` is (q, stacked_rows, N); ``dp``, when given, has the same shape and
+    the intermediates that ``gradient_pass`` differentiates gain a matching
+    tangent.
     """
     nmsg = net.end_users
     nhops = net.num_hops
@@ -163,17 +167,12 @@ def rate_pass(
     r1 = np.log1p(u1) * INV_LN2
 
     if want_d:
-        dphi = dp[:, :, -1, :]
-        dphi2 = 2.0 * phi * dphi
-        di1 = (dphi2[:, :, None, :] @ m1f)[:, :, 0, :]
-        dden1 = ops.a1[None, :, :, None] * di1[:, :, None, :]
-        dnum1 = ops.a1[None, :, :, None] * dphi2[:, :, None, :]
-        dr1 = (dnum1 - u1 * dden1) / (den1 + num1) * INV_LN2
+        dphi = dp[:, -1, :]
+        di1 = ((2.0 * phi * dphi)[:, None, :] @ m1f)[:, 0, :]
     else:
-        dphi = di1 = dr1 = None
+        dphi = di1 = None
 
     rates: list[np.ndarray] = [r1]
-    drates: list[np.ndarray | None] = [dr1]
     c_re: list[np.ndarray | None] = [None]
     c_im: list[np.ndarray | None] = [None]
     gains: list[np.ndarray | None] = [None]
@@ -210,19 +209,15 @@ def rate_pass(
         denb_list.append(denb)
 
         if want_d:
-            dpb = dp[:, :, rows, :]
+            dpb = dp[:, rows, :]
             dcr = ops.ht_re[j] @ dpb
             dci = ops.ht_im[j] @ dpb
             dg = 2.0 * (cr * dcr + ci * dci)
-            dib = (dg[:, :, :, None, :] @ mbf)[:, :, :, 0, :]
-            drb = (dg - ub * dib) / (denb + g) * INV_LN2
-            drates.append(drb)
             dc_re.append(dcr)
             dc_im.append(dci)
             dgains.append(dg)
-            dib_list.append(dib)
+            dib_list.append((dg[:, :, None, :] @ mbf)[:, :, 0, :])
         else:
-            drates.append(None)
             dc_re.append(None)
             dc_im.append(None)
             dgains.append(None)
@@ -256,7 +251,6 @@ def rate_pass(
         message=message,
         dphi=dphi,
         di1=di1,
-        drates=drates,
         dc_re=dc_re,
         dc_im=dc_im,
         dgains=dgains,
@@ -307,26 +301,6 @@ def select_binding(
     return bind_hop, bind_node
 
 
-def min_rate_pass(
-    net: NetIndex, rp: RatePass
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Minimum message rate, its tangents (if available) and the argmin."""
-    nstar = rp.message.argmin(axis=-1)
-    qi = np.arange(rp.q)
-    value = rp.message[qi, nstar]
-    if rp.dphi is None:
-        return value, None, nstar
-    bind_hop, bind_node = select_binding(net, rp, nstar)
-    k = rp.dphi.shape[0]
-    dvalue = np.zeros((k, rp.q))
-    for r in range(1, net.num_hops + 1):
-        sel = np.nonzero(bind_hop == r)[0]
-        if sel.size == 0:
-            continue
-        dvalue[:, sel] = rp.drates[r - 1][:, sel, bind_node[sel], nstar[sel]]
-    return value, dvalue, nstar
-
-
 def gradient_pass(
     net: NetIndex,
     ops: ChannelOperands,
@@ -336,19 +310,19 @@ def gradient_pass(
 
     The gradient of the single binding rate is placed in the rows of the
     transmit block feeding the binding reception hop; all other entries are
-    zero.  When the rate pass carries tangents, the gradient's directional
-    derivatives are returned alongside.
+    zero.  When the rate pass carries a tangent ``dp``, the gradient's
+    derivative in that direction (the Hessian-vector product of the selected
+    branch) is returned alongside.
     """
     q = rp.q
     nmsg = net.end_users
     want_d = rp.dphi is not None
-    k = rp.dphi.shape[0] if want_d else 0
 
     nstar = rp.message.argmin(axis=-1)
     bind_hop, bind_node = select_binding(net, rp, nstar)
 
     grad = np.zeros((q, net.stacked_rows, nmsg))
-    dgrad = np.zeros((k, q, net.stacked_rows, nmsg)) if want_d else None
+    dgrad = np.zeros((q, net.stacked_rows, nmsg)) if want_d else None
 
     for r in range(1, net.num_hops + 1):
         sel = np.nonzero(bind_hop == r)[0]
@@ -372,20 +346,19 @@ def gradient_pass(
             g[si, n] = (2.0 * INV_LN2) * a * phin / tot
             grad[sel, -1, :] = g
             if want_d:
-                dphi = rp.dphi[:, sel]
-                dphin = dphi[:, si, n]
-                dinter = rp.di1[:, sel, n]
-                dden = a * dinter
+                dphi = rp.dphi[sel]
+                dphin = dphi[si, n]
+                dden = a * rp.di1[sel, n]
                 dsig = 2.0 * a * phin * dphin
                 dtot = dsig + dden
                 dw_int = -(2.0 * INV_LN2) * a * (
                     dsig - sig * (dden / den + dtot / tot)
                 ) / (den * tot)
                 dg = np.where(
-                    maskrow, dw_int[:, :, None] * phi + w_int[:, None] * dphi, 0.0
+                    maskrow, dw_int[:, None] * phi + w_int[:, None] * dphi, 0.0
                 )
-                dg[:, si, n] = (2.0 * INV_LN2) * a * (dphin - phin * dtot / tot) / tot
-                dgrad[:, sel, -1, :] = dg
+                dg[si, n] = (2.0 * INV_LN2) * a * (dphin - phin * dtot / tot) / tot
+                dgrad[sel, -1, :] = dg
         else:
             j = r - 2
             rows = net.block(r - 1)
@@ -405,35 +378,21 @@ def gradient_pass(
             response = hre[:, :, None] * cr[:, None, :] + him[:, :, None] * ci[:, None, :]
             grad[sel, rows, :] = response * w[:, None, :]
             if want_d:
-                dcr = rp.dc_re[r - 1][:, sel, node, :]
-                dci = rp.dc_im[r - 1][:, sel, node, :]
-                dg_row = rp.dgains[r - 1][:, sel, node, :]
-                dgn = dg_row[:, si, n]
-                dinter = rp.dib[r - 1][:, sel, node, n]
-                dden = dinter
+                dcr = rp.dc_re[r - 1][sel, node, :]
+                dci = rp.dc_im[r - 1][sel, node, :]
+                dgn = rp.dgains[r - 1][sel, node, n]
+                dden = rp.dib[r - 1][sel, node, n]
                 dtot = dgn + dden
                 dw = np.where(
                     maskrow,
                     -(2.0 * INV_LN2)
-                    * ((dgn - gn * (dden / den + dtot / tot)) / (den * tot))[:, :, None],
+                    * ((dgn - gn * (dden / den + dtot / tot)) / (den * tot))[:, None],
                     0.0,
                 )
-                dw[:, si, n] = -(2.0 * INV_LN2) * dtot / (tot * tot)
-                dresponse = (
-                    hre[None, :, :, None] * dcr[:, :, None, :]
-                    + him[None, :, :, None] * dci[:, :, None, :]
-                )
-                dblock = dresponse * w[None, :, None, :] + response[None] * dw[:, :, None, :]
-                dgrad[:, sel, rows, :] = dblock
+                dw[si, n] = -(2.0 * INV_LN2) * dtot / (tot * tot)
+                dresponse = hre[:, :, None] * dcr[:, None, :] + him[:, :, None] * dci[:, None, :]
+                dgrad[sel, rows, :] = dresponse * w[:, None, :] + response * dw[:, None, :]
     return grad, dgrad, nstar, bind_hop, bind_node
-
-
-def pgd_step_batch(
-    net: NetIndex, ops: ChannelOperands, p: np.ndarray, mu: float
-) -> np.ndarray:
-    rp = rate_pass(net, ops, p)
-    grad, _, _, _, _ = gradient_pass(net, ops, rp)
-    return project_with_tangent(p + mu * grad)[0]
 
 
 def iterate_schedule(
@@ -509,8 +468,13 @@ def unrolled_loss(
     """Iteration-weighted negative min-rate loss of the unrolled optimizer.
 
     The trajectory is driven by ``opt_ops`` (possibly estimated CSI) while the
-    loss rates are measured under ``loss_ops`` (the true CSI).  Forward-mode
-    tangents give the exact gradient with respect to the step sizes.
+    loss rates are measured under ``loss_ops`` (the true CSI).  The exact
+    gradient with respect to the step sizes comes from one reverse sweep.
+    With ``x_k = p_k + mu_k g_k`` and ``p_{k+1} = project(x_k)``, the adjoint
+    ``lam_k = dL/dp_k`` starts at ``lam_K = -(w_K/q) grad R_loss(p_K)`` and
+    runs down as ``v = project'(x_k)^T lam_{k+1}``, ``dL/dmu_k = sum(g_k v)``,
+    ``lam_k = -(w_k/q) grad R_loss(p_k) + v + mu_k H_k v``, where ``H_k v`` is
+    the derivative of ``gradient_pass`` at ``p_k`` in the direction ``v``.
     """
     steps = len(mu)
     if steps < 1:
@@ -518,57 +482,51 @@ def unrolled_loss(
     p = np.array(p0, dtype=np.float64)
     q = p.shape[0]
     same = opt_ops is loss_ops
-    tang = np.zeros((steps, q, net.stacked_rows, net.end_users)) if want_grad else None
     loss = 0.0
-    dloss = np.zeros(steps) if want_grad else None
     iterate_rates = np.empty((steps + 1, q))
     min_margin = np.inf
+    # The trajectory the backward sweep needs: p_k, g_k and x_k for k < K, and
+    # the gradient of the loss-channel min rate at p_k for 1 <= k < K.
+    ps, gs, xs, loss_grads = [], [], [], []
 
     for k in range(steps):
-        dp = tang[:k] if want_grad else None
-        rp = rate_pass(net, opt_ops, p, dp=dp)
-        if k == 0:
-            if same:
-                iterate_rates[0] = rp.message.min(axis=-1)
-            else:
-                iterate_rates[0] = rate_pass(net, loss_ops, p).message.min(axis=-1)
+        rp = rate_pass(net, opt_ops, p)
+        rp_loss = rp if same else rate_pass(net, loss_ops, p)
+        iterate_rates[k] = rp_loss.message.min(axis=-1)
+        if k >= 1:
+            loss -= weights[k - 1] * iterate_rates[k].mean()
         if track_margins:
             min_margin = min(min_margin, _pass_margin(net, rp))
-        if k >= 1:
-            if same:
-                value, dvalue, _ = min_rate_pass(net, rp)
-            else:
-                rp_loss = rate_pass(net, loss_ops, p, dp=dp)
-                value, dvalue, _ = min_rate_pass(net, rp_loss)
-            iterate_rates[k] = value
-            loss -= weights[k - 1] * value.mean()
-            if want_grad:
-                dloss[:k] -= weights[k - 1] * dvalue.mean(axis=-1)
-        grad, dgrad, _, _, _ = gradient_pass(net, opt_ops, rp)
+        grad = gradient_pass(net, opt_ops, rp)[0]
         x = p + mu[k] * grad
+        if track_margins:
+            nz = x[x != 0.0]
+            if nz.size:
+                min_margin = min(min_margin, float(np.abs(nz).min()))
         if want_grad:
-            dx = np.empty((k + 1,) + p.shape)
-            if k > 0:
-                dx[:k] = tang[:k] + mu[k] * dgrad
-            dx[k] = grad
-            if track_margins:
-                nz = x[x != 0.0]
-                if nz.size:
-                    min_margin = min(min_margin, float(np.abs(nz).min()))
-            p, dnew = project_with_tangent(x, dx)
-            tang[: k + 1] = dnew
-        else:
-            p = project_with_tangent(x)[0]
+            if k >= 1:
+                loss_grads.append(grad if same else gradient_pass(net, loss_ops, rp_loss)[0])
+            ps.append(p)
+            gs.append(grad)
+            xs.append(x)
+        p = project_with_tangent(x)[0]
 
-    dp = tang if want_grad else None
-    rp_final = rate_pass(net, loss_ops, p, dp=dp)
-    value, dvalue, _ = min_rate_pass(net, rp_final)
-    iterate_rates[steps] = value
-    loss -= weights[steps - 1] * value.mean()
-    if want_grad:
-        dloss -= weights[steps - 1] * dvalue.mean(axis=-1)
+    rp_loss = rate_pass(net, loss_ops, p)
+    iterate_rates[steps] = rp_loss.message.min(axis=-1)
+    loss -= weights[steps - 1] * iterate_rates[steps].mean()
     if track_margins and same:
-        min_margin = min(min_margin, _pass_margin(net, rp_final))
+        min_margin = min(min_margin, _pass_margin(net, rp_loss))
+    dloss = None
+    if want_grad:
+        dloss = np.empty(steps)
+        lam = -(weights[steps - 1] / q) * gradient_pass(net, loss_ops, rp_loss)[0]
+        for k in range(steps - 1, -1, -1):
+            v = project_adjoint(xs[k], lam)
+            dloss[k] = np.sum(gs[k] * v)
+            if k == 0:
+                break
+            hv = gradient_pass(net, opt_ops, rate_pass(net, opt_ops, ps[k], dp=v))[1]
+            lam = -(weights[k - 1] / q) * loss_grads[k - 1] + v + mu[k] * hv
     return UnrolledResult(
         loss=float(loss),
         grad=dloss,

@@ -58,6 +58,13 @@ CALIB_DATA = 2
 ENSEMBLE = 4
 PILOTS = 5
 
+# Version of the arithmetic that trains a schedule, part of every schedule's
+# cache key.  Training amplifies last-bit differences in the step-size
+# gradient over its Adam updates, so bump this whenever that arithmetic
+# changes; no schedule trained by older code is then served from a cache.
+# 2: reverse-mode gradient (schedules cached before it carry no version).
+SCHEDULE_NUMERICS = 2
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -243,6 +250,28 @@ def _training_disabled(tag: str) -> ConfigurationError:
     )
 
 
+def _schedule_key(
+    config: ExperimentConfig, topology: Topology, db: float, mode: str
+) -> tuple[TrainConfig, dict, str | None]:
+    """Training config, cache descriptor and cache path of one schedule."""
+    train_cfg = dataclasses.replace(config.train, mode=mode)
+    if train_cfg.init_step is None:
+        train_cfg = dataclasses.replace(
+            train_cfg, init_step=_calibrated_step(config, topology, db)
+        )
+    descriptor = {
+        "kind": "schedule",
+        "numerics": SCHEDULE_NUMERICS,
+        "hop_sizes": list(topology.hop_sizes),
+        "db": db,
+        "mode": mode,
+        "train_size": config.train_size,
+        "data_seed": derive_seed(config.seed, TRAIN_DATA),
+        "train": dataclasses.asdict(train_cfg),
+    }
+    return train_cfg, descriptor, _cache_path(config, "mu", descriptor)
+
+
 def _trained_schedule(
     config: ExperimentConfig,
     topology: Topology,
@@ -262,21 +291,7 @@ def _trained_schedule(
         return mu
     if not config.allow_training and config.cache_dir is None:
         raise _training_disabled(tag)  # no cache could hold the schedule
-    train_cfg = dataclasses.replace(config.train, mode=mode)
-    if train_cfg.init_step is None:
-        train_cfg = dataclasses.replace(
-            train_cfg, init_step=_calibrated_step(config, topology, db)
-        )
-    descriptor = {
-        "kind": "schedule",
-        "hop_sizes": list(topology.hop_sizes),
-        "db": db,
-        "mode": mode,
-        "train_size": config.train_size,
-        "data_seed": derive_seed(config.seed, TRAIN_DATA),
-        "train": dataclasses.asdict(train_cfg),
-    }
-    path = _cache_path(config, "mu", descriptor)
+    train_cfg, descriptor, path = _schedule_key(config, topology, db, mode)
     cached = _read_cache(path)
     if cached is not None:
         mu = np.array(cached["steps"], dtype=np.float64)

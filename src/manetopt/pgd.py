@@ -58,7 +58,10 @@ def pgd_step(
     if not is_feasible(p):
         raise ValueError("pgd_step requires a feasible matrix")
     net = engine.net_index(topology_of(channel))
-    return engine.pgd_step_batch(net, _operands(channel, noise), p[None], float(mu))[0]
+    _, (stepped, _) = engine.iterate_schedule(
+        net, _operands(channel, noise), p[None], [float(mu)]
+    )
+    return stepped[0]
 
 
 def run_pgd(

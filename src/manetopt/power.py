@@ -49,20 +49,16 @@ def project(raw: np.ndarray) -> np.ndarray:
         return project_with_tangent(x)[0]
 
 
-def project_with_tangent(
-    x: np.ndarray, dx: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Row projection plus, optionally, its directional derivatives.
+def _row_factors(x: np.ndarray):
+    """Per-row pieces shared by the projection, its tangent and its adjoint.
 
-    ``dx`` holds tangent directions with a leading axis; the returned tangent
-    differentiates the selected branch of the projection (clamped entries pass
-    nothing, near-unit rows pass through unchanged, degenerate rows are
-    constant).
+    Returns the mask of positive entries, the clamped rows ``u`` (rescaled
+    where needed), the rescale factor (``None`` if no row needed one), the
+    pass-through and degenerate row masks, and the row norms of ``u`` with
+    degenerate rows set to 1.
     """
-    n = x.shape[-1]
     positive = x > 0.0
     u = np.where(positive, x, 0.0)
-    du = None if dx is None else np.where(positive, dx, 0.0)
     sumsq = np.sum(u * u, axis=-1, keepdims=True)
     norms = np.sqrt(sumsq)
     passthrough = np.abs(norms - 1.0) <= NORM_TOL
@@ -71,25 +67,61 @@ def project_with_tangent(
     # first.  The scaled branch is invariant to that factor, and every other
     # row is divided by exactly 1, so it stays bit-identical.
     inexact = (sumsq < _SMALLEST_NORMAL) | (sumsq == np.inf)
+    scale = None
     if np.any(inexact):
         peak = np.max(u, axis=-1, keepdims=True)
         scale = np.where(inexact & (peak > 0.0), peak, 1.0)
         u = u / scale
-        if du is not None:
-            du = du / scale
         norms = np.sqrt(np.sum(u * u, axis=-1, keepdims=True))
     degenerate = norms == 0.0
     safe = np.where(degenerate, 1.0, norms)
-    scaled = np.minimum(u / safe, 1.0)
-    out = np.where(passthrough, u, scaled)
+    return positive, u, scale, passthrough, degenerate, safe
+
+
+def project_with_tangent(
+    x: np.ndarray, dx: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Row projection plus, optionally, its derivative in one direction.
+
+    ``dx`` has the shape of ``x``; the returned tangent differentiates the
+    selected branch of the projection (clamped entries pass nothing,
+    near-unit rows pass through unchanged, degenerate rows are constant).
+    """
+    n = x.shape[-1]
+    positive, u, scale, passthrough, degenerate, safe = _row_factors(x)
+    unit = u / safe
+    out = np.where(passthrough, u, np.minimum(unit, 1.0))
     out = np.where(degenerate, 1.0 / np.sqrt(n), out)
     if dx is None:
         return out, None
-    radial = np.sum(u * du, axis=-1, keepdims=True)
-    dscaled = du / safe - u * radial / safe**3
+    du = np.where(positive, dx, 0.0)
+    if scale is not None:
+        du = du / scale
+    # (I/s - u u^T/s^3) du, written with the unit row so that no power of s
+    # under- or overflows
+    radial = np.sum(unit * du, axis=-1, keepdims=True)
+    dscaled = (du - unit * radial) / safe
     dout = np.where(passthrough, du, dscaled)
     dout = np.where(degenerate, 0.0, dout)
     return out, dout
+
+
+def project_adjoint(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Transpose of the tangent map of ``project_with_tangent`` at ``x``,
+    applied to ``a``: ``<tangent(dx), a> == <dx, project_adjoint(x, a)>``.
+
+    Per row, with D the mask of positive entries: scaled rows give
+    ``D (a/s - u (u.a)/s^3)``, divided by the rescale factor; pass-through
+    rows give ``D a``; degenerate rows give 0.
+    """
+    positive, u, scale, passthrough, _, safe = _row_factors(x)
+    unit = u / safe
+    radial = np.sum(unit * a, axis=-1, keepdims=True)
+    back = np.where(passthrough, a, (a - unit * radial) / safe)
+    back = np.where(positive, back, 0.0)  # degenerate rows have no positive entry
+    if scale is not None:
+        back = back / scale
+    return back
 
 
 def uniform_init(topology: Topology) -> np.ndarray:

@@ -8,9 +8,11 @@ labels are involved: the objective itself scores every candidate allocation.
 
 In noisy-CSI mode the optimizer consumes LMMSE channel estimates, re-simulated
 from fresh pilot noise every epoch, while the loss is always measured on the
-true channels.  Gradients with respect to the step sizes are exact forward-
-mode derivatives through the unrolled pipeline (K tangent directions); the
-test suite checks them against finite differences.
+true channels.  Gradients with respect to the step sizes are exact reverse-
+mode derivatives through the unrolled pipeline: one forward sweep keeps the
+iterates, one backward sweep carries a single adjoint, so a gradient costs a
+few forward passes at any K.  The test suite checks them against finite
+differences.
 """
 
 from __future__ import annotations

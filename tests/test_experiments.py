@@ -1,6 +1,8 @@
 import filecmp
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from manetopt.experiments import (
     run_transfer,
 )
 from manetopt.gridsearch import grid_capacity
-from manetopt.training import FULL_CSI, TrainConfig
+from manetopt.training import FULL_CSI, NOISY_CSI, TrainConfig
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_config(tmp_path, scenario, **overrides):
@@ -358,3 +362,24 @@ def test_scenarios_deterministic_across_runs_and_threads(tmp_path, scenario):
     run_scenario(threaded)
     assert _dirs_identical(tmp_path / "a", tmp_path / "b")
     assert _dirs_identical(tmp_path / "a", tmp_path / "c")
+
+
+def test_cached_schedules_are_those_of_the_current_numerics(tmp_path):
+    # The schedules in .acceptance_cache/ are exactly the ones the warm
+    # script's training jobs resolve to under today's cache descriptor (which
+    # carries SCHEDULE_NUMERICS): a numerics change without a rebuild leaves
+    # stale files behind and keys missing, and fails here.  Reads only.
+    spec = importlib.util.spec_from_file_location(
+        "warm_acceptance_cache", ROOT / "scripts" / "warm_acceptance_cache.py"
+    )
+    warm = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(warm)
+    expected = set()
+    for _, (sizes, db, mode) in warm.jobs():
+        if mode in (FULL_CSI, NOISY_CSI):
+            config = warm.config_for(sizes, str(tmp_path))
+            _, _, path = experiments._schedule_key(config, Topology(sizes), db, mode)
+            expected.add(os.path.basename(path))
+    cached = {name for name in os.listdir(warm.CACHE) if name.startswith("mu_")}
+    assert len(expected) == 12
+    assert cached == expected

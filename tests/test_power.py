@@ -46,13 +46,67 @@ def test_project_rescaled_rows_leave_other_rows_bit_identical():
 
 def test_project_tangent_is_scale_invariant():
     x = np.array([[0.4, 1.3, -0.2]])
-    dx = np.array([[[0.3, -0.1, 0.5]]])
+    dx = np.array([[0.3, -0.1, 0.5]])
     out, dout = power.project_with_tangent(x, dx)
     for c in (1e-170, 1e200):
         with np.errstate(over="ignore"):
             scaled_out, scaled_dout = power.project_with_tangent(c * x, c * dx)
         assert np.allclose(scaled_out, out, rtol=1e-14, atol=0.0)
         assert np.allclose(scaled_dout, dout, rtol=1e-12, atol=1e-15)
+
+
+@st.composite
+def rows_with_directions(draw):
+    """A matrix of rows, a tangent direction and an adjoint of its shape."""
+    shape = draw(st.tuples(st.integers(1, 5), st.integers(1, 4)))
+    values = st.floats(-3, 3, allow_nan=False)
+    # A row's Jacobian is about 1/|x+|, which overflows as entries near the
+    # subnormal range, so tinier entries are zeroed.  Rows of entries near
+    # 1e-300 still take the rescaled branch.
+    entries = values.map(lambda v: v if abs(v) >= 1e-300 else 0.0)
+    x = draw(hnp.arrays(np.float64, shape, elements=entries))
+    dx = draw(hnp.arrays(np.float64, shape, elements=values))
+    a = draw(hnp.arrays(np.float64, shape, elements=values))
+    return x, dx, a
+
+
+def _pair(x, dx, a):
+    return np.array(x), np.array(dx), np.array(a)
+
+
+@given(rows_with_directions())
+@settings(max_examples=200, deadline=None)
+@example(_pair([[-0.5, 0.8, 0.3]], [[0.7, -0.2, 0.4]], [[0.9, 0.1, -1.3]]))  # clamped
+@example(_pair([[0.6, 0.8]], [[0.3, -1.1]], [[-0.4, 2.0]]))  # unit row passes through
+@example(_pair([[0.0, 0.0]], [[1.0, -2.0]], [[0.5, 0.7]]))  # zero row: uniform fallback
+@example(_pair([[3.3e-162, 3.3e-162]], [[0.2, -0.9]], [[1.5, 0.3]]))  # subnormal squares
+@example(_pair([[1e200, 1e200]], [[0.2, -0.9]], [[1.5, 0.3]]))  # squares overflow
+@example(_pair([[1e-120, 2e-120]], [[0.3, 0.5]], [[1.0, -0.7]]))  # norm cubed underflows
+@example(_pair([[1e120, 2e120]], [[0.3, 0.5]], [[1.0, -0.7]]))  # norm cubed overflows
+def test_project_adjoint_is_the_tangent_transpose(rows):
+    # <J dx, a> == <dx, J^T a> for the per-row Jacobian J of the selected
+    # branch, to 1e-12 of |J| |dx| |a| summed over rows.  Both sides may
+    # cancel, so |J| is bounded from the input: 2/|x+| on a row with a
+    # positive entry (|I/s| + |u u^T/s^3|; about 1 on a pass-through row),
+    # 0 on a degenerate one.
+    x, dx, a = rows
+    with np.errstate(over="ignore"):
+        _, tangent = power.project_with_tangent(x, dx)
+        back = power.project_adjoint(x, a)
+    clamped = np.where(x > 0.0, x, 0.0)
+    jac_bound = np.zeros(len(x))
+    live = clamped.max(axis=-1) > 0.0
+    jac_bound[live] = 2.0 / _row_norms(clamped[live])
+    bound = np.sum(jac_bound * _row_norms(dx) * _row_norms(a))
+    floor = np.finfo(np.float64).tiny  # products of subnormal entries round absolutely
+    assert abs(np.sum(tangent * a) - np.sum(dx * back)) <= 1e-12 * bound + floor
+
+
+def _row_norms(v):
+    """Euclidean row norms that neither under- nor overflow in the squares."""
+    peak = np.abs(v).max(axis=-1)
+    unit = np.where(peak > 0.0, peak, 1.0)
+    return unit * np.linalg.norm(v / unit[:, None], axis=-1)
 
 
 def test_project_rejects_non_finite():

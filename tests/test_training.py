@@ -91,6 +91,58 @@ def test_loss_grad_mu_matches_finite_differences(small_world):
     assert np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-9) <= 1e-3
 
 
+def test_gradient_leaves_the_forward_sweep_bit_identical(small_world):
+    # The reverse sweep only reads the trajectory: asking for the gradient
+    # must not change the loss, the per-iterate rates or the last iterate.
+    topo, noise, ds = small_world
+    net = engine.net_index(topo)
+    entries = list(ds.entries[:6])
+    estimates = _estimate_entries(
+        entries, topo, 1.0, [np.random.default_rng([2, i]) for i in range(6)]
+    )
+    rng = np.random.default_rng(11)
+    mu = np.abs(rng.normal(0.15, 0.05, 12)) + 0.02
+    p0 = mo.random_init(topo, rng)
+    for opt in (None, estimates):
+        with_grad = _batch_loss_grad(net, entries, opt, mu, p0)
+        without = _batch_loss_grad(net, entries, opt, mu, p0, want_grad=False)
+        assert without.grad is None
+        assert with_grad.loss == without.loss
+        assert np.array_equal(with_grad.iterate_rates, without.iterate_rates)
+        assert np.array_equal(with_grad.final, without.final)
+
+
+def test_noisy_gradient_matches_directional_difference_deep_and_long():
+    # Two relay layers, K=40 and estimated CSI driving the steps: the
+    # gradient's directional derivative <dL/dmu, delta> against a central
+    # difference along a random delta, on batches clear of every kink.
+    topo = mo.Topology((1, 2, 2))
+    noise = mo.NoiseProfile((1.0, 1.0, 1.0))
+    net = engine.net_index(topo)
+    checked = 0
+    seed = 0
+    while checked < 3:
+        seed += 1
+        rng = np.random.default_rng([505, seed])
+        entries = [(mo.sample_channel(topo, 1.0, rng), noise) for _ in range(4)]
+        mu = np.abs(rng.normal(0.15, 0.05, 40)) + 0.02
+        p0 = mo.random_init(topo, rng)
+        opt = _estimate_entries(
+            entries, topo, 1.0, [np.random.default_rng([606, seed, i]) for i in range(4)]
+        )
+        result = _batch_loss_grad(net, entries, opt, mu, p0, track_margins=True)
+        if result.min_margin <= 1e-4:
+            continue
+        checked += 1
+        delta = rng.normal(size=40)
+        h = 1e-6
+        fd = (
+            _batch_loss_grad(net, entries, opt, mu + h * delta, p0, want_grad=False).loss
+            - _batch_loss_grad(net, entries, opt, mu - h * delta, p0, want_grad=False).loss
+        ) / (2 * h)
+        assert abs(result.grad @ delta - fd) / max(abs(fd), 1e-9) <= 1e-3
+
+
 def test_loss_grad_mu_zero_channel(small_world):
     topo, noise, _ = small_world
     dead = mo.ChannelRealization(
