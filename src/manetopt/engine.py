@@ -3,6 +3,22 @@
 Internal module.  Every kernel works on one explicit batch axis ``q``; public
 modules flatten arbitrary leading axes down to it.
 
+Layout: the batch axis is the last axis of every kernel array.  A batch of
+power matrices is ``(stacked_rows, N, q)``, a rate table ``(nodes, N, q)``,
+and each ufunc runs one contiguous inner loop of length q.  Two things stay
+batch-first: the channel matrices ``ht_re``/``ht_im``, because the channel
+products are stacked BLAS matmuls (transposed in and out), and the arrays
+``iterate_schedule``, ``run_schedule_batch`` and ``unrolled_loss`` take and
+yield, which are ``(q, stacked_rows, N)`` as everywhere else in the package.
+
+Order contract (what keeps every result bit-identical across layouts):
+
+- each masked interference sum adds its terms in ascending m;
+- every argmin over nodes, messages or constraints takes the first
+  occurrence of the minimum;
+- ``dL/dmu_k`` sums ``g_k * v`` over the batch-first C-order array, whose
+  pairwise order decides the trained schedules.
+
 ``unrolled_loss`` differentiates the unrolled optimizer with respect to its
 per-iteration step sizes in reverse mode: a forward sweep keeps every
 iterate, then one backward sweep carries a single adjoint array.  Each
@@ -56,19 +72,35 @@ def net_index(topology: Topology) -> NetIndex:
     return NetIndex(hop_sizes=topology.hop_sizes)
 
 
+def batch_last(a: np.ndarray) -> np.ndarray:
+    """Contiguous copy of ``a`` with its leading (batch) axis moved last."""
+    return np.ascontiguousarray(a.transpose(tuple(range(1, a.ndim)) + (0,)))
+
+
+def batch_first(a: np.ndarray) -> np.ndarray:
+    """Contiguous copy of ``a`` with its last (batch) axis moved first."""
+    return np.ascontiguousarray(_first_view(a))
+
+
+def _first_view(a: np.ndarray) -> np.ndarray:
+    """``a`` with its last (batch) axis moved first, as a view."""
+    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
+
+
 @dataclass
 class ChannelOperands:
     """Channel-dependent constants reused across many evaluations.
 
     ``ht_re``/``ht_im`` hold the hop-b matrices transposed to (q, receiver,
-    transmitter) so gains come from a single matmul against the power block.
-    The batch axis may be 1 for broadcasting against a batch of matrices.
+    transmitter), batch first, so gains come from one stacked matmul against
+    the power block.  The batch axis may be 1 for broadcasting against a
+    batch of matrices.
     """
 
-    a1: np.ndarray                      # (q, M1) squared first-hop magnitudes
+    a1: np.ndarray                      # (M1, q) squared first-hop magnitudes
     ht_re: tuple[np.ndarray, ...]       # per hop b>=2: (q, M_b, M_{b-1})
     ht_im: tuple[np.ndarray, ...]
-    sig2: np.ndarray                    # (q, B) noise variances
+    sig2: np.ndarray                    # (B, q) noise variances
 
 
 def prepare_operands(
@@ -79,7 +111,7 @@ def prepare_operands(
     first = np.asarray(first, dtype=np.complex128)
     if first.ndim == 1:
         first = first[None, :]
-    a1 = first.real**2 + first.imag**2
+    a1 = batch_last(first.real**2 + first.imag**2)
     ht_re = []
     ht_im = []
     for mat in later:
@@ -92,7 +124,9 @@ def prepare_operands(
     sig2 = np.asarray(sig2, dtype=np.float64)
     if sig2.ndim == 1:
         sig2 = sig2[None, :]
-    return ChannelOperands(a1=a1, ht_re=tuple(ht_re), ht_im=tuple(ht_im), sig2=sig2)
+    return ChannelOperands(
+        a1=a1, ht_re=tuple(ht_re), ht_im=tuple(ht_im), sig2=batch_last(sig2)
+    )
 
 
 def operands_from(channel: ChannelRealization, noise: NoiseProfile) -> ChannelOperands:
@@ -112,23 +146,22 @@ def stack_channels(channels: list[ChannelRealization]) -> tuple[np.ndarray, tupl
 
 @dataclass
 class RatePass:
-    """All intermediates of one rate evaluation (and optional tangents)."""
+    """All intermediates of one rate evaluation (and optional tangents).
+
+    Every array ends in the batch axis q.
+    """
 
     q: int
-    phi: np.ndarray                     # (q, N)
-    mask1: np.ndarray                   # (q, N, N) bool, [i, n] tie-inclusive interferers
-    i1: np.ndarray                      # (q, N) first-hop interference sums
-    den1: np.ndarray                    # (q, M1, N)
-    u1: np.ndarray                      # (q, M1, N) SINR ratios
-    rates: list[np.ndarray]             # reception rates per hop 1..B, each (q, nodes, N)
+    phi: np.ndarray                     # (N, q) source coefficients
+    i1: np.ndarray                      # (N, q) first-hop interference sums
+    rates: list[np.ndarray]             # reception rates per hop 1..B, each (nodes, N, q)
     c_re: list[np.ndarray | None]       # per hop (index b-1; None for hop 1)
     c_im: list[np.ndarray | None]
-    gains: list[np.ndarray | None]      # (q, M_b, N) per hop b>=2
-    maskb: list[np.ndarray | None]      # (q, M_b, N, N) bool
-    ib: list[np.ndarray | None]         # (q, M_b, N) interference sums
-    denb: list[np.ndarray | None]
-    elig: np.ndarray                    # (q, N, N) end-user decode obligations [l, n]
-    message: np.ndarray                 # (q, N)
+    gains: list[np.ndarray | None]      # (M_b, N, q) per hop b>=2
+    ib: list[np.ndarray | None]         # (M_b, N, q) interference sums
+    user_rates: np.ndarray              # (N, N, q) end-user rates [l, n], inf where
+                                        # l is not obliged to decode n
+    message: np.ndarray                 # (N, q)
     # tangents in one direction, populated when dp was supplied
     dphi: np.ndarray | None = None
     di1: np.ndarray | None = None
@@ -136,6 +169,40 @@ class RatePass:
     dc_im: list[np.ndarray | None] = field(default_factory=list)
     dgains: list[np.ndarray | None] = field(default_factory=list)
     dib: list[np.ndarray | None] = field(default_factory=list)
+
+
+def _interferers(key: np.ndarray) -> np.ndarray:
+    """Mask ``[..., m, n, q]``: m interferes with n (m != n, key_m <= key_n).
+
+    ``key`` is ``(..., N, q)``; ties interfere.
+    """
+    mask = key[..., :, None, :] <= key[..., None, :, :]
+    diag = np.arange(key.shape[-2])
+    mask[..., diag, diag, :] = False
+    return mask
+
+
+def _masked_sum(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``sum_m mask[..., m, n, q] * values[..., m, q]``, added in ascending m.
+
+    A product with the mask rather than ``np.where``, which branches on every
+    element: for finite values it adds the same terms (a masked-out negative
+    value adds -0.0, which can change a sum only in the sign of a zero).
+    """
+    return (values[..., :, None, :] * mask).sum(axis=-3)
+
+
+def _column(values: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """``values[..., n_i, i]`` for every element i, given ``flat = n * q + i``;
+    ``values`` is a contiguous ``(..., N, q)`` array."""
+    return values.reshape(values.shape[:-2] + (-1,)).take(flat, axis=-1)
+
+
+def _channel_products(ops: ChannelOperands, j: int, block: np.ndarray):
+    """Real and imaginary parts of ``ht @ block`` per element at hop j + 2,
+    for a batch-last block: each (M_b, N, q)."""
+    first = batch_first(block)
+    return batch_last(ops.ht_re[j] @ first), batch_last(ops.ht_im[j] @ first)
 
 
 def rate_pass(
@@ -146,108 +213,79 @@ def rate_pass(
 ) -> RatePass:
     """Evaluate every reception rate for a batch of power matrices.
 
-    ``p`` is (q, stacked_rows, N); ``dp``, when given, has the same shape and
+    ``p`` is (stacked_rows, N, q); ``dp``, when given, has the same shape and
     the intermediates that ``gradient_pass`` differentiates gain a matching
     tangent.
     """
-    nmsg = net.end_users
     nhops = net.num_hops
-    eye = np.eye(nmsg, dtype=bool)
     want_d = dp is not None
 
-    phi = p[:, -1, :]
+    phi = p[-1]
     phi2 = phi * phi
-    s1 = ops.sig2[:, 0]
-    mask1 = (phi[:, :, None] <= phi[:, None, :]) & ~eye
-    m1f = mask1.astype(np.float64)
-    i1 = (phi2[:, None, :] @ m1f)[:, 0, :]
-    den1 = ops.a1[:, :, None] * i1[:, None, :] + s1[:, None, None]
-    num1 = ops.a1[:, :, None] * phi2[:, None, :]
-    u1 = num1 / den1
-    r1 = np.log1p(u1) * INV_LN2
+    mask1 = _interferers(phi)
+    i1 = _masked_sum(mask1, phi2)
+    a1 = ops.a1[:, None, :]
+    u1 = a1 * phi2 / (a1 * i1 + ops.sig2[0])
+    rates: list[np.ndarray] = [np.log1p(u1) * INV_LN2]
 
     if want_d:
-        dphi = dp[:, -1, :]
-        di1 = ((2.0 * phi * dphi)[:, None, :] @ m1f)[:, 0, :]
+        dphi = dp[-1]
+        di1 = _masked_sum(mask1, 2.0 * phi * dphi)
     else:
         dphi = di1 = None
 
-    rates: list[np.ndarray] = [r1]
     c_re: list[np.ndarray | None] = [None]
     c_im: list[np.ndarray | None] = [None]
     gains: list[np.ndarray | None] = [None]
-    maskb: list[np.ndarray | None] = [None]
     ib_list: list[np.ndarray | None] = [None]
-    denb_list: list[np.ndarray | None] = [None]
     dc_re: list[np.ndarray | None] = [None]
     dc_im: list[np.ndarray | None] = [None]
     dgains: list[np.ndarray | None] = [None]
     dib_list: list[np.ndarray | None] = [None]
 
-    elig = None
     for hop in range(2, nhops + 1):
         j = hop - 2
         rows = net.block(hop - 1)
-        pb = p[:, rows, :]
-        cr = ops.ht_re[j] @ pb
-        ci = ops.ht_im[j] @ pb
+        cr, ci = _channel_products(ops, j, p[rows])
         g = cr * cr + ci * ci
-        mb = (g[:, :, :, None] <= g[:, :, None, :]) & ~eye
-        mbf = mb.astype(np.float64)
-        ib = (g[:, :, None, :] @ mbf)[:, :, 0, :]
-        sb = ops.sig2[:, hop - 1]
-        denb = ib + sb[:, None, None]
-        ub = g / denb
-        rb = np.log1p(ub) * INV_LN2
-
-        rates.append(rb)
+        mb = _interferers(g)
+        ib = _masked_sum(mb, g)
+        rates.append(np.log1p(g / (ib + ops.sig2[hop - 1])) * INV_LN2)
         c_re.append(cr)
         c_im.append(ci)
         gains.append(g)
-        maskb.append(mb)
         ib_list.append(ib)
-        denb_list.append(denb)
 
         if want_d:
-            dpb = dp[:, rows, :]
-            dcr = ops.ht_re[j] @ dpb
-            dci = ops.ht_im[j] @ dpb
+            dcr, dci = _channel_products(ops, j, dp[rows])
             dg = 2.0 * (cr * dcr + ci * dci)
             dc_re.append(dcr)
             dc_im.append(dci)
             dgains.append(dg)
-            dib_list.append((dg[:, :, None, :] @ mbf)[:, :, 0, :])
+            dib_list.append(_masked_sum(mb, dg))
         else:
             dc_re.append(None)
             dc_im.append(None)
             dgains.append(None)
             dib_list.append(None)
 
-        if hop == nhops:
-            diag = np.diagonal(g, axis1=-2, axis2=-1)
-            elig = g >= diag[:, :, None]
+    g = gains[-1]
+    diag = np.arange(net.end_users)
+    user_rates = np.where(g >= g[diag, diag][:, None, :], rates[-1], np.inf)
+    message = user_rates.min(axis=0)
+    for r in range(1, nhops):
+        np.minimum(message, rates[r - 1].min(axis=0), out=message)
 
-    relay_mins = [rates[r - 1].min(axis=-2) for r in range(1, nhops)]
-    user_rates = np.where(elig, rates[-1], np.inf)
-    user_min = user_rates.min(axis=-2)
-    message = np.minimum.reduce(relay_mins + [user_min])
-
-    q = message.shape[0]
     return RatePass(
-        q=q,
+        q=message.shape[-1],
         phi=phi,
-        mask1=mask1,
         i1=i1,
-        den1=den1,
-        u1=u1,
         rates=rates,
         c_re=c_re,
         c_im=c_im,
         gains=gains,
-        maskb=maskb,
         ib=ib_list,
-        denb=denb_list,
-        elig=elig,
+        user_rates=user_rates,
         message=message,
         dphi=dphi,
         di1=di1,
@@ -258,11 +296,13 @@ def rate_pass(
     )
 
 
-def _full(arr: np.ndarray, q: int) -> np.ndarray:
-    """Broadcast a channel operand up to the evaluation batch size."""
-    if arr.shape[0] == q:
+def _full(arr: np.ndarray, q: int, axis: int) -> np.ndarray:
+    """Broadcast a channel operand's batch axis up to the batch size."""
+    if arr.shape[axis] == q:
         return arr
-    return np.broadcast_to(arr, (q,) + arr.shape[1:])
+    shape = list(arr.shape)
+    shape[axis] = q
+    return np.broadcast_to(arr, shape)
 
 
 def select_binding(
@@ -274,30 +314,24 @@ def select_binding(
     only on strict inequality; ties between constraints break to the lowest
     (hop, node), then to the lowest eligible end user.
     """
-    q = rp.q
-    qi = np.arange(q)
+    flat = nstar * rp.q + np.arange(rp.q)
     nhops = net.num_hops
-    relay_vals = []
-    relay_args = []
-    for r in range(1, nhops):
-        col = rp.rates[r - 1][qi, :, nstar]
-        relay_vals.append(col.min(axis=-1))
-        relay_args.append(col.argmin(axis=-1))
-    rv = np.stack(relay_vals)
-    ra = np.stack(relay_args)
-    rhop = rv.argmin(axis=0)
-    relay_v = rv[rhop, qi]
-    relay_m = ra[rhop, qi]
-
-    col_b = rp.rates[-1][qi, :, nstar]
-    elig_col = rp.elig[qi, :, nstar]
-    masked = np.where(elig_col, col_b, np.inf)
-    user_l = masked.argmin(axis=-1)
-    user_v = masked.min(axis=-1)
+    col = _column(rp.rates[0], flat)
+    relay_v, relay_node = col.min(axis=0), col.argmin(axis=0)
+    relay_hop = np.ones_like(relay_node)
+    for r in range(2, nhops):
+        col = _column(rp.rates[r - 1], flat)
+        v = col.min(axis=0)
+        lower = v < relay_v
+        relay_v = np.where(lower, v, relay_v)
+        relay_hop = np.where(lower, r, relay_hop)
+        relay_node = np.where(lower, col.argmin(axis=0), relay_node)
+    col = _column(rp.user_rates, flat)
+    user_v, user_l = col.min(axis=0), col.argmin(axis=0)
 
     use_relay = relay_v < user_v
-    bind_hop = np.where(use_relay, rhop + 1, nhops)
-    bind_node = np.where(use_relay, relay_m, user_l)
+    bind_hop = np.where(use_relay, relay_hop, nhops)
+    bind_node = np.where(use_relay, relay_node, user_l)
     return bind_hop, bind_node
 
 
@@ -312,86 +346,85 @@ def gradient_pass(
     transmit block feeding the binding reception hop; all other entries are
     zero.  When the rate pass carries a tangent ``dp``, the gradient's
     derivative in that direction (the Hessian-vector product of the selected
-    branch) is returned alongside.
+    branch) is returned alongside.  Gradients are (stacked_rows, N, q).
     """
     q = rp.q
     nmsg = net.end_users
     want_d = rp.dphi is not None
 
-    nstar = rp.message.argmin(axis=-1)
+    nstar = rp.message.argmin(axis=0)
     bind_hop, bind_node = select_binding(net, rp, nstar)
 
-    grad = np.zeros((q, net.stacked_rows, nmsg))
-    dgrad = np.zeros((q, net.stacked_rows, nmsg)) if want_d else None
+    grad = np.zeros((net.stacked_rows, nmsg, q))
+    dgrad = np.zeros((net.stacked_rows, nmsg, q)) if want_d else None
 
     for r in range(1, net.num_hops + 1):
-        sel = np.nonzero(bind_hop == r)[0]
+        sel = np.flatnonzero(bind_hop == r)
         if sel.size == 0:
             continue
         node = bind_node[sel]
         n = nstar[sel]
         si = np.arange(sel.size)
         if r == 1:
-            a = _full(ops.a1, q)[sel, node]
-            s1 = _full(ops.sig2, q)[sel, 0]
-            phi = _full(rp.phi, q)[sel]
-            phin = phi[si, n]
-            inter = _full(rp.i1, q)[sel, n]
+            a = _full(ops.a1, q, -1)[node, sel]
+            s1 = _full(ops.sig2, q, -1)[0, sel]
+            phi = _full(rp.phi, q, -1)[:, sel]
+            phin = phi[n, si]
+            inter = _full(rp.i1, q, -1)[n, sel]
             den = a * inter + s1
             sig = a * phin * phin
             tot = sig + den
-            maskrow = _full(rp.mask1, q)[sel, :, n]
+            maskrow = phi <= phin
+            maskrow[n, si] = False
             w_int = -(2.0 * INV_LN2) * a * sig / (den * tot)
-            g = np.where(maskrow, w_int[:, None] * phi, 0.0)
-            g[si, n] = (2.0 * INV_LN2) * a * phin / tot
-            grad[sel, -1, :] = g
+            g = np.where(maskrow, w_int * phi, 0.0)
+            g[n, si] = (2.0 * INV_LN2) * a * phin / tot
+            grad[-1][:, sel] = g
             if want_d:
-                dphi = rp.dphi[sel]
-                dphin = dphi[si, n]
-                dden = a * rp.di1[sel, n]
+                dphi = rp.dphi[:, sel]
+                dphin = dphi[n, si]
+                dden = a * rp.di1[n, sel]
                 dsig = 2.0 * a * phin * dphin
                 dtot = dsig + dden
                 dw_int = -(2.0 * INV_LN2) * a * (
                     dsig - sig * (dden / den + dtot / tot)
                 ) / (den * tot)
-                dg = np.where(
-                    maskrow, dw_int[:, None] * phi + w_int[:, None] * dphi, 0.0
-                )
-                dg[si, n] = (2.0 * INV_LN2) * a * (dphin - phin * dtot / tot) / tot
-                dgrad[sel, -1, :] = dg
+                dg = np.where(maskrow, dw_int * phi + w_int * dphi, 0.0)
+                dg[n, si] = (2.0 * INV_LN2) * a * (dphin - phin * dtot / tot) / tot
+                dgrad[-1][:, sel] = dg
         else:
             j = r - 2
             rows = net.block(r - 1)
-            hre = _full(ops.ht_re[j], q)[sel, node, :]
-            him = _full(ops.ht_im[j], q)[sel, node, :]
-            sb = _full(ops.sig2, q)[sel, r - 1]
-            cr = rp.c_re[r - 1][sel, node, :]
-            ci = rp.c_im[r - 1][sel, node, :]
-            g_row = rp.gains[r - 1][sel, node, :]
-            gn = g_row[si, n]
-            inter = rp.ib[r - 1][sel, node, n]
+            hre = _full(ops.ht_re[j], q, 0)[sel, node].T[:, None, :]
+            him = _full(ops.ht_im[j], q, 0)[sel, node].T[:, None, :]
+            sb = _full(ops.sig2, q, -1)[r - 1, sel]
+            cr = rp.c_re[r - 1][node, :, sel].T
+            ci = rp.c_im[r - 1][node, :, sel].T
+            g_row = rp.gains[r - 1][node, :, sel].T
+            gn = g_row[n, si]
+            inter = rp.ib[r - 1][node, n, sel]
             den = inter + sb
             tot = gn + den
-            maskrow = rp.maskb[r - 1][sel, node, :, n]
-            w = np.where(maskrow, -(2.0 * INV_LN2) * (gn / (den * tot))[:, None], 0.0)
-            w[si, n] = (2.0 * INV_LN2) / tot
-            response = hre[:, :, None] * cr[:, None, :] + him[:, :, None] * ci[:, None, :]
-            grad[sel, rows, :] = response * w[:, None, :]
+            maskrow = g_row <= gn
+            maskrow[n, si] = False
+            w = np.where(maskrow, -(2.0 * INV_LN2) * (gn / (den * tot)), 0.0)
+            w[n, si] = (2.0 * INV_LN2) / tot
+            response = hre * cr + him * ci
+            grad[rows][..., sel] = response * w
             if want_d:
-                dcr = rp.dc_re[r - 1][sel, node, :]
-                dci = rp.dc_im[r - 1][sel, node, :]
-                dgn = rp.dgains[r - 1][sel, node, n]
-                dden = rp.dib[r - 1][sel, node, n]
+                dcr = rp.dc_re[r - 1][node, :, sel].T
+                dci = rp.dc_im[r - 1][node, :, sel].T
+                dgn = rp.dgains[r - 1][node, n, sel]
+                dden = rp.dib[r - 1][node, n, sel]
                 dtot = dgn + dden
                 dw = np.where(
                     maskrow,
-                    -(2.0 * INV_LN2)
-                    * ((dgn - gn * (dden / den + dtot / tot)) / (den * tot))[:, None],
+                    -(2.0 * INV_LN2) * ((dgn - gn * (dden / den + dtot / tot)) / (den * tot)),
                     0.0,
                 )
-                dw[si, n] = -(2.0 * INV_LN2) * dtot / (tot * tot)
-                dresponse = hre[:, :, None] * dcr[:, None, :] + him[:, :, None] * dci[:, None, :]
-                dgrad[sel, rows, :] = dresponse * w[:, None, :] + response * dw[:, None, :]
+                dw[n, si] = -(2.0 * INV_LN2) * dtot / (tot * tot)
+                dresponse = hre * dcr + him * dci
+                dgrad[rows][..., sel] = dresponse * w + response * dw
     return grad, dgrad, nstar, bind_hop, bind_node
 
 
@@ -404,23 +437,24 @@ def iterate_schedule(
 ):
     """Run the step schedule, yielding ``(p_k, rates_k)`` for k = 0..K.
 
+    ``p0`` and every yielded ``p_k`` are (q, stacked_rows, N); ``p_k`` is a
+    view of batch-last memory that is never modified afterwards.
     ``rates_k`` holds each element's min rate at iterate ``p_k``, measured
     under ``eval_ops`` (default ``ops``, the channel driving the updates).
-    ``mu[k]`` is a scalar, or an array of shape (q, 1, 1) for a step per
-    element.  Yielded iterates are never modified afterwards.
+    ``mu[k]`` is a scalar, or an array of shape (q,) for a step per element.
     """
     if eval_ops is None:
         eval_ops = ops
-    p = np.array(p0, dtype=np.float64)
+    p = batch_last(np.asarray(p0, dtype=np.float64))
     for k in range(len(mu)):
         rp = rate_pass(net, ops, p)
         if eval_ops is ops:
-            yield p, rp.message.min(axis=-1)
+            yield _first_view(p), rp.message.min(axis=0)
         else:
-            yield p, rate_pass(net, eval_ops, p).message.min(axis=-1)
-        grad, _, _, _, _ = gradient_pass(net, ops, rp)
+            yield _first_view(p), rate_pass(net, eval_ops, p).message.min(axis=0)
+        grad = gradient_pass(net, ops, rp)[0]
         p = project_with_tangent(p + mu[k] * grad)[0]
-    yield p, rate_pass(net, eval_ops, p).message.min(axis=-1)
+    yield _first_view(p), rate_pass(net, eval_ops, p).message.min(axis=0)
 
 
 def run_schedule_batch(
@@ -475,12 +509,13 @@ def unrolled_loss(
     runs down as ``v = project'(x_k)^T lam_{k+1}``, ``dL/dmu_k = sum(g_k v)``,
     ``lam_k = -(w_k/q) grad R_loss(p_k) + v + mu_k H_k v``, where ``H_k v`` is
     the derivative of ``gradient_pass`` at ``p_k`` in the direction ``v``.
+    ``p0`` and ``final`` are (q, stacked_rows, N).
     """
     steps = len(mu)
     if steps < 1:
         raise ValueError("the unrolled optimizer needs at least one iteration")
-    p = np.array(p0, dtype=np.float64)
-    q = p.shape[0]
+    p = batch_last(np.asarray(p0, dtype=np.float64))
+    q = p.shape[-1]
     same = opt_ops is loss_ops
     loss = 0.0
     iterate_rates = np.empty((steps + 1, q))
@@ -492,7 +527,7 @@ def unrolled_loss(
     for k in range(steps):
         rp = rate_pass(net, opt_ops, p)
         rp_loss = rp if same else rate_pass(net, loss_ops, p)
-        iterate_rates[k] = rp_loss.message.min(axis=-1)
+        iterate_rates[k] = rp_loss.message.min(axis=0)
         if k >= 1:
             loss -= weights[k - 1] * iterate_rates[k].mean()
         if track_margins:
@@ -512,7 +547,7 @@ def unrolled_loss(
         p = project_with_tangent(x)[0]
 
     rp_loss = rate_pass(net, loss_ops, p)
-    iterate_rates[steps] = rp_loss.message.min(axis=-1)
+    iterate_rates[steps] = rp_loss.message.min(axis=0)
     loss -= weights[steps - 1] * iterate_rates[steps].mean()
     if track_margins and same:
         min_margin = min(min_margin, _pass_margin(net, rp_loss))
@@ -522,7 +557,8 @@ def unrolled_loss(
         lam = -(weights[steps - 1] / q) * gradient_pass(net, loss_ops, rp_loss)[0]
         for k in range(steps - 1, -1, -1):
             v = project_adjoint(xs[k], lam)
-            dloss[k] = np.sum(gs[k] * v)
+            # summed batch first: its pairwise order decides the schedules
+            dloss[k] = np.sum(batch_first(gs[k] * v))
             if k == 0:
                 break
             hv = gradient_pass(net, opt_ops, rate_pass(net, opt_ops, ps[k], dp=v))[1]
@@ -531,17 +567,17 @@ def unrolled_loss(
         loss=float(loss),
         grad=dloss,
         iterate_rates=iterate_rates,
-        final=p,
+        final=batch_first(p),
         min_margin=float(min_margin),
     )
 
 
 def _gap_min(values: np.ndarray) -> float:
-    """Smallest nonzero pairwise gap along the last axis (exact ties are
-    treated as structurally stuck and ignored)."""
-    v = np.sort(values, axis=-1)
+    """Smallest nonzero pairwise gap along axis -2, the axis before the batch
+    axis (exact ties are treated as structurally stuck and ignored)."""
+    v = np.sort(values, axis=-2)
     with np.errstate(invalid="ignore"):
-        gaps = np.diff(v, axis=-1)
+        gaps = np.diff(v, axis=-2)
     nz = gaps[gaps > 0.0]
     return float(nz.min()) if nz.size else np.inf
 
@@ -556,10 +592,9 @@ def _pass_margin(net: NetIndex, rp: RatePass) -> float:
     for hop in range(2, net.num_hops + 1):
         margin = min(margin, _gap_min(rp.gains[hop - 1]))
     margin = min(margin, _gap_min(rp.message))
-    nstar = rp.message.argmin(axis=-1)
-    qi = np.arange(rp.q)
-    cols = [rp.rates[r - 1][qi, :, nstar] for r in range(1, net.num_hops)]
-    user = np.where(rp.elig[qi, :, nstar], rp.rates[-1][qi, :, nstar], np.inf)
-    constraints = np.concatenate(cols + [user], axis=-1)
+    flat = rp.message.argmin(axis=0) * rp.q + np.arange(rp.q)
+    constraints = np.concatenate(
+        [_column(rates, flat) for rates in rp.rates[:-1] + [rp.user_rates]]
+    )
     margin = min(margin, _gap_min(constraints))
     return margin

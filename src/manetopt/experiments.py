@@ -65,6 +65,10 @@ PILOTS = 5
 # 2: reverse-mode gradient (schedules cached before it carry no version).
 SCHEDULE_NUMERICS = 2
 
+# Config fields naming a schedule artifact; an experiment's identity holds the
+# artifact's contents, not its path.
+ARTIFACT_FIELDS = ("mu_artifact", "mu_artifact_noisy", "mu_artifact_native")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -127,13 +131,23 @@ class ExperimentConfig:
         doc["train"] = dataclasses.asdict(self.train)
         return doc
 
-    def config_hash(self) -> str:
+    def identity(self) -> dict:
+        """The config as it identifies the experiment, not where or how fast
+        it ran: without the output, cache and thread settings, and with each
+        schedule artifact given as ``sha256:<digest>`` of its contents."""
         doc = self.to_dict()
-        # The hash identifies the experiment, not where or how fast it ran.
-        doc.pop("out_dir", None)
-        doc.pop("threads", None)
-        doc.pop("cache_dir", None)
-        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+        for key in ("out_dir", "threads", "cache_dir"):
+            doc.pop(key)
+        for key in ARTIFACT_FIELDS:
+            if doc[key] is not None:
+                with open(doc[key], "rb") as fh:
+                    doc[key] = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+        return doc
+
+    def config_hash(self) -> str:
+        return hashlib.sha256(
+            json.dumps(self.identity(), sort_keys=True).encode()
+        ).hexdigest()[:16]
 
 
 def noise_profile(db: float, hops: int, channel_var: float = 1.0) -> NoiseProfile:
@@ -170,13 +184,9 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
 
 
 def _write_manifest(config: ExperimentConfig, outputs: list[str], seeds: dict) -> None:
-    doc = config.to_dict()
-    doc.pop("out_dir", None)
-    doc.pop("threads", None)
-    doc.pop("cache_dir", None)
     manifest = {
         "scenario": config.scenario,
-        "config": doc,
+        "config": config.identity(),
         "config_hash": config.config_hash(),
         "seeds": seeds,
         "versions": {

@@ -50,7 +50,7 @@ def objective_gradient(
     net, ops, pq, batch = _flatten(channel, p, noise)
     rp = engine.rate_pass(net, ops, pq)
     grad, _, nstar, bind_hop, bind_node = engine.gradient_pass(net, ops, rp)
-    values = grad.reshape(batch + grad.shape[1:])
+    values = np.moveaxis(grad, -1, 0).reshape(batch + grad.shape[:-1])
     if batch:
         return ObjectiveGradient(
             values=values,
@@ -93,7 +93,7 @@ def finite_difference_gradient(
     ops = engine.prepare_operands(
         channel.first_hop, channel.later_hops, np.asarray(noise.hop_noise_vars)
     )
-    values = engine.rate_pass(net, ops, stack).message.min(axis=-1)
+    values = engine.rate_pass(net, ops, engine.batch_last(stack)).message.min(axis=0)
     return ((values[:coords] - values[coords:]) / (2.0 * step)).reshape(rows, n)
 
 

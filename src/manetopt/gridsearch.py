@@ -123,14 +123,12 @@ def _block_values(
     values = np.empty(total)
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total))
-        combo = np.array(np.unravel_index(idx, shape)).T  # (chunk, block rows)
-        p = np.broadcast_to(grid[0], (len(idx), net.stacked_rows, 2)).copy()
-        p[:, rows] = grid[combo]
+        combo = np.array(np.unravel_index(idx, shape))  # (block rows, chunk)
+        p = np.broadcast_to(grid[0][:, None], (net.stacked_rows, 2, len(idx))).copy()
+        p[rows] = np.moveaxis(grid[combo], -1, 1)
         rp = engine.rate_pass(net, ops, p)
-        hop_rates = rp.rates[hop - 1]
-        if hop == net.num_hops:
-            hop_rates = np.where(rp.elig, hop_rates, np.inf)
-        values[start : start + len(idx)] = hop_rates.min(axis=(-2, -1))
+        hop_rates = rp.user_rates if hop == net.num_hops else rp.rates[hop - 1]
+        values[start : start + len(idx)] = hop_rates.min(axis=(0, 1))
     return values.reshape(shape)
 
 

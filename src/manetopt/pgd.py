@@ -131,31 +131,34 @@ def calibrate_fixed_step(
 
     Picks the largest candidate whose channel-averaged min-rate sequence is
     non-decreasing (within ``tol``) over the final ``tail_fraction`` of the
-    run, i.e. the largest step that has settled rather than oscillating.
-    All candidates run as one batch, candidates first, and only the tail of
-    each candidate's mean sequence is kept.
+    run, i.e. the largest step that has settled rather than oscillating, and
+    the smallest candidate if none of the larger ones settles.  So the
+    smallest candidate never runs.  The others run as one batch, candidates
+    first, and only the tail of each candidate's mean sequence is kept.
     """
     from .power import uniform_init
 
     topology = topology_of(channels[0])
     ordered = sorted(float(c) for c in candidates)[::-1]
+    tried = ordered[:-1]
+    if not tried:
+        return ordered[-1]
     count = len(channels)
-    q = len(ordered) * count
+    q = len(tried) * count
     p0 = np.broadcast_to(
         uniform_init(topology), (q, topology.stacked_rows, topology.end_users)
     )
-    steps = np.repeat(ordered, count)[:, None, None]
-    mu = np.broadcast_to(steps, (iterations, q, 1, 1))
-    ops = _stacked_operands(list(channels) * len(ordered), noise)
+    mu = np.broadcast_to(np.repeat(tried, count), (iterations, q))
+    ops = _stacked_operands(list(channels) * len(tried), noise)
     net = engine.net_index(topology)
     keep = min(iterations + 1, max(2, int(round(tail_fraction * iterations))))
-    tail = np.empty((keep, len(ordered)))
+    tail = np.empty((keep, len(tried)))
     for k, (_, rates) in enumerate(engine.iterate_schedule(net, ops, p0, mu)):
         row = k - (iterations + 1 - keep)
         if row >= 0:
-            tail[row] = rates.reshape(len(ordered), count).mean(axis=1)
+            tail[row] = rates.reshape(len(tried), count).mean(axis=1)
     settled = np.all(np.diff(tail, axis=0) >= -tol, axis=0)
-    return ordered[int(np.argmax(settled))] if settled.any() else ordered[-1]
+    return tried[int(np.argmax(settled))] if settled.any() else ordered[-1]
 
 
 def write_trajectory_csv(trajectory: PgdTrajectory, path: str) -> None:

@@ -11,6 +11,12 @@ fall back deterministically to the uniform row so ascent steps can never
 leave the feasible set; rows of tiny or huge entries are first divided by
 their largest entry, so they too land on the sphere.  Exact Euclidean
 projection is deliberately not implemented.
+
+``project_with_tangent`` and ``project_adjoint`` are the engine's kernels and
+take its batch-last layout: a row runs along axis -2 and the batch axis is
+last, so a batch of matrices is ``(stacked_rows, N, q)``.  Row sums add in
+the order numpy sums a contiguous last axis, so results do not depend on the
+layout.  ``project`` takes rows along the last axis.
 """
 
 from __future__ import annotations
@@ -46,7 +52,30 @@ def project(raw: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("power matrix entries must be finite")
     with np.errstate(over="ignore"):  # huge rows are rescaled, not lost
-        return project_with_tangent(x)[0]
+        return project_with_tangent(x[..., None])[0][..., 0]
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over axis -2, keeping it, in numpy's order for a contiguous axis:
+    +0.0 plus, below eight terms, their sequential sum; from eight to 128,
+    eight running sums combined as a tree, then the remainder; above that,
+    the sums of two halves."""
+    n = a.shape[-2]
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _row_sum(a[..., :half, :]) + _row_sum(a[..., half:, :])
+    if n < 8:
+        total, done = a[..., 0:1, :], 1
+    else:
+        done = n - n % 8
+        r = [a[..., i : i + 1, :] for i in range(8)]
+        for i in range(8, done):
+            r[i % 8] = r[i % 8] + a[..., i : i + 1, :]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(done, n):
+        total = total + a[..., i : i + 1, :]
+    return 0.0 + total
 
 
 def _row_factors(x: np.ndarray):
@@ -59,7 +88,7 @@ def _row_factors(x: np.ndarray):
     """
     positive = x > 0.0
     u = np.where(positive, x, 0.0)
-    sumsq = np.sum(u * u, axis=-1, keepdims=True)
+    sumsq = _row_sum(u * u)
     norms = np.sqrt(sumsq)
     passthrough = np.abs(norms - 1.0) <= NORM_TOL
     # A sum of squares below the smallest normal float (or above the largest)
@@ -69,10 +98,10 @@ def _row_factors(x: np.ndarray):
     inexact = (sumsq < _SMALLEST_NORMAL) | (sumsq == np.inf)
     scale = None
     if np.any(inexact):
-        peak = np.max(u, axis=-1, keepdims=True)
+        peak = np.max(u, axis=-2, keepdims=True)
         scale = np.where(inexact & (peak > 0.0), peak, 1.0)
         u = u / scale
-        norms = np.sqrt(np.sum(u * u, axis=-1, keepdims=True))
+        norms = np.sqrt(_row_sum(u * u))
     degenerate = norms == 0.0
     safe = np.where(degenerate, 1.0, norms)
     return positive, u, scale, passthrough, degenerate, safe
@@ -83,11 +112,12 @@ def project_with_tangent(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Row projection plus, optionally, its derivative in one direction.
 
-    ``dx`` has the shape of ``x``; the returned tangent differentiates the
-    selected branch of the projection (clamped entries pass nothing,
-    near-unit rows pass through unchanged, degenerate rows are constant).
+    Rows run along axis -2 (the batch axis is last).  ``dx`` has the shape of
+    ``x``; the returned tangent differentiates the selected branch of the
+    projection (clamped entries pass nothing, near-unit rows pass through
+    unchanged, degenerate rows are constant).
     """
-    n = x.shape[-1]
+    n = x.shape[-2]
     positive, u, scale, passthrough, degenerate, safe = _row_factors(x)
     unit = u / safe
     out = np.where(passthrough, u, np.minimum(unit, 1.0))
@@ -95,13 +125,13 @@ def project_with_tangent(
     if dx is None:
         return out, None
     du = np.where(positive, dx, 0.0)
-    if scale is not None:
-        du = du / scale
     # (I/s - u u^T/s^3) du, written with the unit row so that no power of s
-    # under- or overflows
-    radial = np.sum(unit * du, axis=-1, keepdims=True)
-    dscaled = (du - unit * radial) / safe
-    dout = np.where(passthrough, du, dscaled)
+    # under- or overflows, and divided by the rescale factor last: a row
+    # whose only positive entry is subnormal then gets an exact 0
+    radial = _row_sum(unit * du)
+    dout = np.where(passthrough, du, (du - unit * radial) / safe)
+    if scale is not None:
+        dout = dout / scale
     dout = np.where(degenerate, 0.0, dout)
     return out, dout
 
@@ -116,7 +146,7 @@ def project_adjoint(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """
     positive, u, scale, passthrough, _, safe = _row_factors(x)
     unit = u / safe
-    radial = np.sum(unit * a, axis=-1, keepdims=True)
+    radial = _row_sum(unit * a)
     back = np.where(passthrough, a, (a - unit * radial) / safe)
     back = np.where(positive, back, 0.0)  # degenerate rows have no positive entry
     if scale is not None:
@@ -134,7 +164,7 @@ def random_init(topology: Topology, rng: np.random.Generator | int | None = None
     """Feasible matrix with rows drawn uniformly then normalized."""
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     raw = gen.uniform(0.0, 1.0, size=(topology.stacked_rows, topology.end_users))
-    return project_with_tangent(raw)[0]
+    return project(raw)
 
 
 def is_feasible(p: np.ndarray, norm_tol: float = NORM_TOL) -> bool:

@@ -82,7 +82,7 @@ def _flatten(
     else:
         first, later = channel.first_hop, channel.later_hops
     ops = engine.prepare_operands(first, later, np.asarray(noise.hop_noise_vars))
-    return net, ops, pq, batch
+    return net, ops, engine.batch_last(pq), batch
 
 
 def compute_report(
@@ -92,7 +92,7 @@ def compute_report(
     rp = engine.rate_pass(net, ops, pq)
 
     def shape(arr: np.ndarray) -> np.ndarray:
-        return arr.reshape(batch + arr.shape[1:])
+        return np.moveaxis(arr, -1, 0).reshape(batch + arr.shape[:-1])
 
     message = shape(rp.message)
     min_idx = message.argmin(axis=-1)

@@ -24,7 +24,7 @@ from manetopt.experiments import (
     run_transfer,
 )
 from manetopt.gridsearch import grid_capacity
-from manetopt.training import FULL_CSI, NOISY_CSI, TrainConfig
+from manetopt.training import FULL_CSI, NOISY_CSI, TrainConfig, save_schedule
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -334,6 +334,22 @@ def test_config_hash_ignores_runtime_fields(tmp_path):
     assert a.config_hash() == b.config_hash()
     c = tiny_config(tmp_path, "iter-curve", seed=99)
     assert a.config_hash() != c.config_hash()
+    # A schedule artifact counts by its contents: two copies of one file at
+    # different paths give one hash, a different file another.
+    topo = Topology((2, 2))
+    copies = [tmp_path / "one" / "mu.json", tmp_path / "two" / "mu.json"]
+    for path in copies:
+        path.parent.mkdir()
+        save_schedule(str(path), np.full(6, 0.1), topo, "full-csi", 3)
+    other = tmp_path / "mu_other.json"
+    save_schedule(str(other), np.full(6, 0.2), topo, "full-csi", 3)
+    d, e, f = (
+        tiny_config(tmp_path, "iter-curve", mu_artifact=str(path))
+        for path in copies + [other]
+    )
+    assert d.config_hash() == e.config_hash()
+    assert d.identity() == e.identity()
+    assert d.config_hash() not in (a.config_hash(), f.config_hash())
 
 
 def _dirs_identical(a, b):

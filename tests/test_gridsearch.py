@@ -35,7 +35,7 @@ def brute_force_grid(channel, noise, resolution, chunk=131_072):
         p = np.empty((len(idx), rows, 2))
         p[:, :, 0] = axis[combo]
         p[:, :, 1] = other[combo]
-        values = engine.rate_pass(net, ops, p).message.min(axis=-1)
+        values = engine.rate_pass(net, ops, engine.batch_last(p)).message.min(axis=0)
         local = int(np.argmax(values))
         if values[local] > best_value:
             best_value = float(values[local])

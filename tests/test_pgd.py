@@ -181,6 +181,31 @@ def test_calibrate_fixed_step_matches_sequential_runs(
     assert step == expected
 
 
+def test_calibration_never_runs_its_smallest_candidate(monkeypatch):
+    # The smallest candidate is the answer whether or not it settles, so only
+    # the larger ones run: 6 of the 7 defaults, and none of a single one.
+    from manetopt import engine
+    from manetopt.pgd import STEP_CANDIDATES
+
+    elements = []
+    iterate = engine.iterate_schedule
+
+    def counting(net, ops, p0, mu, eval_ops=None):
+        elements.append(len(p0))
+        return iterate(net, ops, p0, mu, eval_ops)
+
+    monkeypatch.setattr(engine, "iterate_schedule", counting)
+    topo = mo.Topology((2, 2))
+    noise = mo.NoiseProfile((1.0, 1.0))
+    rng = np.random.default_rng(3)
+    channels = [mo.sample_channel(topo, 1.0, rng) for _ in range(5)]
+    mo.calibrate_fixed_step(channels, noise, iterations=20)
+    assert elements == [(len(STEP_CANDIDATES) - 1) * len(channels)]
+    elements.clear()
+    assert mo.calibrate_fixed_step(channels, noise, (0.3,), iterations=20) == 0.3
+    assert elements == []
+
+
 def test_trajectory_csv(tmp_path, net_122):
     topo, ch, noise = net_122
     traj = mo.run_pgd(ch, noise, mo.uniform_init(topo), np.full(3, 0.1))

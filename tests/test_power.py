@@ -45,8 +45,9 @@ def test_project_rescaled_rows_leave_other_rows_bit_identical():
 
 
 def test_project_tangent_is_scale_invariant():
-    x = np.array([[0.4, 1.3, -0.2]])
-    dx = np.array([[0.3, -0.1, 0.5]])
+    # One row of three entries: the kernels take rows along axis -2.
+    x = np.array([[0.4, 1.3, -0.2]]).T
+    dx = np.array([[0.3, -0.1, 0.5]]).T
     out, dout = power.project_with_tangent(x, dx)
     for c in (1e-170, 1e200):
         with np.errstate(over="ignore"):
@@ -83,6 +84,8 @@ def _pair(x, dx, a):
 @example(_pair([[1e200, 1e200]], [[0.2, -0.9]], [[1.5, 0.3]]))  # squares overflow
 @example(_pair([[1e-120, 2e-120]], [[0.3, 0.5]], [[1.0, -0.7]]))  # norm cubed underflows
 @example(_pair([[1e120, 2e120]], [[0.3, 0.5]], [[1.0, -0.7]]))  # norm cubed overflows
+@example(_pair([[2.2e-313]], [[1.0]], [[0.6]]))  # the only entry is subnormal
+@example(_pair([[2.2e-313, 0.0, -1.0]], [[1.0, 0.4, -0.3]], [[0.6, 1.1, 0.2]]))
 def test_project_adjoint_is_the_tangent_transpose(rows):
     # <J dx, a> == <dx, J^T a> for the per-row Jacobian J of the selected
     # branch, to 1e-12 of |J| |dx| |a| summed over rows.  Both sides may
@@ -90,16 +93,32 @@ def test_project_adjoint_is_the_tangent_transpose(rows):
     # positive entry (|I/s| + |u u^T/s^3|; about 1 on a pass-through row),
     # 0 on a degenerate one.
     x, dx, a = rows
-    with np.errstate(over="ignore"):
-        _, tangent = power.project_with_tangent(x, dx)
-        back = power.project_adjoint(x, a)
+    with np.errstate(over="ignore"):  # the kernels take rows along axis -2
+        _, tangent = power.project_with_tangent(x.T, dx.T)
+        back = power.project_adjoint(x.T, a.T).T
+    tangent = tangent.T
     clamped = np.where(x > 0.0, x, 0.0)
     jac_bound = np.zeros(len(x))
     live = clamped.max(axis=-1) > 0.0
-    jac_bound[live] = 2.0 / _row_norms(clamped[live])
+    with np.errstate(over="ignore"):  # a subnormal row's bound is inf
+        jac_bound[live] = 2.0 / _row_norms(clamped[live])
     bound = np.sum(jac_bound * _row_norms(dx) * _row_norms(a))
     floor = np.finfo(np.float64).tiny  # products of subnormal entries round absolutely
     assert abs(np.sum(tangent * a) - np.sum(dx * back)) <= 1e-12 * bound + floor
+
+
+@pytest.mark.parametrize(
+    "row", [[2.2e-313], [2.2e-313, 0.0, -1.0], [0.0, -4.0, 5e-324, -0.0]]
+)
+def test_project_tangent_is_zero_when_the_only_positive_entry_is_subnormal(row):
+    # The projected row is constant (the unit vector of that entry), so its
+    # tangent is exactly 0; rescaling the direction first used to give nan.
+    x = np.array([row]).T
+    dx = np.linspace(1.0, -2.0, len(row))[:, None]
+    out, tangent = power.project_with_tangent(x, dx)
+    assert np.array_equal(out[:, 0], np.where(x[:, 0] > 0.0, 1.0, 0.0))
+    assert np.array_equal(tangent, np.zeros_like(x))
+    assert np.array_equal(power.project_adjoint(x, dx), np.zeros_like(x))
 
 
 def _row_norms(v):
