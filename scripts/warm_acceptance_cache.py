@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Pre-compute the cached artifacts the acceptance suite needs.
 
-Runs the schedule trainings, step calibrations and grid-reference values into
+Runs the schedule trainings and grid-reference values into
 .acceptance_cache/ so `pytest tests/test_acceptance.py` only has to evaluate.
 Safe to re-run; everything is keyed by content.  Optional argv: a subset of
 job tags to run (default: all).  The scenario's own copies of the schedules
@@ -17,7 +17,6 @@ import manetopt as mo
 from manetopt.experiments import (
     TEST_DATA,
     ExperimentConfig,
-    _calibrated_step,
     _trained_schedule,
     derive_seed,
     noise_profile,
@@ -48,7 +47,6 @@ def jobs():
     for db in LEVELS:
         yield f"train_2x2_{db:g}", ((2, 2), db, "full-csi")
         yield f"train_3x3_{db:g}", ((3, 3), db, "full-csi")
-        yield f"calib_4x4_{db:g}", ((4, 4), db, None)
     yield "train_3x3_0_noisy", ((3, 3), 0.0, "noisy-csi")
     yield "train_4x4_0", ((4, 4), 0.0, "full-csi")
     yield "oracle_2x2_0", ((2, 2), 0.0, "oracle")
@@ -68,8 +66,6 @@ def main() -> None:
                 test = mo.build_dataset(topology, noise, 200, derive_seed(0, TEST_DATA))
                 for ch in test.channels():
                     mo.grid_capacity(ch, noise, 1e-2, cache_dir=CACHE)
-            elif mode is None:
-                _calibrated_step(config, topology, db)
             else:
                 _trained_schedule(config, topology, db, mode, None, f"warm_{tag}")
             print(f"{tag}: {time.time() - t0:.0f}s", flush=True)

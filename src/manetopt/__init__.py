@@ -21,6 +21,7 @@ from .gradients import (
 from .gridsearch import GridResult, grid_capacity
 from .errors import CapabilityError, ConfigurationError
 from .pgd import (
+    FIXED_STEP,
     PgdTrajectory,
     calibrate_fixed_step,
     pgd_step,

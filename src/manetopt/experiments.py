@@ -1,13 +1,17 @@
 """Scenario runners wiring the library into reproducible experiments.
 
 Each scenario consumes an ``ExperimentConfig``, derives every random stream
-from the master seed (disjoint roles for train data, test data, calibration,
-training, ensemble starts and pilot noise), and writes CSV tables plus a JSON
-run manifest into the output directory.  Outputs are byte-identical across
+from the master seed (disjoint roles for train data, test data, training,
+ensemble starts and pilot noise), and writes CSV tables plus a JSON run
+manifest into the output directory.  Outputs are byte-identical across
 re-runs with the same configuration and seed.  The ``threads`` setting is
-accepted and ignored: test channels, ensemble members and step candidates
-run on one batch axis in a single thread, so outputs are identical for any
-value.
+accepted and ignored: test channels and ensemble members run on one batch
+axis in a single thread, so outputs are identical for any value.
+
+The fixed-step baseline runs at ``pgd.FIXED_STEP``, as does every schedule's
+default ``init_step``; no scenario runs the calibration search.  The
+``calib_size`` setting is accepted and ignored; it stays in the config's
+identity so that ``config_hash`` does not move.
 
 Noise levels are given in dB relative to the unit channel variance:
 ``sigma_b^2 = 10^(dB/10)`` on every hop.
@@ -32,7 +36,7 @@ from .ensemble import infer_batch
 from .errors import ConfigurationError
 from .gridsearch import grid_capacity, grid_points
 from .jsonfile import write_json
-from .pgd import calibrate_fixed_step, run_pgd_batch
+from .pgd import FIXED_STEP, run_pgd_batch
 from .pilots import lmmse_estimate, make_pilots, simulate_pilot_rx
 from .power import uniform_init
 from .rates import min_rate
@@ -52,6 +56,7 @@ __all__ = [
 ]
 
 # Seed-derivation roles; every random stream is keyed (master, role, ...).
+# CALIB_DATA keys the calibration set that pgd.FIXED_STEP is checked against.
 TRAIN_DATA = 0
 TEST_DATA = 1
 CALIB_DATA = 2
@@ -79,7 +84,7 @@ class ExperimentConfig:
     seed: int = 0
     train_size: int = 1000
     test_size: int = 200
-    calib_size: int = 50
+    calib_size: int = 50  # accepted and ignored, see the module docstring
     train: TrainConfig = field(default_factory=TrainConfig)
     ensemble_size: int = 6
     threads: int = 1
@@ -232,28 +237,6 @@ def _datasets(
     return train_ds, test_ds
 
 
-def _calibrated_step(
-    config: ExperimentConfig, topology: Topology, db: float
-) -> float:
-    descriptor = {
-        "kind": "calibration",
-        "hop_sizes": list(topology.hop_sizes),
-        "db": db,
-        "size": config.calib_size,
-        "seed": derive_seed(config.seed, CALIB_DATA),
-    }
-    path = _cache_path(config, "calib", descriptor)
-    cached = _read_cache(path)
-    if cached is not None:
-        return cached["step"]
-    noise = noise_profile(db, topology.num_hops)
-    calib = build_dataset(topology, noise, config.calib_size, descriptor["seed"])
-    step = calibrate_fixed_step(list(calib.channels()), noise)
-    if path is not None:
-        write_json(path, {"step": step, "descriptor": descriptor})
-    return step
-
-
 def _training_disabled(tag: str) -> ConfigurationError:
     return ConfigurationError(
         f"no schedule artifact or cached schedule for {tag} and training is disabled"
@@ -266,9 +249,7 @@ def _schedule_key(
     """Training config, cache descriptor and cache path of one schedule."""
     train_cfg = dataclasses.replace(config.train, mode=mode)
     if train_cfg.init_step is None:
-        train_cfg = dataclasses.replace(
-            train_cfg, init_step=_calibrated_step(config, topology, db)
-        )
+        train_cfg = dataclasses.replace(train_cfg, init_step=FIXED_STEP)
     descriptor = {
         "kind": "schedule",
         "numerics": SCHEDULE_NUMERICS,
@@ -368,12 +349,15 @@ def _ensemble_rates_noisy(
     return np.array([float(min_rate(ch, p, noise)[0]) for ch, p in zip(channels, selected)])
 
 
-def _fixed_final_rates(
-    channels, noise: NoiseProfile, step: float, iterations: int, topology: Topology
+def _fixed_rates(
+    channels, noise: NoiseProfile, iterations: int, topology: Topology
 ) -> np.ndarray:
+    """Min rates (iterations+1, channels) of fixed-step ascent from uniform."""
     starts = _uniform_starts(topology, len(channels))
-    rates, _ = run_pgd_batch(list(channels), noise, starts, np.full(iterations, step))
-    return rates[-1]
+    rates, _ = run_pgd_batch(
+        list(channels), noise, starts, np.full(iterations, FIXED_STEP)
+    )
+    return rates
 
 
 def _oracle_rates(
@@ -401,12 +385,9 @@ def run_iter_curve(config: ExperimentConfig) -> dict:
     mu = _trained_schedule(
         config, topology, db, FULL_CSI, config.mu_artifact, f"full_{db:g}db"
     )
-    step = _calibrated_step(config, topology, db)
     starts = _uniform_starts(topology, len(channels))
     unfolded, _ = run_pgd_batch(channels, noise, starts, mu)
-    fixed, _ = run_pgd_batch(
-        channels, noise, starts, np.full(config.train.iterations, step)
-    )
+    fixed = _fixed_rates(channels, noise, config.train.iterations, topology)
     header = ["iteration", "unfolded_mean", "fixed_mean"]
     oracle_mean = None
     if with_oracle:
@@ -448,12 +429,14 @@ def run_noise_sweep(config: ExperimentConfig) -> dict:
             config, topology, train_db, FULL_CSI, config.mu_artifact,
             f"full_{train_db:g}db",
         )
-        step = _calibrated_step(config, topology, db)
         unfolded = _ensemble_rates(config, channels, noise, mu, index)
-        fixed40 = _fixed_final_rates(channels, noise, step, iterations, topology)
-        fixed_long = _fixed_final_rates(
-            channels, noise, step, config.fixed_long_iterations, topology
+        # One fixed-step run serves both baselines: the rates at step k do
+        # not depend on how many steps follow.
+        fixed = _fixed_rates(
+            channels, noise, max(iterations, config.fixed_long_iterations), topology
         )
+        fixed40 = fixed[iterations]
+        fixed_long = fixed[config.fixed_long_iterations]
         row = [db, unfolded.mean(), fixed40.mean(), fixed_long.mean()]
         if with_oracle:
             row.append(_oracle_rates(config, channels, noise).mean())
@@ -562,12 +545,9 @@ def run_transfer(config: ExperimentConfig) -> dict:
         noise = noise_profile(db, target.num_hops)
         _, test_ds = _datasets(config, target, db)
         channels = list(test_ds.channels())
-        step = _calibrated_step(config, target, db)
         transferred = _ensemble_rates(config, channels, noise, mu_source, index)
         native = _ensemble_rates(config, channels, noise, mu_native, index)
-        fixed40 = _fixed_final_rates(
-            channels, noise, step, config.train.iterations, target
-        )
+        fixed40 = _fixed_rates(channels, noise, config.train.iterations, target)[-1]
         rows.append([db, transferred.mean(), native.mean(), fixed40.mean()])
         for i in range(len(channels)):
             chan_rows.append([db, i, transferred[i], native[i], fixed40[i]])

@@ -4,7 +4,8 @@
 the full iterate trajectory; the training loss weights every iteration and the
 ensemble scans all of them, so nothing is discarded.  ``run_pgd_batch`` runs
 many (channel, start) pairs in lockstep for throughput; the per-channel
-results are identical to ``run_pgd``.
+results are identical to ``run_pgd``.  The classic fixed-step baseline runs
+at ``FIXED_STEP``; ``calibrate_fixed_step`` is the rule that value comes from.
 """
 
 from __future__ import annotations
@@ -26,10 +27,19 @@ __all__ = [
     "run_pgd_batch",
     "calibrate_fixed_step",
     "write_trajectory_csv",
+    "FIXED_STEP",
     "STEP_CANDIDATES",
 ]
 
 STEP_CANDIDATES = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
+
+# The constant step of the fixed-step baseline, and the initial value of every
+# learned schedule.  It is what ``calibrate_fixed_step`` returns on a
+# calibration set of the default 50 channels: no larger candidate settles
+# there within 5000 iterations, so the rule falls back to its smallest
+# candidate.  On a set of a few channels the rule can settle on a larger
+# step; the baseline does not follow it there.
+FIXED_STEP = 0.01
 
 
 @dataclass

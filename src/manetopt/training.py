@@ -1,10 +1,11 @@
 """Unsupervised learning of the per-iteration step sizes.
 
 The K step sizes of the unrolled optimizer are the only trainable parameters.
-They are initialized to a constant step with which fixed-step ascent converges
-and tuned by mini-batch Adam on the iteration-weighted negative min-rate loss
-(the weight of iterate k is log2(1+k), so later iterates matter more).  No
-labels are involved: the objective itself scores every candidate allocation.
+They are initialized to a constant step, by default the fixed-step baseline's
+``FIXED_STEP``, and tuned by mini-batch Adam on the iteration-weighted
+negative min-rate loss (the weight of iterate k is log2(1+k), so later
+iterates matter more).  No labels are involved: the objective itself scores
+every candidate allocation.
 
 In noisy-CSI mode the optimizer consumes LMMSE channel estimates, re-simulated
 from fresh pilot noise every epoch, while the loss is always measured on the
@@ -27,7 +28,7 @@ import numpy as np
 from . import engine
 from .channels import ChannelDataset, ChannelRealization, NoiseProfile, Topology
 from .jsonfile import write_json
-from .pgd import PgdTrajectory, calibrate_fixed_step
+from .pgd import FIXED_STEP, PgdTrajectory
 from .pilots import lmmse_estimate, make_pilots, simulate_pilot_rx
 from .power import random_init
 from .rates import min_rate
@@ -62,7 +63,7 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    init_step: float | None = None  # None: calibrate on the training channels
+    init_step: float | None = None  # None: FIXED_STEP, the fixed-step baseline's step
 
     def __post_init__(self) -> None:
         if self.iterations < 1 or self.epochs < 1 or self.batch_count < 1:
@@ -223,10 +224,7 @@ def train(
     topology = dataset.topology
     net = engine.net_index(topology)
 
-    init_step = config.init_step
-    if init_step is None:
-        calib = dataset.channels()[: min(50, size)]
-        init_step = calibrate_fixed_step(list(calib), dataset.entries[0][1])
+    init_step = FIXED_STEP if config.init_step is None else config.init_step
     mu = np.full(config.iterations, float(init_step))
     state = AdamState.zeros(config.iterations)
 

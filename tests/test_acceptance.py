@@ -1,6 +1,6 @@
 """Acceptance suite: the ten numbered checks, at full study scale.
 
-Heavy artifacts (trained schedules, calibrated steps, grid-reference values)
+Heavy artifacts (trained schedules, grid-reference values)
 are cached under .acceptance_cache/ at the repo root, so the first run does
 all the training (~20 minutes) and re-runs take a few minutes.  Every
 criterion prints one ``criterion NN ...: PASS/FAIL`` line.
@@ -31,7 +31,6 @@ from manetopt.experiments import (
     PILOTS,
     TEST_DATA,
     ExperimentConfig,
-    _calibrated_step,
     _trained_schedule,
     derive_seed,
     noise_profile,
@@ -86,7 +85,7 @@ def world_122(tmp_path_factory):
     config = study_config("oracle-compare", (2, 2), (0.0,), out)
     topology = mo.Topology((2, 2))
     noise = noise_profile(0.0, 2)
-    step = _calibrated_step(config, topology, 0.0)
+    step = mo.FIXED_STEP
     mu = _trained_schedule(config, topology, 0.0, "full-csi", None, "full_0db")
     test = mo.build_dataset(topology, noise, 200, derive_seed(MASTER, TEST_DATA))
     return config, topology, noise, list(test.channels()), step, mu

@@ -2,6 +2,7 @@ import filecmp
 import importlib.util
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,8 @@ from manetopt.experiments import (
     run_transfer,
 )
 from manetopt.gridsearch import grid_capacity
+from manetopt.pgd import FIXED_STEP, run_pgd_batch
+from manetopt.power import uniform_init
 from manetopt.training import FULL_CSI, NOISY_CSI, TrainConfig, save_schedule
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,8 +98,11 @@ def test_iter_curve_requires_schedule_or_training(tmp_path, monkeypatch):
     config = tiny_config(tmp_path, "iter-curve", allow_training=False)
     with pytest.raises(ConfigurationError):
         run_iter_curve(config)
-    # Without a cache nothing can serve the schedule: refuse before calibrating.
-    monkeypatch.setattr(experiments, "calibrate_fixed_step", None)
+    # Without a cache nothing can serve the schedule: refuse before any work.
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran PGD before refusing")
+
+    monkeypatch.setattr(experiments, "run_pgd_batch", no_work)
     uncached = tiny_config(
         tmp_path, "iter-curve", allow_training=False, cache_dir=None,
         train=TrainConfig(iterations=6),
@@ -124,13 +130,12 @@ def test_training_disabled_reads_the_cache(tmp_path):
 
 
 def _cache_writes(tmp_path):
-    """One writer per cache kind: calibrated step, trained schedule, grid."""
+    """One writer per cache kind: trained schedule, grid."""
     config = tiny_config(tmp_path, "iter-curve")
     topology = Topology(config.hop_sizes)
     noise = noise_profile(0.0, topology.num_hops)
     channel = next(iter(build_dataset(topology, noise, 1, 5).channels()))
     return {
-        "calib": lambda: experiments._calibrated_step(config, topology, 0.0),
         "mu": lambda: experiments._trained_schedule(
             config, topology, 0.0, FULL_CSI, None, "full"
         ).tolist(),
@@ -140,7 +145,7 @@ def _cache_writes(tmp_path):
     }
 
 
-@pytest.mark.parametrize("kind", ["calib", "mu", "grid"])
+@pytest.mark.parametrize("kind", ["mu", "grid"])
 def test_failed_cache_write_leaves_nothing(tmp_path, monkeypatch, kind):
     write = _cache_writes(tmp_path)[kind]
     expected = write()
@@ -175,6 +180,63 @@ def test_noise_sweep_outputs(tmp_path):
     assert rows[1][3] < rows[0][3]
     _, chan_rows = tables["noise_sweep_channels"]
     assert len(chan_rows) == 2 * config.test_size
+
+
+def test_noise_sweep_fixed_step_rows_match_separate_runs(tmp_path):
+    # fixed40 and fixed_long come from one run of max(K, fixed_long) steps;
+    # each equals a run of its own length bit for bit, also when the long
+    # run is the shorter one.
+    for long_steps in (30, 4):
+        config = tiny_config(
+            tmp_path, "noise-sweep", noise_db=(0.0, 5.0), include_oracle=False,
+            fixed_long_iterations=long_steps, out_dir=str(tmp_path / f"out{long_steps}"),
+        )
+        tables = run_noise_sweep(config)
+        _, rows = tables["noise_sweep"]
+        _, chan_rows = tables["noise_sweep_channels"]
+        topology = Topology(config.hop_sizes)
+        for row in rows:
+            noise = noise_profile(row[0], topology.num_hops)
+            channels = build_dataset(
+                topology, noise, config.test_size,
+                derive_seed(config.seed, experiments.TEST_DATA),
+            ).channels()
+            p0 = uniform_init(topology)
+            starts = np.broadcast_to(p0, (len(channels),) + p0.shape)
+            final = {
+                steps: run_pgd_batch(
+                    channels, noise, starts, np.full(steps, FIXED_STEP)
+                )[0][-1]
+                for steps in (config.train.iterations, long_steps)
+            }
+            assert row[2] == final[config.train.iterations].mean()
+            assert row[3] == final[long_steps].mean()
+            level = [r[3] for r in chan_rows if r[0] == row[0]]
+            assert level == final[config.train.iterations].tolist()
+
+
+def test_no_scenario_calibrates(tmp_path, monkeypatch):
+    # The fixed-step baselines and the default init_step use FIXED_STEP; the
+    # calibration search runs nowhere, under any name it is imported as.
+    def refuse(*args, **kwargs):
+        raise AssertionError("calibrate_fixed_step was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "manetopt" and hasattr(module, "calibrate_fixed_step"):
+            monkeypatch.setattr(module, "calibrate_fixed_step", refuse)
+    untuned = TrainConfig(iterations=6, epochs=2, batch_count=4, seed=3)
+    for scenario, extra in (
+        ("iter-curve", {}),
+        ("noise-sweep", {"noise_db": (0.0, 5.0)}),
+        ("transfer", {"source_hop_sizes": (2, 2)}),
+    ):
+        config = tiny_config(
+            tmp_path, scenario, train=untuned, include_oracle=False,
+            out_dir=str(tmp_path / scenario), cache_dir=None, **extra,
+        )
+        run_scenario(config)
+    _, descriptor, _ = experiments._schedule_key(config, Topology((2, 2)), 0.0, FULL_CSI)
+    assert descriptor["train"]["init_step"] == FIXED_STEP
 
 
 def test_noisy_robustness_zero_noise_columns_agree(tmp_path):
@@ -273,7 +335,7 @@ def test_iter_curve_oracle_on_deeper_two_user_network(tmp_path):
 @pytest.mark.parametrize("scenario", ["iter-curve", "noise-sweep", "oracle-compare"])
 def test_refused_oracle_fails_before_any_work(tmp_path, scenario):
     # (4, 2) at resolution 1e-2 needs 101^4 + 101 grid points; the refusal
-    # comes before any schedule or calibration reaches the cache.
+    # comes before any schedule reaches the cache.
     config = tiny_config(tmp_path, scenario, hop_sizes=(4, 2), oracle_resolution=1e-2)
     with pytest.raises(CapabilityError):
         run_scenario(config)

@@ -206,6 +206,17 @@ def test_calibration_never_runs_its_smallest_candidate(monkeypatch):
     assert elements == []
 
 
+def test_fixed_step_is_what_calibration_returns():
+    # The rule behind FIXED_STEP, on the acceptance calibration set at the
+    # default 50 channels and 5000 iterations: no larger candidate settles.
+    from manetopt.experiments import CALIB_DATA, derive_seed, noise_profile
+
+    topo = mo.Topology((2, 2))
+    noise = noise_profile(0.0, topo.num_hops)
+    calib = mo.build_dataset(topo, noise, 50, derive_seed(0, CALIB_DATA))
+    assert mo.calibrate_fixed_step(list(calib.channels()), noise) == mo.FIXED_STEP
+
+
 def test_trajectory_csv(tmp_path, net_122):
     topo, ch, noise = net_122
     traj = mo.run_pgd(ch, noise, mo.uniform_init(topo), np.full(3, 0.1))
