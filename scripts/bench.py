@@ -16,7 +16,11 @@ M relays, M end users) at batch sizes q = 20 and 350:
   default candidates make q runs) at a reduced iteration count;
 - ``infer``: ``ensemble.infer_batch`` on q // E channels of E members;
 - ``grid``: ``gridsearch.grid_capacity`` on one channel (two-user network
-  only, so 1x2x2).
+  only, so 1x2x2);
+- ``train`` and ``train_pair``: one epoch of ``training.train`` over 200
+  channels in 10 batches of 20 at K steps, for one full-CSI schedule and for
+  a full- and a noisy-CSI schedule trained together in one call (per element
+  step of each schedule).
 
 The file id is the git sha of HEAD when the package source matches it, and
 ``src-<digest>`` of the source otherwise.  The environment record reuses the
@@ -28,6 +32,7 @@ steps, for the schema test; its timings mean nothing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -55,7 +60,10 @@ BATCHES = (20, 350)
 STEPS = 40
 CALIB_ITERATIONS = 500
 ENSEMBLE = 6
-TINY = {"batches": (7,), "steps": 2, "calib_iterations": 3}
+TRAIN_CHANNELS = 200
+TRAIN_BATCHES = 10
+TINY = {"batches": (7,), "steps": 2, "calib_iterations": 3, "train_channels": 4,
+        "train_batches": 2}
 
 
 def best_of(repeats: int, fn) -> float:
@@ -114,6 +122,26 @@ def bench_network(hop_sizes, q, steps, calib_iterations, repeats) -> list[dict]:
     return records
 
 
+def bench_train(hop_sizes, steps, channels, batches, repeats) -> list[dict]:
+    topology = mo.Topology(hop_sizes)
+    noise = mo.NoiseProfile((1.0,) * topology.num_hops)
+    data = mo.build_dataset(topology, noise, channels, seed=20)
+    full = mo.TrainConfig(
+        iterations=steps, epochs=1, batch_count=batches, seed=21, init_step=0.1
+    )
+    noisy = dataclasses.replace(full, mode="noisy-csi")
+    records = []
+    for name, configs in (("train", [full]), ("train_pair", [full, noisy])):
+        seconds = best_of(repeats, lambda: mo.train(data, configs))
+        records.append({
+            "name": name, "network": _network(hop_sizes), "q": channels // batches,
+            "K": steps, "repeats": repeats, "best_s": seconds,
+            "us_per_element": 1e6 * seconds / (channels * steps * len(configs)),
+            "channels": channels, "batches": batches, "schedules": len(configs),
+        })
+    return records
+
+
 def bench_grid(repeats, resolution) -> dict:
     topology = mo.Topology((2, 2))
     channel = _channels(topology, 1, seed=19)[0]
@@ -157,14 +185,17 @@ def main(argv: list[str] | None = None) -> Path:
     parser.add_argument("--tiny", action="store_true", help="schema-check scale")
     args = parser.parse_args(argv)
     batches, steps, calib_iterations = BATCHES, STEPS, CALIB_ITERATIONS
+    train_channels, train_batches = TRAIN_CHANNELS, TRAIN_BATCHES
     resolution = 1e-2
     if args.tiny:
         batches, steps, calib_iterations = TINY["batches"], TINY["steps"], TINY["calib_iterations"]
+        train_channels, train_batches = TINY["train_channels"], TINY["train_batches"]
         resolution = 0.25
     records = []
     for hop_sizes in NETWORKS:
         for q in batches:
             records += bench_network(hop_sizes, q, steps, calib_iterations, args.repeats)
+        records += bench_train(hop_sizes, steps, train_channels, train_batches, args.repeats)
     records.append(bench_grid(args.repeats, resolution))
     environment = environment_record()
     doc = {"environment": environment, "tiny": args.tiny, "records": records}

@@ -55,7 +55,6 @@ from .training import (
     loss_grad_mu,
     save_schedule,
     train,
-    weighted_loss,
 )
 
 __version__ = "0.1.0"

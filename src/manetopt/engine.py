@@ -16,8 +16,10 @@ Order contract (what keeps every result bit-identical across layouts):
 - each masked interference sum adds its terms in ascending m;
 - every argmin over nodes, messages or constraints takes the first
   occurrence of the minimum;
-- ``dL/dmu_k`` sums ``g_k * v`` over the batch-first C-order array, whose
-  pairwise order decides the trained schedules.
+- ``dL/dmu_k`` sums ``g_k * v`` over each step group's block of the
+  batch-first C-order array, whose pairwise order decides the trained
+  schedules; a block is what one group alone would sum, so S schedules
+  trained in one batch equal S trained one by one.
 
 ``unrolled_loss`` differentiates the unrolled optimizer with respect to its
 per-iteration step sizes in reverse mode: a forward sweep keeps every
@@ -482,8 +484,8 @@ def run_schedule_batch(
 
 @dataclass
 class UnrolledResult:
-    loss: float
-    grad: np.ndarray | None          # (K,) d loss / d mu
+    loss: float | np.ndarray         # float, or (S,) per step group
+    grad: np.ndarray | None          # (K,) or (S, K) d loss / d mu
     iterate_rates: np.ndarray        # (K+1, q) loss-channel min rates per iterate
     final: np.ndarray                # (q, rows, N) last iterate
     min_margin: float                # smallest tie/kink margin seen (diagnostics)
@@ -510,30 +512,46 @@ def unrolled_loss(
     ``lam_k = -(w_k/q) grad R_loss(p_k) + v + mu_k H_k v``, where ``H_k v`` is
     the derivative of ``gradient_pass`` at ``p_k`` in the direction ``v``.
     ``p0`` and ``final`` are (q, stacked_rows, N).
+
+    ``mu`` is (K,), or (S, K) for S schedules on S equal contiguous groups of
+    the batch: group s is elements ``s*q/S`` to ``(s+1)*q/S - 1``, steps by
+    ``mu[s]``, and averages its loss over its own q/S elements.  The loss is
+    then (S,) and the gradient (S, K), each row bit-identical to a call on
+    that group alone.
     """
-    steps = len(mu)
+    mu = np.asarray(mu, dtype=np.float64)
+    groups = mu.reshape(-1, mu.shape[-1])
+    count, steps = groups.shape
     if steps < 1:
         raise ValueError("the unrolled optimizer needs at least one iteration")
     p = batch_last(np.asarray(p0, dtype=np.float64))
     q = p.shape[-1]
+    if q % count:
+        raise ValueError(f"a batch of {q} does not split into {count} equal groups")
+    size = q // count
+    # each element's step per iteration, (K, q)
+    step = np.repeat(groups.T, size, axis=1)
     same = opt_ops is loss_ops
-    loss = 0.0
+    loss = np.zeros(count)
     iterate_rates = np.empty((steps + 1, q))
     min_margin = np.inf
     # The trajectory the backward sweep needs: p_k, g_k and x_k for k < K, and
     # the gradient of the loss-channel min rate at p_k for 1 <= k < K.
     ps, gs, xs, loss_grads = [], [], [], []
 
+    def group_means(values: np.ndarray) -> np.ndarray:
+        return values.reshape(count, size).mean(axis=1)
+
     for k in range(steps):
         rp = rate_pass(net, opt_ops, p)
         rp_loss = rp if same else rate_pass(net, loss_ops, p)
         iterate_rates[k] = rp_loss.message.min(axis=0)
         if k >= 1:
-            loss -= weights[k - 1] * iterate_rates[k].mean()
+            loss -= weights[k - 1] * group_means(iterate_rates[k])
         if track_margins:
             min_margin = min(min_margin, _pass_margin(net, rp))
         grad = gradient_pass(net, opt_ops, rp)[0]
-        x = p + mu[k] * grad
+        x = p + step[k] * grad
         if track_margins:
             nz = x[x != 0.0]
             if nz.size:
@@ -548,23 +566,27 @@ def unrolled_loss(
 
     rp_loss = rate_pass(net, loss_ops, p)
     iterate_rates[steps] = rp_loss.message.min(axis=0)
-    loss -= weights[steps - 1] * iterate_rates[steps].mean()
+    loss -= weights[steps - 1] * group_means(iterate_rates[steps])
     if track_margins and same:
         min_margin = min(min_margin, _pass_margin(net, rp_loss))
     dloss = None
     if want_grad:
-        dloss = np.empty(steps)
-        lam = -(weights[steps - 1] / q) * gradient_pass(net, loss_ops, rp_loss)[0]
+        dloss = np.empty((count, steps))
+        lam = -(weights[steps - 1] / size) * gradient_pass(net, loss_ops, rp_loss)[0]
         for k in range(steps - 1, -1, -1):
             v = project_adjoint(xs[k], lam)
-            # summed batch first: its pairwise order decides the schedules
-            dloss[k] = np.sum(batch_first(gs[k] * v))
+            # summed batch first, one block per group: its pairwise order
+            # decides the schedules
+            dloss[:, k] = batch_first(gs[k] * v).reshape(count, -1).sum(axis=1)
             if k == 0:
                 break
             hv = gradient_pass(net, opt_ops, rate_pass(net, opt_ops, ps[k], dp=v))[1]
-            lam = -(weights[k - 1] / q) * loss_grads[k - 1] + v + mu[k] * hv
+            lam = -(weights[k - 1] / size) * loss_grads[k - 1] + v + step[k] * hv
+    if mu.ndim == 1:
+        loss = float(loss[0])
+        dloss = None if dloss is None else dloss[0]
     return UnrolledResult(
-        loss=float(loss),
+        loss=loss,
         grad=dloss,
         iterate_rates=iterate_rates,
         final=batch_first(p),

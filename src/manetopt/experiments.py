@@ -68,6 +68,9 @@ PILOTS = 5
 # gradient over its Adam updates, so bump this whenever that arithmetic
 # changes; no schedule trained by older code is then served from a cache.
 # 2: reverse-mode gradient (schedules cached before it carry no version).
+# Training several schedules in one call needs no bump: each group of the
+# joint batch sums and steps exactly as a call on its own, so every schedule
+# is bit-identical to training it alone.
 SCHEDULE_NUMERICS = 2
 
 # Config fields naming a schedule artifact; an experiment's identity holds the
@@ -272,34 +275,63 @@ def _trained_schedule(
     tag: str,
 ) -> np.ndarray:
     """Load or train the step schedule for one (topology, level, mode)."""
+    return _trained_schedules(config, topology, db, [(mode, artifact, tag)])[0]
+
+
+def _trained_schedules(
+    config: ExperimentConfig,
+    topology: Topology,
+    db: float,
+    wanted: Sequence[tuple[str, str | None, str]],
+) -> list[np.ndarray]:
+    """Load or train one step schedule per ``(mode, artifact, tag)`` of one
+    (topology, level).
+
+    An artifact is loaded as is; any other schedule is read from the cache
+    under its own key.  The schedules that neither supplies train together in
+    one ``train`` call, which gives each the schedule it would train alone;
+    each is then cached and, like a cache hit, written to ``mu_<tag>.json``.
+    """
     iterations = config.train.iterations
-    if artifact is not None:
-        mu, _ = load_schedule(artifact)
-        if len(mu) != iterations:
-            raise ConfigurationError(
-                f"schedule {artifact} has {len(mu)} steps, config expects {iterations}"
-            )
-        return mu
-    if not config.allow_training and config.cache_dir is None:
-        raise _training_disabled(tag)  # no cache could hold the schedule
-    train_cfg, descriptor, path = _schedule_key(config, topology, db, mode)
-    cached = _read_cache(path)
-    if cached is not None:
-        mu = np.array(cached["steps"], dtype=np.float64)
-    elif not config.allow_training:
-        raise _training_disabled(tag)
-    else:
+    mus: list[np.ndarray | None] = []
+    keys = []  # per schedule: (train config, cache path), None for an artifact
+    for mode, artifact, tag in wanted:
+        if artifact is not None:
+            mu, _ = load_schedule(artifact)
+            if len(mu) != iterations:
+                raise ConfigurationError(
+                    f"schedule {artifact} has {len(mu)} steps, config expects {iterations}"
+                )
+            mus.append(mu)
+            keys.append(None)
+            continue
+        if not config.allow_training and config.cache_dir is None:
+            raise _training_disabled(tag)  # no cache could hold the schedule
+        train_cfg, _, path = _schedule_key(config, topology, db, mode)
+        cached = _read_cache(path)
+        if cached is None and not config.allow_training:
+            raise _training_disabled(tag)
+        mus.append(None if cached is None else np.array(cached["steps"], dtype=np.float64))
+        keys.append((train_cfg, path))
+    missing = [i for i, mu in enumerate(mus) if mu is None]
+    if missing:
         noise = noise_profile(db, topology.num_hops)
         dataset = build_dataset(
-            topology, noise, config.train_size, descriptor["data_seed"]
+            topology, noise, config.train_size, derive_seed(config.seed, TRAIN_DATA)
         )
-        mu = train(dataset, train_cfg)
-        if path is not None:
-            save_schedule(path, mu, topology, mode, train_cfg.seed, train_cfg)
+        trained = train(dataset, [keys[i][0] for i in missing])
+        for i, mu in zip(missing, trained):
+            mus[i] = mu
+            train_cfg, path = keys[i]
+            if path is not None:
+                save_schedule(path, mu, topology, train_cfg.mode, train_cfg.seed, train_cfg)
     os.makedirs(config.out_dir, exist_ok=True)
-    out_path = os.path.join(config.out_dir, f"mu_{tag}.json")
-    save_schedule(out_path, mu, topology, mode, train_cfg.seed, train_cfg)
-    return mu
+    for (_, _, tag), mu, key in zip(wanted, mus, keys):
+        if key is not None:
+            train_cfg = key[0]
+            out_path = os.path.join(config.out_dir, f"mu_{tag}.json")
+            save_schedule(out_path, mu, topology, train_cfg.mode, train_cfg.seed, train_cfg)
+    return mus
 
 
 def _uniform_starts(topology: Topology, count: int) -> np.ndarray:
@@ -326,17 +358,13 @@ def _ensemble_rates(
     ).selected_min_rate_eval
 
 
-def _ensemble_rates_noisy(
-    config: ExperimentConfig,
-    channels,
-    noise: NoiseProfile,
-    mu: np.ndarray,
-    level_index: int,
-) -> np.ndarray:
-    """Realized (true-channel) min rates when inferring from noisy pilots."""
+def _pilot_estimates(
+    config: ExperimentConfig, channels, noise: NoiseProfile, level_index: int
+) -> list:
+    """LMMSE estimates of the test channels from one pilot draw per channel."""
     pilots = make_pilots(Topology(config.hop_sizes))
     pilot_seed = derive_seed(config.seed, PILOTS, level_index)
-    estimates = [
+    return [
         lmmse_estimate(
             simulate_pilot_rx(ch, noise, pilots, np.random.default_rng([pilot_seed, i])),
             noise,
@@ -344,6 +372,17 @@ def _ensemble_rates_noisy(
         )
         for i, ch in enumerate(channels)
     ]
+
+
+def _ensemble_rates_noisy(
+    config: ExperimentConfig,
+    channels,
+    estimates,
+    noise: NoiseProfile,
+    mu: np.ndarray,
+    level_index: int,
+) -> np.ndarray:
+    """Realized (true-channel) min rates when inferring from pilot estimates."""
     seeds = _ensemble_seeds(config, level_index, len(channels))
     selected = infer_batch(estimates, noise, mu, config.ensemble_size, seeds).selected
     return np.array([float(min_rate(ch, p, noise)[0]) for ch, p in zip(channels, selected)])
@@ -456,8 +495,10 @@ def run_noise_sweep(config: ExperimentConfig) -> dict:
 def run_noisy_robustness(config: ExperimentConfig) -> dict:
     """Clean- vs noisy-trained schedules under full and estimated CSI.
 
-    Realized rates are always measured on the true channels; the pilot draws
-    are shared between the two schedules so comparisons are paired.
+    Realized rates are always measured on the true channels; the pilot
+    estimates are shared between the two schedules so comparisons are paired.
+    Both schedules of a level train together in one call unless an artifact
+    or the cache supplies them.
     """
     os.makedirs(config.out_dir, exist_ok=True)
     topology = Topology(config.hop_sizes)
@@ -475,17 +516,19 @@ def run_noisy_robustness(config: ExperimentConfig) -> dict:
         noise = noise_profile(db, topology.num_hops)
         _, test_ds = _datasets(config, topology, db)
         channels = list(test_ds.channels())
-        mu_clean = _trained_schedule(
-            config, topology, db, FULL_CSI, config.mu_artifact, f"full_{db:g}db"
-        )
-        mu_noisy = _trained_schedule(
-            config, topology, db, NOISY_CSI, config.mu_artifact_noisy,
-            f"noisy_{db:g}db",
-        )
+        mu_clean, mu_noisy = _trained_schedules(config, topology, db, [
+            (FULL_CSI, config.mu_artifact, f"full_{db:g}db"),
+            (NOISY_CSI, config.mu_artifact_noisy, f"noisy_{db:g}db"),
+        ])
         clean_full = _ensemble_rates(config, channels, noise, mu_clean, index)
         noisy_full = _ensemble_rates(config, channels, noise, mu_noisy, index)
-        clean_noisy = _ensemble_rates_noisy(config, channels, noise, mu_clean, index)
-        noisy_noisy = _ensemble_rates_noisy(config, channels, noise, mu_noisy, index)
+        estimates = _pilot_estimates(config, channels, noise, index)
+        clean_noisy = _ensemble_rates_noisy(
+            config, channels, estimates, noise, mu_clean, index
+        )
+        noisy_noisy = _ensemble_rates_noisy(
+            config, channels, estimates, noise, mu_noisy, index
+        )
         rows.append(
             [db, clean_full.mean(), clean_noisy.mean(), noisy_full.mean(), noisy_noisy.mean()]
         )

@@ -14,6 +14,13 @@ mode derivatives through the unrolled pipeline: one forward sweep keeps the
 iterates, one backward sweep carries a single adjoint, so a gradient costs a
 few forward passes at any K.  The test suite checks them against finite
 differences.
+
+One ``train`` call can learn several schedules at once, for example the
+full- and noisy-CSI schedules of one dataset: each owns a contiguous group
+of every batch's axis, all share the batches and random starts, and each
+takes its own Adam step.  A batch of a few dozen channels costs mostly
+per-call overhead, so one call on S groups costs far less than S calls, and
+each schedule comes out bit-identical to training it alone.
 """
 
 from __future__ import annotations
@@ -28,17 +35,15 @@ import numpy as np
 from . import engine
 from .channels import ChannelDataset, ChannelRealization, NoiseProfile, Topology
 from .jsonfile import write_json
-from .pgd import FIXED_STEP, PgdTrajectory
+from .pgd import FIXED_STEP
 from .pilots import lmmse_estimate, make_pilots, simulate_pilot_rx
 from .power import random_init
-from .rates import min_rate
 
 __all__ = [
     "MIN_STEP",
     "TrainConfig",
     "AdamState",
     "adam_update",
-    "weighted_loss",
     "loss_grad_mu",
     "train",
     "save_schedule",
@@ -112,20 +117,6 @@ def iteration_weights(steps: int) -> np.ndarray:
     return np.log2(1.0 + np.arange(1, steps + 1))
 
 
-def weighted_loss(
-    trajectory: PgdTrajectory, h_true: ChannelRealization, noise: NoiseProfile
-) -> float:
-    """Iteration-weighted negative min rate, measured on the true channel."""
-    steps = trajectory.steps
-    if steps < 1:
-        raise ValueError("the trajectory must contain at least one update")
-    weights = iteration_weights(steps)
-    rates = np.array(
-        [min_rate(h_true, trajectory.iterates[k], noise)[0] for k in range(1, steps + 1)]
-    )
-    return float(-(weights * rates).sum())
-
-
 def _stack_entries(
     entries: Sequence[tuple[ChannelRealization, NoiseProfile]]
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
@@ -157,7 +148,11 @@ def _batch_loss_grad(
     want_grad: bool = True,
     track_margins: bool = False,
 ) -> engine.UnrolledResult:
-    """Unrolled loss over one batch; ``opt_channels`` override the driving CSI."""
+    """Unrolled loss over one batch; ``opt_channels`` override the driving CSI.
+
+    With an (S, K) ``mu``, ``entries`` (and ``opt_channels``) hold S groups of
+    equal size, one per schedule.
+    """
     first, later, sig2 = _stack_entries(entries)
     loss_ops = engine.prepare_operands(first, later, sig2)
     if opt_channels is None:
@@ -167,13 +162,13 @@ def _batch_loss_grad(
         opt_ops = engine.prepare_operands(ofirst, olater, sig2)
     q = len(entries)
     p0q = np.broadcast_to(p0, (q,) + p0.shape)
-    weights = iteration_weights(len(mu))
+    weights = iteration_weights(np.shape(mu)[-1])
     return engine.unrolled_loss(
         net,
         opt_ops,
         loss_ops,
         p0q,
-        np.asarray(mu, dtype=np.float64),
+        mu,
         weights,
         want_grad=want_grad,
         track_margins=track_margins,
@@ -208,59 +203,75 @@ def loss_grad_mu(
 
 def train(
     dataset: ChannelDataset,
-    config: TrainConfig,
-    progress: Callable[[int, float], None] | None = None,
+    config: TrainConfig | Sequence[TrainConfig],
+    progress: Callable[[int, float | np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Learn the step schedule by mini-batch Adam over the channel dataset.
 
     Deterministic for a given (dataset, config): shuffling, per-batch random
     starting points and per-epoch pilot noise all derive from ``config.seed``.
+
+    A sequence of S configs learns S schedules in lockstep on one batch axis
+    and returns them as an (S, K) array.  The configs must agree in ``seed``,
+    ``iterations``, ``epochs`` and ``batch_count``, so that every schedule
+    sees the same batches and starts; mode, initial step and Adam settings
+    may differ.  Each schedule is bit-identical to training it alone, and
+    ``progress`` then gets the S mean losses of each epoch.
     """
+    single = isinstance(config, TrainConfig)
+    configs = [config] if single else list(config)
+    if not configs:
+        raise ValueError("training needs at least one config")
+    lead = configs[0]
+    for key in ("seed", "iterations", "epochs", "batch_count"):
+        if any(getattr(c, key) != getattr(lead, key) for c in configs):
+            raise ValueError(f"configs trained together must share {key}")
     size = len(dataset)
     if size < 1:
         raise ValueError("training needs a non-empty dataset")
-    if config.batch_count > size:
+    if lead.batch_count > size:
         raise ValueError("batch_count cannot exceed the dataset size")
     topology = dataset.topology
     net = engine.net_index(topology)
 
-    init_step = FIXED_STEP if config.init_step is None else config.init_step
-    mu = np.full(config.iterations, float(init_step))
-    state = AdamState.zeros(config.iterations)
+    mu = np.array([
+        np.full(lead.iterations, float(FIXED_STEP if c.init_step is None else c.init_step))
+        for c in configs
+    ])
+    states = [AdamState.zeros(lead.iterations) for _ in configs]
 
-    shuffle_rng = np.random.default_rng([config.seed, 0])
-    start_rng = np.random.default_rng([config.seed, 1])
-    noisy = config.mode == NOISY_CSI
+    shuffle_rng = np.random.default_rng([lead.seed, 0])
+    start_rng = np.random.default_rng([lead.seed, 1])
+    noisy = [c.mode == NOISY_CSI for c in configs]
 
-    for epoch in range(config.epochs):
+    for epoch in range(lead.epochs):
         order = shuffle_rng.permutation(size)
-        epoch_loss = 0.0
-        for batch_ids in np.array_split(order, config.batch_count):
+        epoch_loss = np.zeros(len(configs))
+        for batch_ids in np.array_split(order, lead.batch_count):
             entries = [dataset.entries[i] for i in batch_ids]
             p0 = random_init(topology, start_rng)
+            # Each schedule's group of the batch: the loss channels once more,
+            # driven by the true channels or by this epoch's pilot estimates.
             opt = None
-            if noisy:
+            if any(noisy):
                 rngs = [
-                    np.random.default_rng([config.seed, 2, epoch, int(i)])
+                    np.random.default_rng([lead.seed, 2, epoch, int(i)])
                     for i in batch_ids
                 ]
-                opt = _estimate_entries(
+                estimates = _estimate_entries(
                     entries, topology, entries[0][1].channel_var, rngs
                 )
-            result = _batch_loss_grad(net, entries, opt, mu, p0)
-            state, mu = adam_update(
-                state,
-                result.grad,
-                mu,
-                config.learning_rate,
-                config.beta1,
-                config.beta2,
-                config.eps,
-            )
+                truth = [ch for ch, _ in entries]
+                opt = [ch for n in noisy for ch in (estimates if n else truth)]
+            result = _batch_loss_grad(net, entries * len(configs), opt, mu, p0)
+            for s, c in enumerate(configs):
+                states[s], mu[s] = adam_update(
+                    states[s], result.grad[s], mu[s], c.learning_rate, c.beta1, c.beta2, c.eps
+                )
             epoch_loss += result.loss * len(batch_ids)
         if progress is not None:
-            progress(epoch, epoch_loss / size)
-    return mu
+            progress(epoch, float(epoch_loss[0] / size) if single else epoch_loss / size)
+    return mu[0] if single else mu
 
 
 def config_hash(config: TrainConfig) -> str:

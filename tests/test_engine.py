@@ -457,3 +457,49 @@ def test_projection_matches_reference(n):
     _assert_same(out_m[..., 0], ref_out)
     _assert_same(tangent_m[..., 0], ref_tangent)
     _assert_same(mo.project(x), ref_out)
+
+
+@pytest.mark.parametrize("drive", ["full", "mixed"])
+@pytest.mark.parametrize("hop_sizes", [(2, 2), (3, 3), (1, 2, 2)])
+def test_grouped_unrolled_loss_matches_separate_calls(hop_sizes, drive):
+    # Three schedules on three contiguous groups of one batch, the middle one
+    # driven by estimated CSI in the mixed case: each group's loss, gradient,
+    # iterate rates and final iterate equal a call on that group alone.
+    topology = mo.Topology(hop_sizes)
+    net = engine.net_index(topology)
+    groups, size, steps = 3, 4, 10
+    entries = _entries(topology, groups * size, seed=[73, len(hop_sizes), hop_sizes[-1]])
+    noise_rows = np.array([n.hop_noise_vars for _, n in entries])
+    truth = [ch for ch, _ in entries]
+    estimates = _estimate_entries(
+        entries, topology, 1.0, [np.random.default_rng([10, i]) for i in range(len(entries))]
+    )
+    noisy = [False, drive == "mixed", False]
+
+    def operands(channels, block):
+        first, later = engine.stack_channels(channels[block])
+        return engine.prepare_operands(first, later, noise_rows[block])
+
+    everything = slice(None)
+    loss_ops = operands(truth, everything)
+    drive_channels = [
+        est if noisy[i // size] else ch for i, (ch, est) in enumerate(zip(truth, estimates))
+    ]
+    opt_ops = operands(drive_channels, everything) if any(noisy) else loss_ops
+    p0 = _starts(topology, groups * size, seed=9)
+    mu = np.random.default_rng(5).uniform(0.02, 0.5, (groups, steps))
+    weights = iteration_weights(steps)
+    joint = engine.unrolled_loss(net, opt_ops, loss_ops, p0, mu, weights)
+    assert joint.loss.shape == (groups,)
+    assert joint.grad.shape == (groups, steps)
+    for s in range(groups):
+        block = slice(s * size, (s + 1) * size)
+        own_loss = operands(truth, block)
+        own_opt = operands(estimates, block) if noisy[s] else own_loss
+        alone = engine.unrolled_loss(net, own_opt, own_loss, p0[block], mu[s], weights)
+        assert joint.loss[s] == alone.loss
+        _assert_same(joint.grad[s], alone.grad)
+        _assert_same(joint.iterate_rates[:, block], alone.iterate_rates)
+        _assert_same(joint.final[block], alone.final)
+    with pytest.raises(ValueError, match="equal groups"):
+        engine.unrolled_loss(net, loss_ops, loss_ops, p0, np.full((5, steps), 0.1), weights)

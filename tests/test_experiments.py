@@ -264,6 +264,42 @@ def test_noisy_robustness_table_shape(tmp_path):
     assert len(rows) == 1
 
 
+def test_noisy_robustness_trains_only_what_the_cache_lacks(tmp_path, monkeypatch):
+    # A cold run trains both schedules in one call; a run whose clean schedule
+    # is already cached trains only the noisy one, and writes the same files.
+    calls = []
+    real_train = experiments.train
+
+    def spy(dataset, configs, progress=None):
+        calls.append([c.mode for c in configs])
+        return real_train(dataset, configs, progress)
+
+    monkeypatch.setattr(experiments, "train", spy)
+    cold = tiny_config(
+        tmp_path, "noisy-robustness", out_dir=str(tmp_path / "cold"),
+        cache_dir=str(tmp_path / "cold_cache"),
+    )
+    run_noisy_robustness(cold)
+    assert calls == [[FULL_CSI, NOISY_CSI]]
+
+    warm = tiny_config(
+        tmp_path, "noisy-robustness", out_dir=str(tmp_path / "warm"),
+        cache_dir=str(tmp_path / "warm_cache"),
+    )
+    clean_only = tiny_config(
+        tmp_path, "noisy-robustness", out_dir=str(tmp_path / "clean_only"),
+        cache_dir=warm.cache_dir,
+    )
+    experiments._trained_schedule(
+        clean_only, Topology(warm.hop_sizes), 0.0, FULL_CSI, None, "full_0db"
+    )
+    calls.clear()
+    run_noisy_robustness(warm)
+    assert calls == [[NOISY_CSI]]
+    assert _dirs_identical(tmp_path / "cold", tmp_path / "warm")
+    assert _dirs_identical(tmp_path / "cold_cache", tmp_path / "warm_cache")
+
+
 def test_transfer_identity(tmp_path):
     # Transferring to the source topology reproduces the native results.
     config = tiny_config(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,17 @@ from manetopt.training import (
 )
 
 LOG2_3 = 1.584962500721156
+
+
+def weighted_loss(trajectory, h_true, noise):
+    """Reference loss of one channel: the iteration-weighted negative min rate
+    of a trajectory's iterates 1..K, measured on the true channel."""
+    steps = trajectory.steps
+    weights = iteration_weights(steps)
+    rates = np.array(
+        [mo.min_rate(h_true, trajectory.iterates[k], noise)[0] for k in range(1, steps + 1)]
+    )
+    return float(-(weights * rates).sum())
 
 
 @pytest.fixture
@@ -30,7 +43,7 @@ def test_weighted_loss_single_step(small_world):
     topo, noise, ds = small_world
     ch = ds.entries[0][0]
     traj = mo.run_pgd(ch, noise, mo.uniform_init(topo), np.array([0.1]))
-    loss = mo.weighted_loss(traj, ch, noise)
+    loss = weighted_loss(traj, ch, noise)
     assert loss == pytest.approx(-traj.min_rates[1])
 
 
@@ -41,7 +54,7 @@ def test_weighted_loss_factorizes(small_world):
     traj = mo.run_pgd(ch, noise, p0, np.zeros(4))  # all iterates identical
     rate, _ = mo.min_rate(ch, p0, noise)
     expected = -rate * iteration_weights(4).sum()
-    assert mo.weighted_loss(traj, ch, noise) == pytest.approx(expected)
+    assert weighted_loss(traj, ch, noise) == pytest.approx(expected)
 
 
 def test_weighted_loss_hand_value():
@@ -165,12 +178,10 @@ def test_noisy_mode_uses_estimates_for_steps_and_truth_for_loss(small_world):
     p0 = mo.uniform_init(topo)
     result = _batch_loss_grad(net, entries, estimates, mu, p0)
 
-    weights = iteration_weights(5)
     expected_loss = 0.0
     for (true_ch, _), est_ch in zip(entries, estimates):
         traj = mo.run_pgd(est_ch, noise, p0, mu)  # steps follow the estimate
-        rates = [mo.min_rate(true_ch, traj.iterates[k], noise)[0] for k in range(1, 6)]
-        expected_loss -= float((weights * np.array(rates)).sum())
+        expected_loss += weighted_loss(traj, true_ch, noise)
     assert result.loss == pytest.approx(expected_loss / 3.0, rel=1e-12)
 
 
@@ -301,6 +312,47 @@ def test_train_matches_reference_loop(small_world):
             state, grad, mu, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps
         )
     assert np.array_equal(trained, mu)
+
+
+@pytest.mark.parametrize("hop_sizes", [(2, 2), (3, 3), (1, 2, 2)])
+def test_schedules_trained_together_match_separate_runs(hop_sizes):
+    # Schedules sharing one call's batches come out bit-identical to separate
+    # calls, and so do the epoch losses each reports: the (full, noisy) pair,
+    # and three schedules that differ in mode, initial step and Adam settings.
+    topo = mo.Topology(hop_sizes)
+    ds = mo.build_dataset(topo, mo.NoiseProfile((1.0,) * topo.num_hops), 12, seed=5)
+    base = dict(iterations=6, epochs=3, batch_count=4, seed=7)
+    pair = [
+        mo.TrainConfig(**base, init_step=0.1),
+        mo.TrainConfig(**base, init_step=0.1, mode="noisy-csi"),
+    ]
+    trio = [
+        mo.TrainConfig(**base, init_step=0.05, mode="noisy-csi"),
+        mo.TrainConfig(**base, init_step=0.2, learning_rate=0.03),
+        mo.TrainConfig(**base, init_step=0.1, mode="noisy-csi", beta1=0.8),
+    ]
+    for configs in (pair, trio):
+        history = []
+        joint = mo.train(ds, configs, progress=lambda epoch, losses: history.append(losses))
+        assert joint.shape == (len(configs), 6)
+        for s, cfg in enumerate(configs):
+            alone_history = []
+            alone = mo.train(ds, cfg, progress=lambda epoch, loss: alone_history.append(loss))
+            assert np.array_equal(joint[s], alone)
+            assert all(type(loss) is float for loss in alone_history)
+            assert [losses[s] for losses in history] == alone_history
+
+
+def test_train_rejects_configs_that_cannot_share_batches(small_world):
+    _, _, ds = small_world
+    base = mo.TrainConfig(iterations=4, epochs=1, batch_count=2, seed=1, init_step=0.1)
+    with pytest.raises(ValueError):
+        mo.train(ds, [])
+    for change in (dict(seed=2), dict(iterations=5), dict(epochs=2), dict(batch_count=3)):
+        with pytest.raises(ValueError, match=next(iter(change))):
+            mo.train(ds, [base, dataclasses.replace(base, **change)])
+    # one config in a sequence is a group of one
+    assert np.array_equal(mo.train(ds, [base])[0], mo.train(ds, base))
 
 
 def test_load_schedule_rejects_tampered_length(tmp_path):
