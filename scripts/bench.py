@@ -89,8 +89,7 @@ def bench_network(hop_sizes, q, steps, calib_iterations, repeats) -> list[dict]:
     noise = mo.NoiseProfile((1.0,) * topology.num_hops)
     net = engine.net_index(topology)
     channels = _channels(topology, q, seed=[17, q, *hop_sizes])
-    first, later = engine.stack_channels(channels)
-    ops = engine.prepare_operands(first, later, np.asarray(noise.hop_noise_vars))
+    ops = engine.operands_from(channels, noise)
     rng = np.random.default_rng([18, q])
     p0 = np.stack([mo.random_init(topology, rng) for _ in range(q)])
     mu = np.full(steps, 0.1)

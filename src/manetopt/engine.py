@@ -8,8 +8,8 @@ power matrices is ``(stacked_rows, N, q)``, a rate table ``(nodes, N, q)``,
 and each ufunc runs one contiguous inner loop of length q.  Two things stay
 batch-first: the channel matrices ``ht_re``/``ht_im``, because the channel
 products are stacked BLAS matmuls (transposed in and out), and the arrays
-``iterate_schedule``, ``run_schedule_batch`` and ``unrolled_loss`` take and
-yield, which are ``(q, stacked_rows, N)`` as everywhere else in the package.
+``iterate_schedule`` and ``unrolled_loss`` take and yield, which are
+``(q, stacked_rows, N)`` as everywhere else in the package.
 
 Order contract (what keeps every result bit-identical across layouts):
 
@@ -36,6 +36,7 @@ relay-layer block b-1 otherwise.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,10 +132,16 @@ def prepare_operands(
     )
 
 
-def operands_from(channel: ChannelRealization, noise: NoiseProfile) -> ChannelOperands:
-    return prepare_operands(
-        channel.first_hop, channel.later_hops, np.asarray(noise.hop_noise_vars)
-    )
+def operands_from(
+    channels: ChannelRealization | Sequence[ChannelRealization], noise: NoiseProfile
+) -> ChannelOperands:
+    """Operands of one channel, with batch axis 1 so that it broadcasts over
+    any batch, or of a sequence of channels, one per batch element."""
+    if isinstance(channels, ChannelRealization):
+        first, later = channels.first_hop, channels.later_hops
+    else:
+        first, later = stack_channels(list(channels))
+    return prepare_operands(first, later, np.asarray(noise.hop_noise_vars))
 
 
 def stack_channels(channels: list[ChannelRealization]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -457,29 +464,6 @@ def iterate_schedule(
         grad = gradient_pass(net, ops, rp)[0]
         p = project_with_tangent(p + mu[k] * grad)[0]
     yield _first_view(p), rate_pass(net, eval_ops, p).message.min(axis=0)
-
-
-def run_schedule_batch(
-    net: NetIndex,
-    ops: ChannelOperands,
-    p0: np.ndarray,
-    mu: np.ndarray,
-    record_iterates: bool = False,
-    eval_ops: ChannelOperands | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run the full step schedule, returning min rates per iterate.
-
-    ``eval_ops`` lets the recorded rates be measured on a different channel
-    than the one driving the updates (both default to ``ops``).
-    """
-    shape = np.shape(p0)
-    rates = np.empty((len(mu) + 1, shape[0]))
-    iterates = np.empty((len(mu) + 1,) + shape) if record_iterates else None
-    for k, (p, rate) in enumerate(iterate_schedule(net, ops, p0, mu, eval_ops)):
-        rates[k] = rate
-        if record_iterates:
-            iterates[k] = p
-    return rates, iterates
 
 
 @dataclass

@@ -2,10 +2,12 @@
 
 The objective is cheap to evaluate, so the ensemble scores every iterate of
 every member under the available CSI and returns the argmax — scanning all
-iterations dominates keeping only the final ones (a flag restores that
-behaviour for ablations).  Member 0 starts from the equal-power allocation,
-the rest from seeded uniform draws over the feasible set, so ensembles with
-growing E are nested and the selected rate is non-decreasing in E.
+iterations dominates keeping only the final ones.  Ties go to the lowest
+(member, iteration) pair.  A NaN candidate never beats a number; if every
+candidate is NaN, member 0's first iterate is selected.  Member 0 starts from
+the equal-power allocation, the rest from seeded uniform draws over the
+feasible set, so ensembles with growing E are nested and the selected rate is
+non-decreasing in E.
 
 When the input is a pilot block the CSI is first estimated; selection then
 uses the estimate (the true channel is unavailable at inference time) and
@@ -22,7 +24,6 @@ import numpy as np
 
 from . import engine
 from .channels import ChannelRealization, NoiseProfile, topology_of
-from .pgd import PgdTrajectory, run_pgd_batch
 from .pilots import PilotBlock, lmmse_estimate
 from .power import random_init, uniform_init
 
@@ -45,7 +46,6 @@ class EnsembleResult:
     selected_min_rate_eval: float
     member_index: int
     iteration_index: int
-    trajectories: tuple[PgdTrajectory, ...] | None = None
 
     def to_json(self) -> dict:
         return {
@@ -86,50 +86,19 @@ def infer(
     ensemble_size: int,
     seed: int = 0,
     channel_var: float = 1.0,
-    final_only: bool = False,
-    keep_trajectories: bool = False,
 ) -> EnsembleResult:
-    if ensemble_size < 1:
-        raise ValueError("the ensemble needs at least one member")
+    """``infer_batch`` on one channel, or on the LMMSE estimate of one pilot
+    block."""
     if isinstance(input_csi, PilotBlock):
         csi = lmmse_estimate(input_csi, noise, channel_var)
     else:
         csi = input_csi
-    topology = topology_of(csi)
-    mu = np.asarray(mu, dtype=np.float64)
-    steps = len(mu)
-    if steps < 1:
-        raise ValueError("the step schedule must contain at least one step")
-
-    starts = member_starts(topology, ensemble_size, seed)
-    rates, iterates = run_pgd_batch(csi, noise, starts, mu, record_iterates=True)
-
-    # Candidate table (member, iteration); C-order argmax ties break to the
-    # lowest (member, iteration) pair.
-    if final_only:
-        table = rates[steps:].T
-        offset = steps
-    else:
-        table = rates[1:].T
-        offset = 1
-    flat = int(np.argmax(table))
-    member, slot = divmod(flat, table.shape[1])
-    iteration = slot + offset
-    trajectories = None
-    if keep_trajectories:
-        trajectories = tuple(
-            PgdTrajectory(
-                iterates=[iterates[k, e] for k in range(steps + 1)],
-                min_rates=rates[:, e],
-            )
-            for e in range(ensemble_size)
-        )
+    batch = infer_batch([csi], noise, mu, ensemble_size, [seed])
     return EnsembleResult(
-        selected=iterates[iteration, member].copy(),
-        selected_min_rate_eval=float(table[member, slot]),
-        member_index=member,
-        iteration_index=iteration,
-        trajectories=trajectories,
+        selected=batch.selected[0],
+        selected_min_rate_eval=float(batch.selected_min_rate_eval[0]),
+        member_index=int(batch.member_index[0]),
+        iteration_index=int(batch.iteration_index[0]),
     )
 
 
@@ -140,12 +109,12 @@ def infer_batch(
     ensemble_size: int,
     seeds: Sequence[int],
 ) -> BatchResult:
-    """``infer`` on many channels at once; channel ``i`` uses ``seeds[i]``.
+    """Multi-start inference on many channels; channel ``i`` uses ``seeds[i]``.
 
-    The results are bit-identical to one ``infer`` call per channel.  Every
-    (channel, member) pair of a chunk of channels runs in one batch and keeps
-    its best iterate so far (strict ``>``: the earliest iteration wins a tie);
-    the lowest member holding the channel's best value is selected.
+    Every (channel, member) pair of a chunk of channels runs in one batch and
+    keeps its best iterate so far (strict ``>``: the earliest iteration wins a
+    tie, and a number replaces a NaN); the lowest member holding the
+    channel's best value is selected.
     """
     if ensemble_size < 1:
         raise ValueError("the ensemble needs at least one member")
@@ -153,18 +122,16 @@ def infer_batch(
     if len(mu) < 1:
         raise ValueError("the step schedule must contain at least one step")
     channels = list(channels)
+    if not channels:
+        raise ValueError("inference needs at least one channel")
+    if len(seeds) != len(channels):
+        raise ValueError(f"{len(seeds)} seeds for {len(channels)} channels")
     topology = topology_of(channels[0])
     net = engine.net_index(topology)
-    sig2 = np.asarray(noise.hop_noise_vars)
     parts = []
     for start in range(0, len(channels), _CHUNK):
         chunk = channels[start : start + _CHUNK]
-        first, later = engine.stack_channels(chunk)
-        ops = engine.prepare_operands(
-            np.repeat(first, ensemble_size, axis=0),
-            tuple(np.repeat(mat, ensemble_size, axis=0) for mat in later),
-            sig2,
-        )
+        ops = engine.operands_from([ch for ch in chunk for _ in range(ensemble_size)], noise)
         starts = np.concatenate(
             [member_starts(topology, ensemble_size, s) for s in seeds[start : start + _CHUNK]]
         )
@@ -174,11 +141,12 @@ def infer_batch(
         best_p = best_p.copy()
         iteration = np.ones(len(best), dtype=np.int64)
         for k, (p, rate) in enumerate(trajectory, start=2):
-            better = rate > best
+            better = (rate > best) | (np.isnan(best) & ~np.isnan(rate))
             best = np.where(better, rate, best)
             best_p[better] = p[better]
             iteration[better] = k
-        member = np.argmax(best.reshape(len(chunk), ensemble_size), axis=1)
+        ranked = np.where(np.isnan(best), -np.inf, best)
+        member = np.argmax(ranked.reshape(len(chunk), ensemble_size), axis=1)
         pick = np.arange(len(chunk)) * ensemble_size + member
         parts.append((best_p[pick], best[pick], member, iteration[pick]))
     return BatchResult(*(np.concatenate(field) for field in zip(*parts)))

@@ -90,9 +90,7 @@ def finite_difference_gradient(
     stack = np.concatenate([flat + offsets, flat - offsets]).reshape(2 * coords, rows, n)
     topology = topology_of(channel)
     net = engine.net_index(topology)
-    ops = engine.prepare_operands(
-        channel.first_hop, channel.later_hops, np.asarray(noise.hop_noise_vars)
-    )
+    ops = engine.operands_from(channel, noise)
     values = engine.rate_pass(net, ops, engine.batch_last(stack)).message.min(axis=0)
     return ((values[:coords] - values[coords:]) / (2.0 * step)).reshape(rows, n)
 

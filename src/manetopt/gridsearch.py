@@ -175,9 +175,7 @@ def grid_capacity(
     axis = np.linspace(0.0, 1.0, points)
     grid = np.stack([axis, np.sqrt(1.0 - axis * axis)], axis=-1)  # (points, 2)
     net = engine.net_index(topology)
-    ops = engine.prepare_operands(
-        channel.first_hop, channel.later_hops, np.asarray(noise.hop_noise_vars)
-    )
+    ops = engine.operands_from(channel, noise)
 
     values = [
         _block_values(net, ops, grid, block, hop) for block, hop in _blocks(topology)

@@ -1,11 +1,11 @@
 """Projected gradient ascent on the min-rate objective.
 
-``run_pgd`` applies K ascent steps with a per-iteration step size and records
-the full iterate trajectory; the training loss weights every iteration and the
-ensemble scans all of them, so nothing is discarded.  ``run_pgd_batch`` runs
-many (channel, start) pairs in lockstep for throughput; the per-channel
-results are identical to ``run_pgd``.  The classic fixed-step baseline runs
-at ``FIXED_STEP``; ``calibrate_fixed_step`` is the rule that value comes from.
+``run_pgd_batch`` applies K ascent steps with a per-iteration step size to
+many (channel, start) pairs in lockstep and records every iterate's min rate;
+the training loss weights every iteration and the ensemble scans all of them,
+so nothing is discarded.  ``run_pgd`` is its one-start call that also keeps
+the iterates.  The classic fixed-step baseline runs at ``FIXED_STEP``;
+``calibrate_fixed_step`` is the rule that value comes from.
 """
 
 from __future__ import annotations
@@ -54,12 +54,6 @@ class PgdTrajectory:
         return len(self.iterates) - 1
 
 
-def _operands(channel, noise):
-    return engine.prepare_operands(
-        channel.first_hop, channel.later_hops, np.asarray(noise.hop_noise_vars)
-    )
-
-
 def pgd_step(
     p: np.ndarray, channel: ChannelRealization, noise: NoiseProfile, mu: float
 ) -> np.ndarray:
@@ -69,7 +63,7 @@ def pgd_step(
         raise ValueError("pgd_step requires a feasible matrix")
     net = engine.net_index(topology_of(channel))
     _, (stepped, _) = engine.iterate_schedule(
-        net, _operands(channel, noise), p[None], [float(mu)]
+        net, engine.operands_from(channel, noise), p[None], [float(mu)]
     )
     return stepped[0]
 
@@ -84,15 +78,8 @@ def run_pgd(
     p0 = np.asarray(p0, dtype=np.float64)
     if not is_feasible(p0):
         raise ValueError("run_pgd requires a feasible starting point")
-    mu = np.asarray(mu, dtype=np.float64)
-    net = engine.net_index(topology_of(channel))
-    rates, iterates = engine.run_schedule_batch(
-        net, _operands(channel, noise), p0[None], mu, record_iterates=True
-    )
-    return PgdTrajectory(
-        iterates=[iterates[k, 0] for k in range(len(mu) + 1)],
-        min_rates=rates[:, 0],
-    )
+    rates, iterates = run_pgd_batch(channel, noise, p0[None], mu, record_iterates=True)
+    return PgdTrajectory(iterates=list(iterates[:, 0]), min_rates=rates[:, 0])
 
 
 def run_pgd_batch(
@@ -115,18 +102,15 @@ def run_pgd_batch(
     p0 = np.asarray(p0, dtype=np.float64)
     first_ch = channels if isinstance(channels, ChannelRealization) else channels[0]
     net = engine.net_index(topology_of(first_ch))
-    ops = _stacked_operands(channels, noise)
-    eval_ops = None if eval_channels is None else _stacked_operands(eval_channels, noise)
-    return engine.run_schedule_batch(
-        net, ops, p0, mu, record_iterates=record_iterates, eval_ops=eval_ops
-    )
-
-
-def _stacked_operands(channels, noise):
-    if isinstance(channels, ChannelRealization):
-        return _operands(channels, noise)
-    first, later = engine.stack_channels(list(channels))
-    return engine.prepare_operands(first, later, np.asarray(noise.hop_noise_vars))
+    ops = engine.operands_from(channels, noise)
+    eval_ops = None if eval_channels is None else engine.operands_from(eval_channels, noise)
+    rates = np.empty((len(mu) + 1, len(p0)))
+    iterates = np.empty((len(mu) + 1,) + p0.shape) if record_iterates else None
+    for k, (p, rate) in enumerate(engine.iterate_schedule(net, ops, p0, mu, eval_ops)):
+        rates[k] = rate
+        if record_iterates:
+            iterates[k] = p
+    return rates, iterates
 
 
 def calibrate_fixed_step(
@@ -159,7 +143,7 @@ def calibrate_fixed_step(
         uniform_init(topology), (q, topology.stacked_rows, topology.end_users)
     )
     mu = np.broadcast_to(np.repeat(tried, count), (iterations, q))
-    ops = _stacked_operands(list(channels) * len(tried), noise)
+    ops = engine.operands_from(list(channels) * len(tried), noise)
     net = engine.net_index(topology)
     keep = min(iterations + 1, max(2, int(round(tail_fraction * iterations))))
     tail = np.empty((keep, len(tried)))

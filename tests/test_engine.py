@@ -255,7 +255,8 @@ def ref_iterate(net, ops, p0, mu):
 
 
 def _ref_gap_min(values):
-    gaps = np.diff(np.sort(values, axis=-1), axis=-1)
+    with np.errstate(invalid="ignore"):
+        gaps = np.diff(np.sort(values, axis=-1), axis=-1)
     nz = gaps[gaps > 0.0]
     return float(nz.min()) if nz.size else np.inf
 

@@ -6,6 +6,27 @@ from manetopt import ensemble
 from manetopt.ensemble import member_starts
 
 
+def _candidates(csi, noise, mu, ensemble_size, seed):
+    """Min rates (K+1, E) and iterates (K+1, E, rows, N) of every member."""
+    starts = member_starts(mo.topology_of(csi), ensemble_size, seed)
+    return mo.run_pgd_batch(csi, noise, starts, mu, record_iterates=True)
+
+
+def reference_infer(csi, noise, mu, ensemble_size, seed):
+    """The selection rule as one C-order argmax over the (member, iteration)
+    table of every candidate, with NaN ranked below every number."""
+    rates, iterates = _candidates(csi, noise, mu, ensemble_size, seed)
+    table = rates[1:].T
+    flat = int(np.argmax(np.where(np.isnan(table), -np.inf, table)))
+    member, slot = divmod(flat, table.shape[1])
+    return mo.EnsembleResult(
+        selected=iterates[slot + 1, member],
+        selected_min_rate_eval=float(table[member, slot]),
+        member_index=member,
+        iteration_index=slot + 1,
+    )
+
+
 @pytest.fixture
 def world():
     topo = mo.Topology((2, 2))
@@ -28,11 +49,12 @@ def test_single_member_equals_best_over_iterations(world):
 
 def test_selection_is_argmax_with_low_index_ties(world):
     topo, noise, ch, mu = world
-    res = mo.infer(ch, noise, mu, ensemble_size=4, seed=5, keep_trajectories=True)
-    table = np.stack([t.min_rates[1:] for t in res.trajectories])
-    assert res.selected_min_rate_eval == table.max()
-    flat = int(np.argmax(table))
-    assert (res.member_index, res.iteration_index - 1) == divmod(flat, table.shape[1])
+    res = mo.infer(ch, noise, mu, ensemble_size=4, seed=5)
+    ref = reference_infer(ch, noise, mu, 4, 5)
+    rates, _ = _candidates(ch, noise, mu, 4, 5)
+    assert res.selected_min_rate_eval == ref.selected_min_rate_eval == rates[1:].max()
+    assert (res.member_index, res.iteration_index) == (ref.member_index, ref.iteration_index)
+    assert np.array_equal(res.selected, ref.selected)
 
 
 def test_ensemble_monotone_in_size(world):
@@ -72,24 +94,13 @@ def test_selected_allocation_feasible(world):
 def test_full_csi_reduces_to_parallel_runs(world):
     # With true channels the ensemble is E independent runs plus an argmax.
     topo, noise, ch, mu = world
-    res = mo.infer(ch, noise, mu, ensemble_size=3, seed=8, keep_trajectories=True)
+    rates, iterates = _candidates(ch, noise, mu, 3, 8)
     starts = member_starts(topo, 3, seed=8)
     for e in range(3):
         traj = mo.run_pgd(ch, noise, starts[e], mu)
-        assert np.array_equal(res.trajectories[e].min_rates, traj.min_rates)
-        for a, b in zip(res.trajectories[e].iterates, traj.iterates):
+        assert np.array_equal(rates[:, e], traj.min_rates)
+        for a, b in zip(iterates[:, e], traj.iterates):
             assert np.array_equal(a, b)
-
-
-def test_final_only_restricts_candidates(world):
-    topo, noise, ch, mu = world
-    res = mo.infer(ch, noise, mu, ensemble_size=3, seed=2, final_only=True,
-                   keep_trajectories=True)
-    assert res.iteration_index == len(mu)
-    finals = [t.min_rates[-1] for t in res.trajectories]
-    assert res.selected_min_rate_eval == max(finals)
-    full = mo.infer(ch, noise, mu, ensemble_size=3, seed=2)
-    assert full.selected_min_rate_eval >= res.selected_min_rate_eval
 
 
 def test_pilot_input_estimates_then_optimizes(world):
@@ -142,13 +153,15 @@ def test_result_serializes(world, tmp_path):
     assert np.allclose(doc["selected"], res.selected)
 
 
-def _assert_batch_matches_infer(batch, results):
-    assert len(batch.selected) == len(results)
-    for i, res in enumerate(results):
-        assert np.array_equal(batch.selected[i], res.selected)
-        assert batch.selected_min_rate_eval[i] == res.selected_min_rate_eval
-        assert batch.member_index[i] == res.member_index
-        assert batch.iteration_index[i] == res.iteration_index
+def _assert_batch_matches_infer(batch, references):
+    assert len(batch.selected) == len(references)
+    for i, ref in enumerate(references):
+        np.testing.assert_array_equal(batch.selected[i], ref.selected)
+        np.testing.assert_array_equal(
+            batch.selected_min_rate_eval[i], ref.selected_min_rate_eval
+        )
+        assert batch.member_index[i] == ref.member_index
+        assert batch.iteration_index[i] == ref.iteration_index
 
 
 @pytest.mark.parametrize("hop_sizes", [(2, 2), (3, 3), (1, 2, 2)])
@@ -164,7 +177,8 @@ def test_infer_batch_matches_infer_full_csi(monkeypatch, hop_sizes, ensemble_siz
     seeds = [100 + i for i in range(7)]
     batch = mo.infer_batch(channels, noise, mu, ensemble_size, seeds)
     _assert_batch_matches_infer(
-        batch, [mo.infer(ch, noise, mu, ensemble_size, seed=s) for ch, s in zip(channels, seeds)]
+        batch,
+        [reference_infer(ch, noise, mu, ensemble_size, s) for ch, s in zip(channels, seeds)],
     )
 
 
@@ -179,8 +193,12 @@ def test_infer_batch_matches_infer_from_pilots(world):
     estimates = [mo.lmmse_estimate(block, noise, 1.0) for block in blocks]
     batch = mo.infer_batch(estimates, noise, mu, 3, [7, 8, 9, 10, 11])
     _assert_batch_matches_infer(
-        batch, [mo.infer(b, noise, mu, 3, seed=s) for b, s in zip(blocks, range(7, 12))]
+        batch, [reference_infer(e, noise, mu, 3, s) for e, s in zip(estimates, range(7, 12))]
     )
+    for i, block in enumerate(blocks):
+        single = mo.infer(block, noise, mu, 3, seed=7 + i)
+        assert np.array_equal(single.selected, batch.selected[i])
+        assert single.selected_min_rate_eval == batch.selected_min_rate_eval[i]
 
 
 def test_infer_batch_tie_rule_matches_infer(world):
@@ -191,7 +209,7 @@ def test_infer_batch_tie_rule_matches_infer(world):
     zero = np.zeros(5)
     batch = mo.infer_batch([ch, ch], noise, zero, 4, [3, 4])
     _assert_batch_matches_infer(
-        batch, [mo.infer(ch, noise, zero, 4, seed=s) for s in (3, 4)]
+        batch, [reference_infer(ch, noise, zero, 4, s) for s in (3, 4)]
     )
     assert list(batch.iteration_index) == [1, 1]
 
@@ -200,10 +218,37 @@ def test_infer_batch_tie_rule_matches_infer(world):
     channels = [mo.sample_channel(single, 1.0, rng) for _ in range(3)]
     batch = mo.infer_batch(channels, noise, mu, 3, [0, 1, 2])
     _assert_batch_matches_infer(
-        batch, [mo.infer(c, noise, mu, 3, seed=s) for c, s in zip(channels, range(3))]
+        batch, [reference_infer(c, noise, mu, 3, s) for c, s in zip(channels, range(3))]
     )
     assert list(batch.member_index) == [0, 0, 0]
     assert list(batch.iteration_index) == [1, 1, 1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_candidate_never_beats_a_number(world):
+    # At zero noise member 0's rate is 0/0 from its second iterate on, while
+    # member 1's first iterate is finite: that one wins.
+    topo, _, ch, mu = world
+    clean = mo.NoiseProfile((0.0, 0.0))
+    res = mo.infer(ch, clean, mu, ensemble_size=2, seed=6)
+    assert (res.member_index, res.iteration_index) == (1, 1)
+    assert res.selected_min_rate_eval == pytest.approx(2.3261276, abs=1e-7)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("hop_sizes", [(2, 2), (3, 3), (1, 2, 2)])
+def test_infer_batch_selects_nan_only_when_every_candidate_is(hop_sizes):
+    topo = mo.Topology(hop_sizes)
+    clean = mo.NoiseProfile((0.0,) * topo.num_hops)
+    rng = np.random.default_rng(12)
+    channels = [mo.sample_channel(topo, 1.0, rng) for _ in range(10)]
+    mu = np.geomspace(0.5, 0.01, 12)
+    batch = mo.infer_batch(channels, clean, mu, 4, range(10))
+    references = [reference_infer(ch, clean, mu, 4, s) for s, ch in enumerate(channels)]
+    _assert_batch_matches_infer(batch, references)
+    for s, (ch, value) in enumerate(zip(channels, batch.selected_min_rate_eval)):
+        rates, _ = _candidates(ch, clean, mu, 4, s)
+        assert np.isnan(value) == np.isnan(rates[1:]).all()
 
 
 def test_infer_batch_rejects_empty_ensemble(world):
@@ -212,3 +257,17 @@ def test_infer_batch_rejects_empty_ensemble(world):
         mo.infer_batch([ch], noise, mu, 0, [0])
     with pytest.raises(ValueError):
         mo.infer_batch([ch], noise, np.zeros(0), 1, [0])
+
+
+def test_infer_batch_rejects_seed_count_mismatch(world):
+    topo, noise, ch, mu = world
+    with pytest.raises(ValueError, match="seeds for"):
+        mo.infer_batch([ch, ch], noise, mu, 4, [0])
+    with pytest.raises(ValueError, match="seeds for"):
+        mo.infer_batch([ch], noise, mu, 4, [0, 1])
+
+
+def test_infer_batch_rejects_no_channels(world):
+    topo, noise, ch, mu = world
+    with pytest.raises(ValueError):
+        mo.infer_batch([], noise, mu, 4, [])
