@@ -12,6 +12,8 @@ M relays, M end users) at batch sizes q = 20 and 350:
   batch element (K steps over q elements);
 - ``loss`` and ``loss_grad``: ``engine.unrolled_loss`` at K steps without
   and with the step-size gradient, per call and per element step;
+  ``loss_grad_noisy``: the same with the step-size gradient, driven by
+  pilot estimates of the channels and scored on the channels themselves;
 - ``calibrate``: ``pgd.calibrate_fixed_step`` on q // 7 channels (the seven
   default candidates make q runs) at a reduced iteration count;
 - ``infer``: ``ensemble.infer_batch`` on q // E channels of E members;
@@ -105,9 +107,17 @@ def bench_network(hop_sizes, q, steps, calib_iterations, repeats) -> list[dict]:
 
     record("step", best_of(repeats, lambda: list(engine.iterate_schedule(net, ops, p0, mu))),
            q * steps)
-    for name, want_grad in (("loss", False), ("loss_grad", True)):
+    pilots = mo.make_pilots(topology)
+    estimates = [
+        mo.lmmse_estimate(mo.simulate_pilot_rx(ch, noise, pilots, rng), noise, 1.0)
+        for ch in channels
+    ]
+    est_ops = engine.operands_from(estimates, noise)
+    for name, drive, want_grad in (
+        ("loss", ops, False), ("loss_grad", ops, True), ("loss_grad_noisy", est_ops, True)
+    ):
         seconds = best_of(repeats, lambda: engine.unrolled_loss(
-            net, ops, ops, p0, mu, weights, want_grad=want_grad))
+            net, drive, ops, p0, mu, weights, want_grad=want_grad))
         record(name, seconds, q * steps)
     calib = channels[: max(1, q // 7)]
     seconds = best_of(repeats, lambda: pgd.calibrate_fixed_step(

@@ -22,11 +22,14 @@ Order contract (what keeps every result bit-identical across layouts):
   trained in one batch equal S trained one by one.
 
 ``unrolled_loss`` differentiates the unrolled optimizer with respect to its
-per-iteration step sizes in reverse mode: a forward sweep keeps every
-iterate, then one backward sweep carries a single adjoint array.  Each
-backward step needs a Hessian-vector product of the objective, which is the
-derivative of ``gradient_pass`` in one direction: ``rate_pass`` then carries
-one tangent (the shape of ``p``) beside its values.
+per-iteration step sizes in reverse mode.  The forward sweep makes one rate
+pass per step, whose batch holds the driving channels and, appended, the
+loss channels that differ from them; it keeps each step's gradient, the
+point before projection and the branches ``gradient_pass`` selected.  One
+backward sweep then carries a single adjoint array.  Each backward step
+needs a Hessian-vector product of the objective, the derivative of
+``gradient_pass`` in one direction: ``hessian_vector`` runs only its
+tangent, reading the forward values from the kept branches.
 
 Index conventions: hops are numbered 1..B (hop 1 is the source broadcast);
 node, message and row indices are 0-based.  Reception at hop b depends on the
@@ -37,7 +40,7 @@ relay-layer block b-1 otherwise.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,7 +158,7 @@ def stack_channels(channels: list[ChannelRealization]) -> tuple[np.ndarray, tupl
 
 @dataclass
 class RatePass:
-    """All intermediates of one rate evaluation (and optional tangents).
+    """All intermediates of one rate evaluation.
 
     Every array ends in the batch axis q.
     """
@@ -171,13 +174,6 @@ class RatePass:
     user_rates: np.ndarray              # (N, N, q) end-user rates [l, n], inf where
                                         # l is not obliged to decode n
     message: np.ndarray                 # (N, q)
-    # tangents in one direction, populated when dp was supplied
-    dphi: np.ndarray | None = None
-    di1: np.ndarray | None = None
-    dc_re: list[np.ndarray | None] = field(default_factory=list)
-    dc_im: list[np.ndarray | None] = field(default_factory=list)
-    dgains: list[np.ndarray | None] = field(default_factory=list)
-    dib: list[np.ndarray | None] = field(default_factory=list)
 
 
 def _interferers(key: np.ndarray) -> np.ndarray:
@@ -201,82 +197,55 @@ def _masked_sum(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
     return (values[..., :, None, :] * mask).sum(axis=-3)
 
 
+def _ascending_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms`` summed over axis 0 in ascending order, as ``_masked_sum``
+    adds them; a plain reduction over a single column adds pairwise from
+    eight terms on."""
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
 def _column(values: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """``values[..., n_i, i]`` for every element i, given ``flat = n * q + i``;
     ``values`` is a contiguous ``(..., N, q)`` array."""
     return values.reshape(values.shape[:-2] + (-1,)).take(flat, axis=-1)
 
 
-def _channel_products(ops: ChannelOperands, j: int, block: np.ndarray):
-    """Real and imaginary parts of ``ht @ block`` per element at hop j + 2,
-    for a batch-last block: each (M_b, N, q)."""
+def _channel_products(ht_re: np.ndarray, ht_im: np.ndarray, block: np.ndarray):
+    """Real and imaginary parts of ``ht @ block`` per element, for channel
+    matrices ``ht`` (q, M_b, M_{b-1}) and a batch-last block: each (M_b, N, q)."""
     first = batch_first(block)
-    return batch_last(ops.ht_re[j] @ first), batch_last(ops.ht_im[j] @ first)
+    return batch_last(ht_re @ first), batch_last(ht_im @ first)
 
 
-def rate_pass(
-    net: NetIndex,
-    ops: ChannelOperands,
-    p: np.ndarray,
-    dp: np.ndarray | None = None,
-) -> RatePass:
+def rate_pass(net: NetIndex, ops: ChannelOperands, p: np.ndarray) -> RatePass:
     """Evaluate every reception rate for a batch of power matrices.
 
-    ``p`` is (stacked_rows, N, q); ``dp``, when given, has the same shape and
-    the intermediates that ``gradient_pass`` differentiates gain a matching
-    tangent.
+    ``p`` is (stacked_rows, N, q).
     """
     nhops = net.num_hops
-    want_d = dp is not None
 
     phi = p[-1]
     phi2 = phi * phi
-    mask1 = _interferers(phi)
-    i1 = _masked_sum(mask1, phi2)
+    i1 = _masked_sum(_interferers(phi), phi2)
     a1 = ops.a1[:, None, :]
     u1 = a1 * phi2 / (a1 * i1 + ops.sig2[0])
     rates: list[np.ndarray] = [np.log1p(u1) * INV_LN2]
-
-    if want_d:
-        dphi = dp[-1]
-        di1 = _masked_sum(mask1, 2.0 * phi * dphi)
-    else:
-        dphi = di1 = None
 
     c_re: list[np.ndarray | None] = [None]
     c_im: list[np.ndarray | None] = [None]
     gains: list[np.ndarray | None] = [None]
     ib_list: list[np.ndarray | None] = [None]
-    dc_re: list[np.ndarray | None] = [None]
-    dc_im: list[np.ndarray | None] = [None]
-    dgains: list[np.ndarray | None] = [None]
-    dib_list: list[np.ndarray | None] = [None]
 
     for hop in range(2, nhops + 1):
         j = hop - 2
-        rows = net.block(hop - 1)
-        cr, ci = _channel_products(ops, j, p[rows])
+        cr, ci = _channel_products(ops.ht_re[j], ops.ht_im[j], p[net.block(hop - 1)])
         g = cr * cr + ci * ci
-        mb = _interferers(g)
-        ib = _masked_sum(mb, g)
+        ib = _masked_sum(_interferers(g), g)
         rates.append(np.log1p(g / (ib + ops.sig2[hop - 1])) * INV_LN2)
         c_re.append(cr)
         c_im.append(ci)
         gains.append(g)
         ib_list.append(ib)
-
-        if want_d:
-            dcr, dci = _channel_products(ops, j, dp[rows])
-            dg = 2.0 * (cr * dcr + ci * dci)
-            dc_re.append(dcr)
-            dc_im.append(dci)
-            dgains.append(dg)
-            dib_list.append(_masked_sum(mb, dg))
-        else:
-            dc_re.append(None)
-            dc_im.append(None)
-            dgains.append(None)
-            dib_list.append(None)
 
     g = gains[-1]
     diag = np.arange(net.end_users)
@@ -296,12 +265,6 @@ def rate_pass(
         ib=ib_list,
         user_rates=user_rates,
         message=message,
-        dphi=dphi,
-        di1=di1,
-        dc_re=dc_re,
-        dc_im=dc_im,
-        dgains=dgains,
-        dib=dib_list,
     )
 
 
@@ -344,28 +307,119 @@ def select_binding(
     return bind_hop, bind_node
 
 
+@dataclass
+class _SourceBranch:
+    """The elements ``sel`` of a pass that bind at hop 1, the source
+    broadcast, with the forward values the derivative of their gradient
+    reads.  Every array ends in the axis of ``sel``."""
+
+    sel: np.ndarray        # (s,) batch columns
+    n: np.ndarray          # (s,) binding message
+    a: np.ndarray          # (s,) squared first-hop gain of the binding node
+    phi: np.ndarray        # (N, s) source coefficients
+    maskrow: np.ndarray    # (N, s) messages that interfere with n
+    sig: np.ndarray        # (s,) signal, interference-plus-noise and total power
+    den: np.ndarray
+    tot: np.ndarray
+    w_int: np.ndarray      # (s,) gradient weight of an interferer
+
+    def tangent(self, net: NetIndex, ops: ChannelOperands, dp: np.ndarray, dgrad: np.ndarray):
+        n, a, phi, den, tot = self.n, self.a, self.phi, self.den, self.tot
+        si = np.arange(self.sel.size)
+        phin = phi[n, si]
+        dphi = dp[-1][:, self.sel]
+        dphin = dphi[n, si]
+        dden = a * _ascending_sum(2.0 * phi * dphi * self.maskrow)
+        dsig = 2.0 * a * phin * dphin
+        dtot = dsig + dden
+        dw_int = -(2.0 * INV_LN2) * a * (
+            dsig - self.sig * (dden / den + dtot / tot)
+        ) / (den * tot)
+        dg = np.where(self.maskrow, dw_int * phi + self.w_int * dphi, 0.0)
+        dg[n, si] = (2.0 * INV_LN2) * a * (dphin - phin * dtot / tot) / tot
+        dgrad[-1][:, self.sel] = dg
+
+
+@dataclass
+class _RelayBranch:
+    """The elements ``sel`` of a pass that bind at relay-fed hop ``hop``
+    (>= 2), with the forward values the derivative of their gradient reads.
+    Every array ends in the axis of ``sel``."""
+
+    hop: int
+    sel: np.ndarray        # (s,) batch columns
+    n: np.ndarray          # (s,) binding message
+    node: np.ndarray       # (s,) binding receiver
+    hre: np.ndarray        # (M_{b-1}, 1, s) its channel from the transmitters
+    him: np.ndarray
+    cr: np.ndarray         # (N, s) its received coefficients
+    ci: np.ndarray
+    maskrow: np.ndarray    # (N, s) messages that interfere with n
+    gn: np.ndarray         # (s,) signal, interference-plus-noise and total power
+    den: np.ndarray
+    tot: np.ndarray
+    w: np.ndarray          # (N, s) gradient weight of each message's gain
+    response: np.ndarray   # (M_{b-1}, N, s) gain response to the transmit block
+
+    def tangent(self, net: NetIndex, ops: ChannelOperands, dp: np.ndarray, dgrad: np.ndarray):
+        n, gn, den, tot = self.n, self.gn, self.den, self.tot
+        q = dp.shape[-1]
+        j = self.hop - 2
+        rows = net.block(self.hop - 1)
+        si = np.arange(self.sel.size)
+        dc_re, dc_im = _channel_products(
+            _full(ops.ht_re[j], q, 0)[self.sel],
+            _full(ops.ht_im[j], q, 0)[self.sel],
+            dp[rows][..., self.sel],
+        )
+        dcr = dc_re[self.node, :, si].T
+        dci = dc_im[self.node, :, si].T
+        dg = 2.0 * (self.cr * dcr + self.ci * dci)
+        dgn = dg[n, si]
+        dden = _ascending_sum(dg * self.maskrow)
+        dtot = dgn + dden
+        dw = np.where(
+            self.maskrow,
+            -(2.0 * INV_LN2) * ((dgn - gn * (dden / den + dtot / tot)) / (den * tot)),
+            0.0,
+        )
+        dw[n, si] = -(2.0 * INV_LN2) * dtot / (tot * tot)
+        dresponse = self.hre * dcr + self.him * dci
+        dgrad[rows][..., self.sel] = dresponse * self.w + self.response * dw
+
+
+Branch = _SourceBranch | _RelayBranch
+
+
+def _first_columns(values: tuple, columns: int | None) -> tuple:
+    """A branch's arrays, each cut to the batch columns below ``columns``;
+    ``values[0]`` is the branch's sorted ``sel``."""
+    keep = values[0].size if columns is None else int(np.searchsorted(values[0], columns))
+    return values if keep == values[0].size else tuple(v[..., :keep] for v in values)
+
+
 def gradient_pass(
     net: NetIndex,
     ops: ChannelOperands,
     rp: RatePass,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
+    columns: int | None = None,
+) -> tuple[np.ndarray, list[Branch], np.ndarray, np.ndarray, np.ndarray]:
     """Exact gradient of the minimum message rate for every batch element.
 
     The gradient of the single binding rate is placed in the rows of the
     transmit block feeding the binding reception hop; all other entries are
-    zero.  When the rate pass carries a tangent ``dp``, the gradient's
-    derivative in that direction (the Hessian-vector product of the selected
-    branch) is returned alongside.  Gradients are (stacked_rows, N, q).
+    zero.  Gradients are (stacked_rows, N, q).  The elements that bind at
+    each hop come back as a branch holding what ``hessian_vector`` reads,
+    restricted to the first ``columns`` batch columns when given.
     """
     q = rp.q
     nmsg = net.end_users
-    want_d = rp.dphi is not None
 
     nstar = rp.message.argmin(axis=0)
     bind_hop, bind_node = select_binding(net, rp, nstar)
 
     grad = np.zeros((net.stacked_rows, nmsg, q))
-    dgrad = np.zeros((net.stacked_rows, nmsg, q)) if want_d else None
+    branches: list[Branch] = []
 
     for r in range(1, net.num_hops + 1):
         sel = np.flatnonzero(bind_hop == r)
@@ -389,18 +443,9 @@ def gradient_pass(
             g = np.where(maskrow, w_int * phi, 0.0)
             g[n, si] = (2.0 * INV_LN2) * a * phin / tot
             grad[-1][:, sel] = g
-            if want_d:
-                dphi = rp.dphi[:, sel]
-                dphin = dphi[n, si]
-                dden = a * rp.di1[n, sel]
-                dsig = 2.0 * a * phin * dphin
-                dtot = dsig + dden
-                dw_int = -(2.0 * INV_LN2) * a * (
-                    dsig - sig * (dden / den + dtot / tot)
-                ) / (den * tot)
-                dg = np.where(maskrow, dw_int * phi + w_int * dphi, 0.0)
-                dg[n, si] = (2.0 * INV_LN2) * a * (dphin - phin * dtot / tot) / tot
-                dgrad[-1][:, sel] = dg
+            branches.append(_SourceBranch(*_first_columns(
+                (sel, n, a, phi, maskrow, sig, den, tot, w_int), columns
+            )))
         else:
             j = r - 2
             rows = net.block(r - 1)
@@ -420,21 +465,23 @@ def gradient_pass(
             w[n, si] = (2.0 * INV_LN2) / tot
             response = hre * cr + him * ci
             grad[rows][..., sel] = response * w
-            if want_d:
-                dcr = rp.dc_re[r - 1][node, :, sel].T
-                dci = rp.dc_im[r - 1][node, :, sel].T
-                dgn = rp.dgains[r - 1][node, n, sel]
-                dden = rp.dib[r - 1][node, n, sel]
-                dtot = dgn + dden
-                dw = np.where(
-                    maskrow,
-                    -(2.0 * INV_LN2) * ((dgn - gn * (dden / den + dtot / tot)) / (den * tot)),
-                    0.0,
-                )
-                dw[n, si] = -(2.0 * INV_LN2) * dtot / (tot * tot)
-                dresponse = hre * dcr + him * dci
-                dgrad[rows][..., sel] = dresponse * w + response * dw
-    return grad, dgrad, nstar, bind_hop, bind_node
+            branches.append(_RelayBranch(r, *_first_columns(
+                (sel, n, node, hre, him, cr, ci, maskrow, gn, den, tot, w, response), columns
+            )))
+    return grad, branches, nstar, bind_hop, bind_node
+
+
+def hessian_vector(
+    net: NetIndex, ops: ChannelOperands, branches: list[Branch], dp: np.ndarray
+) -> np.ndarray:
+    """Derivative of ``gradient_pass``'s gradient in the direction ``dp``
+    (stacked_rows, N, q), the Hessian-vector product of each element's
+    selected branch, from the ``branches`` that call returned.  Only the
+    tangent runs: the forward values come from the branches."""
+    dgrad = np.zeros(dp.shape)
+    for branch in branches:
+        branch.tangent(net, ops, dp, dgrad)
+    return dgrad
 
 
 def iterate_schedule(
@@ -475,6 +522,35 @@ class UnrolledResult:
     min_margin: float                # smallest tie/kink margin seen (diagnostics)
 
 
+def _differing_columns(a: ChannelOperands, b: ChannelOperands, q: int) -> np.ndarray:
+    """The batch columns (of q) whose operands in ``a`` and ``b`` differ in
+    any bit."""
+    differ = np.zeros(q, dtype=bool)
+    if a is not b:
+        for x, y in ((a.a1, b.a1), (a.sig2, b.sig2)):
+            differ |= (x.view(np.uint64) != y.view(np.uint64)).any(axis=0)
+        for x, y in zip(a.ht_re + a.ht_im, b.ht_re + b.ht_im):
+            differ |= (x.view(np.uint64) != y.view(np.uint64)).any(axis=(1, 2))
+    return np.flatnonzero(differ)
+
+
+def _with_columns(
+    ops: ChannelOperands, other: ChannelOperands, cols: np.ndarray, q: int
+) -> ChannelOperands:
+    """The q columns of ``ops`` followed by the columns ``cols`` of ``other``."""
+
+    def join(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
+        extra = _full(y, q, axis).take(cols, axis=axis)
+        return np.concatenate((_full(x, q, axis), extra), axis=axis)
+
+    return ChannelOperands(
+        a1=join(ops.a1, other.a1, -1),
+        ht_re=tuple(join(x, y, 0) for x, y in zip(ops.ht_re, other.ht_re)),
+        ht_im=tuple(join(x, y, 0) for x, y in zip(ops.ht_im, other.ht_im)),
+        sig2=join(ops.sig2, other.sig2, -1),
+    )
+
+
 def unrolled_loss(
     net: NetIndex,
     opt_ops: ChannelOperands,
@@ -497,6 +573,15 @@ def unrolled_loss(
     the derivative of ``gradient_pass`` at ``p_k`` in the direction ``v``.
     ``p0`` and ``final`` are (q, stacked_rows, N).
 
+    One rate pass per step serves both channels: the elements whose driving
+    and loss operands differ in any bit get a second column, appended after
+    the q driving columns, and every other element scores its loss on its
+    driving column.  The backward sweep runs only the tangent of each step's
+    selected branches (``hessian_vector``), which the forward sweep kept, so
+    a call makes K + 1 rate passes.  ``min_margin`` covers the driving
+    columns of every step and, at the last iterate, the elements whose loss
+    column is their driving column.
+
     ``mu`` is (K,), or (S, K) for S schedules on S equal contiguous groups of
     the batch: group s is elements ``s*q/S`` to ``(s+1)*q/S - 1``, steps by
     ``mu[s]``, and averages its loss over its own q/S elements.  The loss is
@@ -515,44 +600,54 @@ def unrolled_loss(
     size = q // count
     # each element's step per iteration, (K, q)
     step = np.repeat(groups.T, size, axis=1)
-    same = opt_ops is loss_ops
+    differ = _differing_columns(opt_ops, loss_ops, q)
+    # each element's loss column in the pass batch, and the elements whose
+    # loss column is their driving column
+    loss_cols: np.ndarray | slice = slice(None)
+    shared: np.ndarray | slice = slice(None)
+    ops = opt_ops
+    if differ.size:
+        ops = _with_columns(opt_ops, loss_ops, differ, q)
+        loss_cols = np.arange(q)
+        loss_cols[differ] = q + np.arange(differ.size)
+        shared = np.flatnonzero(loss_cols < q)
     loss = np.zeros(count)
     iterate_rates = np.empty((steps + 1, q))
     min_margin = np.inf
-    # The trajectory the backward sweep needs: p_k, g_k and x_k for k < K, and
-    # the gradient of the loss-channel min rate at p_k for 1 <= k < K.
-    ps, gs, xs, loss_grads = [], [], [], []
+    # What the backward sweep reads: for k < K the pass gradient (driving
+    # columns, then appended loss columns) and x_k, and for 1 <= k < K the
+    # branches of the driving columns.
+    grads, xs, branches = [], [], []
 
     def group_means(values: np.ndarray) -> np.ndarray:
         return values.reshape(count, size).mean(axis=1)
 
     for k in range(steps):
-        rp = rate_pass(net, opt_ops, p)
-        rp_loss = rp if same else rate_pass(net, loss_ops, p)
-        iterate_rates[k] = rp_loss.message.min(axis=0)
+        rp = rate_pass(net, ops, np.concatenate((p, p[..., differ]), axis=-1) if differ.size else p)
+        iterate_rates[k] = rp.message.min(axis=0)[loss_cols]
         if k >= 1:
             loss -= weights[k - 1] * group_means(iterate_rates[k])
         if track_margins:
-            min_margin = min(min_margin, _pass_margin(net, rp))
-        grad = gradient_pass(net, opt_ops, rp)[0]
+            min_margin = min(min_margin, _pass_margin(net, rp, slice(q)))
+        pass_grad, pass_branches = gradient_pass(net, ops, rp, q)[:2]
+        grad = pass_grad[..., :q]
         x = p + step[k] * grad
         if track_margins:
             nz = x[x != 0.0]
             if nz.size:
                 min_margin = min(min_margin, float(np.abs(nz).min()))
         if want_grad:
-            if k >= 1:
-                loss_grads.append(grad if same else gradient_pass(net, loss_ops, rp_loss)[0])
-            ps.append(p)
-            gs.append(grad)
+            grads.append(pass_grad)
             xs.append(x)
+            if k >= 1:
+                branches.append([b for b in pass_branches if b.sel.size])
         p = project_with_tangent(x)[0]
 
     rp_loss = rate_pass(net, loss_ops, p)
     iterate_rates[steps] = rp_loss.message.min(axis=0)
     loss -= weights[steps - 1] * group_means(iterate_rates[steps])
-    if track_margins and same:
-        min_margin = min(min_margin, _pass_margin(net, rp_loss))
+    if track_margins and differ.size < q:
+        min_margin = min(min_margin, _pass_margin(net, rp_loss, shared))
     dloss = None
     if want_grad:
         dloss = np.empty((count, steps))
@@ -561,11 +656,11 @@ def unrolled_loss(
             v = project_adjoint(xs[k], lam)
             # summed batch first, one block per group: its pairwise order
             # decides the schedules
-            dloss[:, k] = batch_first(gs[k] * v).reshape(count, -1).sum(axis=1)
+            dloss[:, k] = batch_first(grads[k][..., :q] * v).reshape(count, -1).sum(axis=1)
             if k == 0:
                 break
-            hv = gradient_pass(net, opt_ops, rate_pass(net, opt_ops, ps[k], dp=v))[1]
-            lam = -(weights[k - 1] / size) * loss_grads[k - 1] + v + step[k] * hv
+            hv = hessian_vector(net, opt_ops, branches[k - 1], v)
+            lam = -(weights[k - 1] / size) * grads[k][..., loss_cols] + v + step[k] * hv
     if mu.ndim == 1:
         loss = float(loss[0])
         dloss = None if dloss is None else dloss[0]
@@ -588,19 +683,20 @@ def _gap_min(values: np.ndarray) -> float:
     return float(nz.min()) if nz.size else np.inf
 
 
-def _pass_margin(net: NetIndex, rp: RatePass) -> float:
-    """Smallest distance to any branch switch of the current pass.
+def _pass_margin(net: NetIndex, rp: RatePass, cols: np.ndarray | slice = slice(None)) -> float:
+    """Smallest distance to any branch switch of the current pass, over its
+    batch columns ``cols``.
 
     Covers interference-set membership (power and gain ties), the end-user
     decode obligations, the message argmin and the binding-constraint choice.
     """
-    margin = _gap_min(rp.phi)
+    margin = _gap_min(rp.phi[:, cols])
     for hop in range(2, net.num_hops + 1):
-        margin = min(margin, _gap_min(rp.gains[hop - 1]))
-    margin = min(margin, _gap_min(rp.message))
+        margin = min(margin, _gap_min(rp.gains[hop - 1][..., cols]))
+    margin = min(margin, _gap_min(rp.message[:, cols]))
     flat = rp.message.argmin(axis=0) * rp.q + np.arange(rp.q)
     constraints = np.concatenate(
         [_column(rates, flat) for rates in rp.rates[:-1] + [rp.user_rates]]
     )
-    margin = min(margin, _gap_min(constraints))
+    margin = min(margin, _gap_min(constraints[:, cols]))
     return margin

@@ -10,10 +10,11 @@ every candidate allocation.
 In noisy-CSI mode the optimizer consumes LMMSE channel estimates, re-simulated
 from fresh pilot noise every epoch, while the loss is always measured on the
 true channels.  Gradients with respect to the step sizes are exact reverse-
-mode derivatives through the unrolled pipeline: one forward sweep keeps the
-iterates, one backward sweep carries a single adjoint, so a gradient costs a
-few forward passes at any K.  The test suite checks them against finite
-differences.
+mode derivatives through the unrolled pipeline: one forward sweep makes a
+single rate pass per step for the driving and the loss channels together,
+one backward sweep carries a single adjoint through the tangents of the
+branches that sweep selected, so a gradient costs less than two forward
+sweeps at any K.  The test suite checks them against finite differences.
 
 One ``train`` call can learn several schedules at once, for example the
 full- and noisy-CSI schedules of one dataset: each owns a contiguous group

@@ -7,7 +7,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-STAGES = {"step", "loss", "loss_grad", "calibrate", "infer", "train", "train_pair"}
+STAGES = {
+    "step", "loss", "loss_grad", "loss_grad_noisy", "calibrate", "infer", "train", "train_pair",
+}
 ENVIRONMENT = {
     "git_sha", "source_sha256", "python", "numpy", "blas", "manetopt",
     "blas_threads", "nproc", "cpus_usable", "machine",

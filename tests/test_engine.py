@@ -372,12 +372,10 @@ def test_iterate_schedule_matches_reference(hop_sizes, pick):
     assert k == len(mu)
 
 
-@pytest.mark.parametrize("noisy", [False, True], ids=["full", "noisy"])
-@pytest.mark.parametrize("hop_sizes", TOPOLOGIES)
-def test_unrolled_loss_matches_reference(hop_sizes, noisy):
+def _check_unrolled_loss(hop_sizes, noisy, pick):
     topology = mo.Topology(hop_sizes)
     net = engine.net_index(topology)
-    entries = _entries(topology, 8, seed=[72, len(hop_sizes), hop_sizes[-1]])
+    entries = _entries(topology, 8, seed=[72, len(hop_sizes), hop_sizes[-1]])[pick]
     noise_rows = [n.hop_noise_vars for _, n in entries]
     loss_ops, ref_loss_ops = _both_operands([ch for ch, _ in entries], noise_rows)
     opt_ops, ref_opt_ops = loss_ops, ref_loss_ops
@@ -386,7 +384,7 @@ def test_unrolled_loss_matches_reference(hop_sizes, noisy):
             entries, topology, 1.0, [np.random.default_rng([9, i]) for i in range(8)]
         )
         opt_ops, ref_opt_ops = _both_operands(estimates, noise_rows)
-    p0 = _starts(topology, 8, seed=8)
+    p0 = _starts(topology, 8, seed=8)[pick]
     mu = np.random.default_rng(4).uniform(0.02, 0.5, 12)
     weights = iteration_weights(len(mu))
     result = engine.unrolled_loss(
@@ -400,6 +398,21 @@ def test_unrolled_loss_matches_reference(hop_sizes, noisy):
     _assert_same(result.iterate_rates, rates)
     _assert_same(result.final, final)
     assert result.min_margin == margin
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["full", "noisy"])
+@pytest.mark.parametrize("hop_sizes", TOPOLOGIES)
+def test_unrolled_loss_matches_reference(hop_sizes, noisy):
+    _check_unrolled_loss(hop_sizes, noisy, slice(None))
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["full", "noisy"])
+@pytest.mark.parametrize("hop_sizes", [(3, 3), (1, 2, 9)])
+def test_single_element_unrolled_loss_matches_reference(hop_sizes, noisy):
+    # One element per binding branch: with nine end users a plain reduction
+    # over that one column would add the tangent's interference terms
+    # pairwise (noisy 1x1x2x9 shows it).
+    _check_unrolled_loss(hop_sizes, noisy, slice(0, 1))
 
 
 @pytest.mark.parametrize("hop_sizes", [(2, 2), (1, 2, 2)])
@@ -463,19 +476,26 @@ def test_projection_matches_reference(n):
 @pytest.mark.parametrize("drive", ["full", "mixed"])
 @pytest.mark.parametrize("hop_sizes", [(2, 2), (3, 3), (1, 2, 2)])
 def test_grouped_unrolled_loss_matches_separate_calls(hop_sizes, drive):
-    # Three schedules on three contiguous groups of one batch, the middle one
-    # driven by estimated CSI in the mixed case: each group's loss, gradient,
-    # iterate rates and final iterate equal a call on that group alone.
+    # Four schedules on four contiguous groups of one batch, the second and
+    # fourth driven by estimated CSI in the mixed case, where half of the
+    # fourth group's estimates equal the truth bit for bit: each group's
+    # loss, gradient, iterate rates and final iterate equal a call on that
+    # group alone, and the joint margin is the smallest of the groups'.
     topology = mo.Topology(hop_sizes)
     net = engine.net_index(topology)
-    groups, size, steps = 3, 4, 10
+    groups, size, steps = 4, 4, 10
     entries = _entries(topology, groups * size, seed=[73, len(hop_sizes), hop_sizes[-1]])
     noise_rows = np.array([n.hop_noise_vars for _, n in entries])
     truth = [ch for ch, _ in entries]
     estimates = _estimate_entries(
         entries, topology, 1.0, [np.random.default_rng([10, i]) for i in range(len(entries))]
     )
-    noisy = [False, drive == "mixed", False]
+    for i in range(3 * size, groups * size, 2):
+        estimates[i] = mo.ChannelRealization(
+            first_hop=truth[i].first_hop.copy(),
+            later_hops=tuple(m.copy() for m in truth[i].later_hops),
+        )
+    noisy = [False, drive == "mixed", False, drive == "mixed"]
 
     def operands(channels, block):
         first, later = engine.stack_channels(channels[block])
@@ -490,17 +510,62 @@ def test_grouped_unrolled_loss_matches_separate_calls(hop_sizes, drive):
     p0 = _starts(topology, groups * size, seed=9)
     mu = np.random.default_rng(5).uniform(0.02, 0.5, (groups, steps))
     weights = iteration_weights(steps)
-    joint = engine.unrolled_loss(net, opt_ops, loss_ops, p0, mu, weights)
+    joint = engine.unrolled_loss(net, opt_ops, loss_ops, p0, mu, weights, track_margins=True)
     assert joint.loss.shape == (groups,)
     assert joint.grad.shape == (groups, steps)
+    margins = []
     for s in range(groups):
         block = slice(s * size, (s + 1) * size)
         own_loss = operands(truth, block)
         own_opt = operands(estimates, block) if noisy[s] else own_loss
-        alone = engine.unrolled_loss(net, own_opt, own_loss, p0[block], mu[s], weights)
+        alone = engine.unrolled_loss(
+            net, own_opt, own_loss, p0[block], mu[s], weights, track_margins=True
+        )
         assert joint.loss[s] == alone.loss
         _assert_same(joint.grad[s], alone.grad)
         _assert_same(joint.iterate_rates[:, block], alone.iterate_rates)
         _assert_same(joint.final[block], alone.final)
+        margins.append(alone.min_margin)
+    assert joint.min_margin == min(margins)
     with pytest.raises(ValueError, match="equal groups"):
         engine.unrolled_loss(net, loss_ops, loss_ops, p0, np.full((5, steps), 0.1), weights)
+
+
+def test_unrolled_loss_makes_one_rate_pass_per_step(monkeypatch):
+    # A full-CSI group and a noisy group whose first estimate equals the
+    # truth: each of the K steps makes one pass over the driving columns and
+    # the noisy group's other loss columns, the last iterate one over the
+    # loss columns, and the backward sweep makes none.
+    topology = mo.Topology((3, 3))
+    net = engine.net_index(topology)
+    size, steps = 5, 7
+    entries = _entries(topology, size, seed=74)
+    truth = [ch for ch, _ in entries]
+    estimates = _estimate_entries(
+        entries, topology, 1.0, [np.random.default_rng([11, i]) for i in range(size)]
+    )
+    estimates[0] = truth[0]
+    noise_rows = [n.hop_noise_vars for _, n in entries] * 2
+    loss_ops = _both_operands(truth * 2, noise_rows)[0]
+    opt_ops = _both_operands(truth + estimates, noise_rows)[0]
+    events = []
+    rate_pass, project_adjoint = engine.rate_pass, engine.project_adjoint
+
+    def counted_rate_pass(net, ops, p):
+        events.append(("rate_pass", p.shape[-1]))
+        return rate_pass(net, ops, p)
+
+    def marked_adjoint(x, lam):
+        events.append(("adjoint", None))
+        return project_adjoint(x, lam)
+
+    monkeypatch.setattr(engine, "rate_pass", counted_rate_pass)
+    monkeypatch.setattr(engine, "project_adjoint", marked_adjoint)
+    mu = np.random.default_rng(6).uniform(0.02, 0.5, (2, steps))
+    p0 = _starts(topology, 2 * size, seed=10)
+    result = engine.unrolled_loss(net, opt_ops, loss_ops, p0, mu, iteration_weights(steps))
+    assert result.grad.shape == (2, steps)
+    widths = [width for name, width in events if name == "rate_pass"]
+    assert widths == [2 * size + size - 1] * steps + [2 * size]
+    backward = events[events.index(("adjoint", None)):]
+    assert all(name == "adjoint" for name, _ in backward)
