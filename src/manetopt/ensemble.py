@@ -25,7 +25,7 @@ import numpy as np
 from . import engine
 from .channels import ChannelRealization, NoiseProfile, topology_of
 from .pilots import PilotBlock, lmmse_estimate
-from .power import random_init, uniform_init
+from .power import project, uniform_init
 
 __all__ = ["EnsembleResult", "BatchResult", "infer", "infer_batch", "member_starts"]
 
@@ -72,11 +72,23 @@ class BatchResult:
 
 
 def member_starts(topology, ensemble_size: int, seed: int) -> np.ndarray:
-    """Initial guesses: equal power first, then seeded uniform draws."""
-    starts = [uniform_init(topology)]
-    for member in range(1, ensemble_size):
-        starts.append(random_init(topology, np.random.default_rng([seed, member])))
-    return np.stack(starts)
+    """Initial guesses (E, rows, N): equal power first, then for member m a
+    uniform draw from ``default_rng([seed, m])``, projected as by
+    ``random_init``.  The one-seed case of the starts ``infer_batch`` builds."""
+    return _starts(topology, ensemble_size, [seed])
+
+
+def _starts(topology, ensemble_size: int, seeds: Sequence[int]) -> np.ndarray:
+    """``member_starts`` of every seed, stacked seed-major into
+    (len(seeds) * E, rows, N), with one projection for all of them: it acts
+    on each row alone, and returns the feasible uniform row unchanged."""
+    shape = (topology.stacked_rows, topology.end_users)
+    raw = np.empty((len(seeds), ensemble_size) + shape)
+    raw[:, 0] = uniform_init(topology)
+    for i, seed in enumerate(seeds):
+        for member in range(1, ensemble_size):
+            raw[i, member] = np.random.default_rng([seed, member]).uniform(0.0, 1.0, size=shape)
+    return project(raw).reshape((-1,) + shape)
 
 
 def infer(
@@ -114,7 +126,9 @@ def infer_batch(
     Every (channel, member) pair of a chunk of channels runs in one batch and
     keeps its best iterate so far (strict ``>``: the earliest iteration wins a
     tie, and a number replaces a NaN); the lowest member holding the
-    channel's best value is selected.
+    channel's best value is selected.  A chunk's starts are those of
+    ``member_starts`` for each of its seeds, drawn from the same per-member
+    streams and projected in one call.
     """
     if ensemble_size < 1:
         raise ValueError("the ensemble needs at least one member")
@@ -132,9 +146,7 @@ def infer_batch(
     for start in range(0, len(channels), _CHUNK):
         chunk = channels[start : start + _CHUNK]
         ops = engine.operands_from([ch for ch in chunk for _ in range(ensemble_size)], noise)
-        starts = np.concatenate(
-            [member_starts(topology, ensemble_size, s) for s in seeds[start : start + _CHUNK]]
-        )
+        starts = _starts(topology, ensemble_size, seeds[start : start + _CHUNK])
         trajectory = engine.iterate_schedule(net, ops, starts, mu)
         next(trajectory)  # initial guesses are never candidates
         best_p, best = next(trajectory)

@@ -14,7 +14,10 @@ default ``init_step``; no scenario runs the calibration search.  The
 identity so that ``config_hash`` does not move.
 
 Noise levels are given in dB relative to the unit channel variance:
-``sigma_b^2 = 10^(dB/10)`` on every hop.
+``sigma_b^2 = 10^(dB/10)`` on every hop.  Channels are drawn at that unit
+variance whatever the level, so a study samples its ``test_size`` test
+channels once and every noise level reads the same set.  The ``train_size``
+training channels are sampled only when a schedule trains.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__ as _version
-from .channels import ChannelDataset, NoiseProfile, Topology, build_dataset
+from .channels import ChannelDataset, ChannelRealization, NoiseProfile, Topology, build_dataset
+from .engine import stack_channels
 from .ensemble import infer_batch
 from .errors import ConfigurationError
 from .gridsearch import grid_capacity, grid_points
@@ -227,17 +231,17 @@ def _read_cache(path: str | None) -> dict | None:
         return None  # partial write from an interrupted run; recompute
 
 
-def _datasets(
-    config: ExperimentConfig, topology: Topology, db: float
-) -> tuple[ChannelDataset, ChannelDataset]:
-    noise = noise_profile(db, topology.num_hops)
-    train_ds = build_dataset(
-        topology, noise, config.train_size, derive_seed(config.seed, TRAIN_DATA)
+def _test_channels(config: ExperimentConfig, topology: Topology) -> list:
+    """The study's ``test_size`` test channels, shared by every noise level:
+    channels are drawn at unit channel variance whatever the level, so the
+    0 dB profile passed here changes nothing."""
+    dataset = build_dataset(
+        topology,
+        noise_profile(0.0, topology.num_hops),
+        config.test_size,
+        derive_seed(config.seed, TEST_DATA),
     )
-    test_ds = build_dataset(
-        topology, noise, config.test_size, derive_seed(config.seed, TEST_DATA)
-    )
-    return train_ds, test_ds
+    return list(dataset.channels())
 
 
 def _training_disabled(tag: str) -> ConfigurationError:
@@ -385,7 +389,7 @@ def _ensemble_rates_noisy(
     """Realized (true-channel) min rates when inferring from pilot estimates."""
     seeds = _ensemble_seeds(config, level_index, len(channels))
     selected = infer_batch(estimates, noise, mu, config.ensemble_size, seeds).selected
-    return np.array([float(min_rate(ch, p, noise)[0]) for ch, p in zip(channels, selected)])
+    return min_rate(ChannelRealization(*stack_channels(channels)), selected, noise)[0]
 
 
 def _fixed_rates(
@@ -418,8 +422,7 @@ def run_iter_curve(config: ExperimentConfig) -> dict:
         grid_points(topology, config.oracle_resolution)  # refuse before training
     db = config.noise_db[0]
     noise = noise_profile(db, topology.num_hops)
-    _, test_ds = _datasets(config, topology, db)
-    channels = list(test_ds.channels())
+    channels = _test_channels(config, topology)
 
     mu = _trained_schedule(
         config, topology, db, FULL_CSI, config.mu_artifact, f"full_{db:g}db"
@@ -459,10 +462,9 @@ def run_noise_sweep(config: ExperimentConfig) -> dict:
     chan_header = ["noise_db", "channel", "unfolded", "fixed40"]
     rows = []
     chan_rows = []
+    channels = _test_channels(config, topology)
     for index, db in enumerate(config.noise_db):
         noise = noise_profile(db, topology.num_hops)
-        _, test_ds = _datasets(config, topology, db)
-        channels = list(test_ds.channels())
         train_db = db if config.train_per_level else config.reference_db
         mu = _trained_schedule(
             config, topology, train_db, FULL_CSI, config.mu_artifact,
@@ -512,10 +514,9 @@ def run_noisy_robustness(config: ExperimentConfig) -> dict:
     chan_header = ["noise_db", "channel", "clean_full", "clean_noisy", "noisy_full", "noisy_noisy"]
     rows = []
     chan_rows = []
+    channels = _test_channels(config, topology)
     for index, db in enumerate(config.noise_db):
         noise = noise_profile(db, topology.num_hops)
-        _, test_ds = _datasets(config, topology, db)
-        channels = list(test_ds.channels())
         mu_clean, mu_noisy = _trained_schedules(config, topology, db, [
             (FULL_CSI, config.mu_artifact, f"full_{db:g}db"),
             (NOISY_CSI, config.mu_artifact_noisy, f"noisy_{db:g}db"),
@@ -584,10 +585,9 @@ def run_transfer(config: ExperimentConfig) -> dict:
     chan_header = ["noise_db", "channel", "transferred", "native", "fixed40"]
     rows = []
     chan_rows = []
+    channels = _test_channels(config, target)
     for index, db in enumerate(config.noise_db):
         noise = noise_profile(db, target.num_hops)
-        _, test_ds = _datasets(config, target, db)
-        channels = list(test_ds.channels())
         transferred = _ensemble_rates(config, channels, noise, mu_source, index)
         native = _ensemble_rates(config, channels, noise, mu_native, index)
         fixed40 = _fixed_rates(channels, noise, config.train.iterations, target)[-1]
@@ -609,8 +609,7 @@ def run_oracle_compare(config: ExperimentConfig) -> dict:
     grid_points(topology, config.oracle_resolution)  # refuse before training
     db = config.noise_db[0]
     noise = noise_profile(db, topology.num_hops)
-    _, test_ds = _datasets(config, topology, db)
-    channels = list(test_ds.channels())
+    channels = _test_channels(config, topology)
     mu = _trained_schedule(
         config, topology, db, FULL_CSI, config.mu_artifact, f"full_{db:g}db"
     )

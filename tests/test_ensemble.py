@@ -84,6 +84,45 @@ def test_member_starts_nested(world):
     assert np.allclose(small[0], 1.0 / np.sqrt(2))
 
 
+def _looped_starts(topology, ensemble_size, seed):
+    """Reference starts, one member at a time: the uniform row, then one
+    ``random_init`` per member from its own stream."""
+    starts = [mo.uniform_init(topology)]
+    for member in range(1, ensemble_size):
+        starts.append(mo.random_init(topology, np.random.default_rng([seed, member])))
+    return np.stack(starts)
+
+
+@pytest.mark.parametrize("hop_sizes", [(2, 2), (3, 3), (1, 2, 2), (4, 4)])
+@pytest.mark.parametrize("ensemble_size", [1, 2, 6])
+def test_bulk_starts_match_per_member_loop(monkeypatch, hop_sizes, ensemble_size):
+    # member_starts, and the starts infer_batch builds for a whole chunk at
+    # once, equal the per-member loop bit for bit.  Seven channels in chunks
+    # of three cross two chunk boundaries and end in a partial chunk.
+    topo = mo.Topology(hop_sizes)
+    seeds = [0, 1, 7, 42, 99, 123456789, 2**63 + 5]
+    for seed in seeds:
+        expected = _looped_starts(topo, ensemble_size, seed)
+        assert member_starts(topo, ensemble_size, seed).tobytes() == expected.tobytes()
+
+    seen = []
+    iterate = ensemble.engine.iterate_schedule
+
+    def spy(net, ops, p0, mu, *args, **kwargs):
+        seen.append(np.array(p0))
+        return iterate(net, ops, p0, mu, *args, **kwargs)
+
+    monkeypatch.setattr(ensemble.engine, "iterate_schedule", spy)
+    monkeypatch.setattr(ensemble, "_CHUNK", 3)
+    rng = np.random.default_rng(17)
+    channels = [mo.sample_channel(topo, 1.0, rng) for _ in seeds]
+    noise = mo.NoiseProfile((0.5,) * topo.num_hops)
+    mo.infer_batch(channels, noise, np.full(2, 0.1), ensemble_size, seeds)
+    assert [len(p0) for p0 in seen] == [3 * ensemble_size, 3 * ensemble_size, ensemble_size]
+    expected = np.concatenate([_looped_starts(topo, ensemble_size, s) for s in seeds])
+    assert np.concatenate(seen).tobytes() == expected.tobytes()
+
+
 def test_selected_allocation_feasible(world):
     topo, noise, ch, mu = world
     for e in (1, 3):

@@ -264,6 +264,44 @@ def test_noisy_robustness_table_shape(tmp_path):
     assert len(rows) == 1
 
 
+def test_studies_sample_only_the_channels_they_read(tmp_path, monkeypatch):
+    # A study whose schedules come from artifacts samples its test channels
+    # once, shared by every noise level, and no training set; a cold run
+    # that trains samples one training set besides.
+    built = []
+    real_build = experiments.build_dataset
+
+    def spy(topology, noise, count, seed):
+        built.append((count, seed))
+        return real_build(topology, noise, count, seed)
+
+    monkeypatch.setattr(experiments, "build_dataset", spy)
+    artifact = str(tmp_path / "mu.json")
+    save_schedule(artifact, np.full(6, 0.1), Topology((2, 2)), FULL_CSI, 3)
+    levels = (0.0, 5.0, 10.0)
+    studies = {
+        "oracle-compare": {"mu_artifact": artifact},
+        "iter-curve": {"mu_artifact": artifact},
+        "transfer": {"mu_artifact": artifact, "mu_artifact_native": artifact,
+                     "noise_db": levels},
+        "noise-sweep": {"mu_artifact": artifact, "noise_db": levels},
+    }
+    test_set = (5, derive_seed(11, experiments.TEST_DATA))
+    for scenario, overrides in studies.items():
+        built.clear()
+        run_scenario(tiny_config(
+            tmp_path, scenario, out_dir=str(tmp_path / scenario), **overrides
+        ))
+        assert built == [test_set], scenario
+
+    built.clear()
+    run_noisy_robustness(tiny_config(
+        tmp_path, "noisy-robustness", cache_dir=str(tmp_path / "cold_cache")
+    ))
+    train_set = (16, derive_seed(11, experiments.TRAIN_DATA))
+    assert sorted(built) == sorted([train_set, test_set])
+
+
 def test_noisy_robustness_trains_only_what_the_cache_lacks(tmp_path, monkeypatch):
     # A cold run trains both schedules in one call; a run whose clean schedule
     # is already cached trains only the noisy one, and writes the same files.
