@@ -10,6 +10,10 @@ M relays, M end users) at batch sizes q = 20 and 350:
 
 - ``step``: one projected-gradient step of ``engine.iterate_schedule``, per
   batch element (K steps over q elements);
+- ``rate_pass``, ``gradient_pass``, ``project_with_tangent`` and
+  ``project_adjoint``: the kernels of one step, each called K times on the
+  same random feasible iterates (the projection at the point one step of
+  size 0.1 reaches, the adjoint of the gradient there), per batch element;
 - ``loss`` and ``loss_grad``: ``engine.unrolled_loss`` at K steps without
   and with the step-size gradient, per call and per element step;
   ``loss_grad_noisy``: the same with the step-size gradient, driven by
@@ -54,7 +58,7 @@ os.environ.update(studyrun.PINNED_THREADS)
 import numpy as np  # noqa: E402
 
 import manetopt as mo  # noqa: E402
-from manetopt import engine, ensemble, gridsearch, pgd  # noqa: E402
+from manetopt import engine, ensemble, gridsearch, pgd, power  # noqa: E402
 from manetopt.training import iteration_weights  # noqa: E402
 
 NETWORKS = ((2, 2), (3, 3), (4, 4))
@@ -107,6 +111,17 @@ def bench_network(hop_sizes, q, steps, calib_iterations, repeats) -> list[dict]:
 
     record("step", best_of(repeats, lambda: list(engine.iterate_schedule(net, ops, p0, mu))),
            q * steps)
+    p = engine.batch_last(p0)
+    rp = engine.rate_pass(net, ops, p)
+    grad = engine.gradient_pass(net, ops, rp)[0]
+    x = p + 0.1 * grad
+    for name, kernel in (
+        ("rate_pass", lambda: engine.rate_pass(net, ops, p)),
+        ("gradient_pass", lambda: engine.gradient_pass(net, ops, rp)),
+        ("project_with_tangent", lambda: power.project_with_tangent(x)),
+        ("project_adjoint", lambda: power.project_adjoint(x, grad)),
+    ):
+        record(name, best_of(repeats, lambda: [kernel() for _ in range(steps)]), q * steps)
     pilots = mo.make_pilots(topology)
     estimates = [
         mo.lmmse_estimate(mo.simulate_pilot_rx(ch, noise, pilots, rng), noise, 1.0)
@@ -212,7 +227,7 @@ def main(argv: list[str] | None = None) -> Path:
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for r in records:
         per = "" if r["us_per_element"] is None else f" {r['us_per_element']:9.3f} us/elem"
-        print(f"{r['name']:10s} {r['network']:7s} q={r['q']:<4d} {1e3 * r['best_s']:10.3f} ms{per}")
+        print(f"{r['name']:20s} {r['network']:7s} q={r['q']:<4d} {1e3 * r['best_s']:10.3f} ms{per}")
     print(f"wrote {path}")
     return path
 

@@ -15,21 +15,29 @@ Order contract (what keeps every result bit-identical across layouts):
 
 - each masked interference sum adds its terms in ascending m;
 - every argmin over nodes, messages or constraints takes the first
-  occurrence of the minimum;
+  occurrence of the minimum; the binding constraint is one such argmin
+  over a table ordered [end users; nodes of relay hops 1..B-1], so a tie
+  goes to an end user, then to the lowest hop, then to the lowest node;
+- the real and imaginary channel products of a hop come from one matmul
+  of the stacked matrices, whose rows do not depend on each other;
 - ``dL/dmu_k`` sums ``g_k * v`` over each step group's block of the
   batch-first C-order array, whose pairwise order decides the trained
   schedules; a block is what one group alone would sum, so S schedules
-  trained in one batch equal S trained one by one.
+  trained in one batch equal S trained one by one.  All K steps' blocks
+  are summed in one reduction after the backward sweep, each block in the
+  same pairwise order.
 
 ``unrolled_loss`` differentiates the unrolled optimizer with respect to its
 per-iteration step sizes in reverse mode.  The forward sweep makes one rate
 pass per step, whose batch holds the driving channels and, appended, the
-loss channels that differ from them; it keeps each step's gradient, the
-point before projection and the branches ``gradient_pass`` selected.  One
-backward sweep then carries a single adjoint array.  Each backward step
-needs a Hessian-vector product of the objective, the derivative of
-``gradient_pass`` in one direction: ``hessian_vector`` runs only its
-tangent, reading the forward values from the kept branches.
+loss channels that differ from them; it keeps each step's gradient, the row
+factors and unit rows the projection computed at the point before it
+(``power.RowFactors``) and the branches ``gradient_pass`` selected.  One
+backward sweep then carries a single adjoint array: the projection's
+adjoint reads the kept factors instead of recomputing them, and each
+backward step needs a Hessian-vector product of the objective, the
+derivative of ``gradient_pass`` in one direction: ``hessian_vector`` runs
+only its tangent, reading the forward values from the kept branches.
 
 Index conventions: hops are numbered 1..B (hop 1 is the source broadcast);
 node, message and row indices are 0-based.  Reception at hop b depends on the
@@ -39,6 +47,7 @@ relay-layer block b-1 otherwise.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -73,6 +82,15 @@ class NetIndex:
         start = sum(self.hop_sizes[: layer - 1])
         return slice(start, start + self.hop_sizes[layer - 1])
 
+    @functools.cached_property
+    def constraints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Reception hop and node of each row of a constraint table
+        (``_constraint_table``): the end users at hop B, then the nodes of
+        relay-fed hops 1..B-1."""
+        sizes = (self.end_users,) + self.hop_sizes[:-1]
+        hops = (self.num_hops,) + tuple(range(1, self.num_hops))
+        return np.repeat(hops, sizes), np.concatenate([np.arange(m) for m in sizes])
+
 
 def net_index(topology: Topology) -> NetIndex:
     return NetIndex(hop_sizes=topology.hop_sizes)
@@ -97,15 +115,16 @@ def _first_view(a: np.ndarray) -> np.ndarray:
 class ChannelOperands:
     """Channel-dependent constants reused across many evaluations.
 
-    ``ht_re``/``ht_im`` hold the hop-b matrices transposed to (q, receiver,
-    transmitter), batch first, so gains come from one stacked matmul against
-    the power block.  The batch axis may be 1 for broadcasting against a
-    batch of matrices.
+    ``ht`` holds the hop-b matrices transposed to (q, receiver, transmitter),
+    batch first, with the rows of the real parts above those of the
+    imaginary parts, so the real and imaginary gains come from one stacked
+    matmul against the power block.  The batch axis may be 1 for
+    broadcasting against a batch of matrices; such an operand is read at
+    column 0 for every element.
     """
 
     a1: np.ndarray                      # (M1, q) squared first-hop magnitudes
-    ht_re: tuple[np.ndarray, ...]       # per hop b>=2: (q, M_b, M_{b-1})
-    ht_im: tuple[np.ndarray, ...]
+    ht: tuple[np.ndarray, ...]          # per hop b>=2: (q, 2 M_b, M_{b-1})
     sig2: np.ndarray                    # (B, q) noise variances
 
 
@@ -118,32 +137,34 @@ def prepare_operands(
     if first.ndim == 1:
         first = first[None, :]
     a1 = batch_last(first.real**2 + first.imag**2)
-    ht_re = []
-    ht_im = []
+    ht = []
     for mat in later:
         mat = np.asarray(mat, dtype=np.complex128)
         if mat.ndim == 2:
             mat = mat[None, :, :]
         t = np.swapaxes(mat, -1, -2)
-        ht_re.append(np.ascontiguousarray(t.real))
-        ht_im.append(np.ascontiguousarray(t.imag))
+        ht.append(np.concatenate((t.real, t.imag), axis=-2))
     sig2 = np.asarray(sig2, dtype=np.float64)
     if sig2.ndim == 1:
         sig2 = sig2[None, :]
-    return ChannelOperands(
-        a1=a1, ht_re=tuple(ht_re), ht_im=tuple(ht_im), sig2=batch_last(sig2)
-    )
+    return ChannelOperands(a1=a1, ht=tuple(ht), sig2=batch_last(sig2))
 
 
 def operands_from(
-    channels: ChannelRealization | Sequence[ChannelRealization], noise: NoiseProfile
+    channels: ChannelRealization | Sequence[ChannelRealization],
+    noise: NoiseProfile,
+    repeat: int = 1,
 ) -> ChannelOperands:
     """Operands of one channel, with batch axis 1 so that it broadcasts over
-    any batch, or of a sequence of channels, one per batch element."""
+    any batch, or of a sequence of channels, one per ``repeat`` consecutive
+    batch elements."""
     if isinstance(channels, ChannelRealization):
         first, later = channels.first_hop, channels.later_hops
     else:
         first, later = stack_channels(list(channels))
+        if repeat > 1:
+            first = np.repeat(first, repeat, axis=0)
+            later = tuple(np.repeat(m, repeat, axis=0) for m in later)
     return prepare_operands(first, later, np.asarray(noise.hop_noise_vars))
 
 
@@ -168,12 +189,18 @@ class RatePass:
     i1: np.ndarray                      # (N, q) first-hop interference sums
     rates: list[np.ndarray]             # reception rates per hop 1..B, each (nodes, N, q)
     c_re: list[np.ndarray | None]       # per hop (index b-1; None for hop 1)
-    c_im: list[np.ndarray | None]
+    c_im: list[np.ndarray | None]       # (M_b, N, q), views of one product
     gains: list[np.ndarray | None]      # (M_b, N, q) per hop b>=2
     ib: list[np.ndarray | None]         # (M_b, N, q) interference sums
     user_rates: np.ndarray              # (N, N, q) end-user rates [l, n], inf where
                                         # l is not obliged to decode n
     message: np.ndarray                 # (N, q)
+
+
+@functools.cache
+def _off_diagonal(n: int) -> np.ndarray:
+    """``(n, n, 1)`` mask, False on the diagonal."""
+    return ~np.eye(n, dtype=bool)[:, :, None]
 
 
 def _interferers(key: np.ndarray) -> np.ndarray:
@@ -182,8 +209,7 @@ def _interferers(key: np.ndarray) -> np.ndarray:
     ``key`` is ``(..., N, q)``; ties interfere.
     """
     mask = key[..., :, None, :] <= key[..., None, :, :]
-    diag = np.arange(key.shape[-2])
-    mask[..., diag, diag, :] = False
+    mask &= _off_diagonal(key.shape[-2])
     return mask
 
 
@@ -210,11 +236,14 @@ def _column(values: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return values.reshape(values.shape[:-2] + (-1,)).take(flat, axis=-1)
 
 
-def _channel_products(ht_re: np.ndarray, ht_im: np.ndarray, block: np.ndarray):
-    """Real and imaginary parts of ``ht @ block`` per element, for channel
-    matrices ``ht`` (q, M_b, M_{b-1}) and a batch-last block: each (M_b, N, q)."""
-    first = batch_first(block)
-    return batch_last(ht_re @ first), batch_last(ht_im @ first)
+def _channel_products(ht: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts (M_b, N, q) of the products of a batch-last
+    block with the stacked channel matrices ``ht`` (q, 2 M_b, M_{b-1}) of
+    ``ChannelOperands``, from one stacked matmul: each row's product does
+    not depend on the rows stacked with it."""
+    c = batch_last(ht @ batch_first(block))
+    m = len(c) // 2
+    return c[:m], c[m:]
 
 
 def rate_pass(net: NetIndex, ops: ChannelOperands, p: np.ndarray) -> RatePass:
@@ -238,7 +267,7 @@ def rate_pass(net: NetIndex, ops: ChannelOperands, p: np.ndarray) -> RatePass:
 
     for hop in range(2, nhops + 1):
         j = hop - 2
-        cr, ci = _channel_products(ops.ht_re[j], ops.ht_im[j], p[net.block(hop - 1)])
+        cr, ci = _channel_products(ops.ht[j], p[net.block(hop - 1)])
         g = cr * cr + ci * ci
         ib = _masked_sum(_interferers(g), g)
         rates.append(np.log1p(g / (ib + ops.sig2[hop - 1])) * INV_LN2)
@@ -248,8 +277,8 @@ def rate_pass(net: NetIndex, ops: ChannelOperands, p: np.ndarray) -> RatePass:
         ib_list.append(ib)
 
     g = gains[-1]
-    diag = np.arange(net.end_users)
-    user_rates = np.where(g >= g[diag, diag][:, None, :], rates[-1], np.inf)
+    diag = g.diagonal(0, 0, 1).T  # (N, q): receiver l's own gain
+    user_rates = np.where(g >= diag[:, None, :], rates[-1], np.inf)
     message = user_rates.min(axis=0)
     for r in range(1, nhops):
         np.minimum(message, rates[r - 1].min(axis=0), out=message)
@@ -269,7 +298,8 @@ def rate_pass(net: NetIndex, ops: ChannelOperands, p: np.ndarray) -> RatePass:
 
 
 def _full(arr: np.ndarray, q: int, axis: int) -> np.ndarray:
-    """Broadcast a channel operand's batch axis up to the batch size."""
+    """Broadcast a rate-pass array's batch axis up to the batch size: a pass
+    over one power matrix has batch axis 1."""
     if arr.shape[axis] == q:
         return arr
     shape = list(arr.shape)
@@ -277,34 +307,45 @@ def _full(arr: np.ndarray, q: int, axis: int) -> np.ndarray:
     return np.broadcast_to(arr, shape)
 
 
+def _at(operand: np.ndarray, sel: np.ndarray, axis: int) -> np.ndarray | int:
+    """The index of the batch columns ``sel`` along a channel operand's batch
+    axis: column 0 of a batch-1 operand stands for every column."""
+    return sel if operand.shape[axis] > 1 else 0
+
+
+def _constraint_table(rp: RatePass, flat: np.ndarray) -> np.ndarray:
+    """Every constraint on message ``flat = n * q + i`` of each element i:
+    the rates of the end users, inf where one need not decode it, then those
+    of the nodes of relay-fed hops 1..B-1, one row per constraint as
+    ``NetIndex.constraints`` numbers them."""
+    return np.concatenate(
+        [_column(rp.user_rates, flat)] + [_column(rates, flat) for rates in rp.rates[:-1]]
+    )
+
+
 def select_binding(
     net: NetIndex, rp: RatePass, nstar: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pick the binding constraint of message ``nstar`` for every element.
 
-    Returns the reception hop (1..B) and node index.  The relay branch wins
-    only on strict inequality; ties between constraints break to the lowest
-    (hop, node), then to the lowest eligible end user.
+    Returns the reception hop (1..B) and node index, from one first-occurrence
+    argmin over the constraint table: a tie goes to an end user over a relay,
+    then to the lowest hop, then to the lowest node.  A NaN binds as follows:
+    the first NaN among the end users binds; otherwise a relay hop that
+    holds a NaN is skipped, and every relay hop is once hop 1 holds one.
     """
-    flat = nstar * rp.q + np.arange(rp.q)
-    nhops = net.num_hops
-    col = _column(rp.rates[0], flat)
-    relay_v, relay_node = col.min(axis=0), col.argmin(axis=0)
-    relay_hop = np.ones_like(relay_node)
-    for r in range(2, nhops):
-        col = _column(rp.rates[r - 1], flat)
-        v = col.min(axis=0)
-        lower = v < relay_v
-        relay_v = np.where(lower, v, relay_v)
-        relay_hop = np.where(lower, r, relay_hop)
-        relay_node = np.where(lower, col.argmin(axis=0), relay_node)
-    col = _column(rp.user_rates, flat)
-    user_v, user_l = col.min(axis=0), col.argmin(axis=0)
-
-    use_relay = relay_v < user_v
-    bind_hop = np.where(use_relay, relay_hop, nhops)
-    bind_node = np.where(use_relay, relay_node, user_l)
-    return bind_hop, bind_node
+    table = _constraint_table(rp, flat=nstar * rp.q + np.arange(rp.q))
+    hop, node = net.constraints
+    if np.isnan(table.min()):
+        # argmin stops at the first NaN; rule out the relay hops to skip
+        table = table.copy()
+        skip_all = np.isnan(table[hop == 1]).any(axis=0)
+        for r in range(1, net.num_hops):
+            rows = hop == r
+            skip = skip_all | np.isnan(table[rows]).any(axis=0)
+            table[np.ix_(rows, skip)] = np.inf
+    pick = table.argmin(axis=0)
+    return hop[pick], node[pick]
 
 
 @dataclass
@@ -363,15 +404,11 @@ class _RelayBranch:
 
     def tangent(self, net: NetIndex, ops: ChannelOperands, dp: np.ndarray, dgrad: np.ndarray):
         n, gn, den, tot = self.n, self.gn, self.den, self.tot
-        q = dp.shape[-1]
         j = self.hop - 2
         rows = net.block(self.hop - 1)
         si = np.arange(self.sel.size)
-        dc_re, dc_im = _channel_products(
-            _full(ops.ht_re[j], q, 0)[self.sel],
-            _full(ops.ht_im[j], q, 0)[self.sel],
-            dp[rows][..., self.sel],
-        )
+        ht = ops.ht[j]
+        dc_re, dc_im = _channel_products(ht[_at(ht, self.sel, 0)], dp[rows][..., self.sel])
         dcr = dc_re[self.node, :, si].T
         dci = dc_im[self.node, :, si].T
         dg = 2.0 * (self.cr * dcr + self.ci * dci)
@@ -394,8 +431,11 @@ Branch = _SourceBranch | _RelayBranch
 def _first_columns(values: tuple, columns: int | None) -> tuple:
     """A branch's arrays, each cut to the batch columns below ``columns``;
     ``values[0]`` is the branch's sorted ``sel``."""
-    keep = values[0].size if columns is None else int(np.searchsorted(values[0], columns))
-    return values if keep == values[0].size else tuple(v[..., :keep] for v in values)
+    keep = values[0].size if columns is None else int(values[0].searchsorted(columns))
+    if keep == values[0].size:
+        return values
+    cut = (Ellipsis, slice(keep))
+    return tuple([v[cut] for v in values])
 
 
 def gradient_pass(
@@ -422,15 +462,15 @@ def gradient_pass(
     branches: list[Branch] = []
 
     for r in range(1, net.num_hops + 1):
-        sel = np.flatnonzero(bind_hop == r)
+        sel = (bind_hop == r).nonzero()[0]
         if sel.size == 0:
             continue
         node = bind_node[sel]
         n = nstar[sel]
         si = np.arange(sel.size)
         if r == 1:
-            a = _full(ops.a1, q, -1)[node, sel]
-            s1 = _full(ops.sig2, q, -1)[0, sel]
+            a = ops.a1[node, _at(ops.a1, sel, -1)]
+            s1 = ops.sig2[0, _at(ops.sig2, sel, -1)]
             phi = _full(rp.phi, q, -1)[:, sel]
             phin = phi[n, si]
             inter = _full(rp.i1, q, -1)[n, sel]
@@ -449,9 +489,12 @@ def gradient_pass(
         else:
             j = r - 2
             rows = net.block(r - 1)
-            hre = _full(ops.ht_re[j], q, 0)[sel, node].T[:, None, :]
-            him = _full(ops.ht_im[j], q, 0)[sel, node].T[:, None, :]
-            sb = _full(ops.sig2, q, -1)[r - 1, sel]
+            ht = ops.ht[j]
+            at = _at(ht, sel, 0)
+            m = ht.shape[1] // 2  # real parts in rows :m, imaginary in m:
+            hre = ht[:, :m][at, node].T[:, None, :]
+            him = ht[:, m:][at, node].T[:, None, :]
+            sb = ops.sig2[r - 1, _at(ops.sig2, sel, -1)]
             cr = rp.c_re[r - 1][node, :, sel].T
             ci = rp.c_im[r - 1][node, :, sel].T
             g_row = rp.gains[r - 1][node, :, sel].T
@@ -508,8 +551,9 @@ def iterate_schedule(
             yield _first_view(p), rp.message.min(axis=0)
         else:
             yield _first_view(p), rate_pass(net, eval_ops, p).message.min(axis=0)
-        grad = gradient_pass(net, ops, rp)[0]
-        p = project_with_tangent(p + mu[k] * grad)[0]
+        x = p + mu[k] * gradient_pass(net, ops, rp)[0]
+        del rp  # so that no two passes are alive at once
+        p = project_with_tangent(x)[0]
     yield _first_view(p), rate_pass(net, eval_ops, p).message.min(axis=0)
 
 
@@ -529,7 +573,7 @@ def _differing_columns(a: ChannelOperands, b: ChannelOperands, q: int) -> np.nda
     if a is not b:
         for x, y in ((a.a1, b.a1), (a.sig2, b.sig2)):
             differ |= (x.view(np.uint64) != y.view(np.uint64)).any(axis=0)
-        for x, y in zip(a.ht_re + a.ht_im, b.ht_re + b.ht_im):
+        for x, y in zip(a.ht, b.ht):
             differ |= (x.view(np.uint64) != y.view(np.uint64)).any(axis=(1, 2))
     return np.flatnonzero(differ)
 
@@ -540,13 +584,13 @@ def _with_columns(
     """The q columns of ``ops`` followed by the columns ``cols`` of ``other``."""
 
     def join(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-        extra = _full(y, q, axis).take(cols, axis=axis)
-        return np.concatenate((_full(x, q, axis), extra), axis=axis)
+        head = x if x.shape[axis] == q else np.repeat(x, q, axis=axis)
+        extra = y.take(cols if y.shape[axis] > 1 else np.zeros_like(cols), axis=axis)
+        return np.concatenate((head, extra), axis=axis)
 
     return ChannelOperands(
         a1=join(ops.a1, other.a1, -1),
-        ht_re=tuple(join(x, y, 0) for x, y in zip(ops.ht_re, other.ht_re)),
-        ht_im=tuple(join(x, y, 0) for x, y in zip(ops.ht_im, other.ht_im)),
+        ht=tuple(join(x, y, 0) for x, y in zip(ops.ht, other.ht)),
         sig2=join(ops.sig2, other.sig2, -1),
     )
 
@@ -606,27 +650,25 @@ def unrolled_loss(
     loss_cols: np.ndarray | slice = slice(None)
     shared: np.ndarray | slice = slice(None)
     ops = opt_ops
+    # the pass batch's columns of p (taken, not indexed: an index array on
+    # the last axis would give a batch-first layout)
+    pass_cols: np.ndarray | None = None
     if differ.size:
         ops = _with_columns(opt_ops, loss_ops, differ, q)
         loss_cols = np.arange(q)
         loss_cols[differ] = q + np.arange(differ.size)
         shared = np.flatnonzero(loss_cols < q)
-    loss = np.zeros(count)
+        pass_cols = np.concatenate((np.arange(q), differ))
     iterate_rates = np.empty((steps + 1, q))
     min_margin = np.inf
     # What the backward sweep reads: for k < K the pass gradient (driving
-    # columns, then appended loss columns) and x_k, and for 1 <= k < K the
-    # branches of the driving columns.
-    grads, xs, branches = [], [], []
-
-    def group_means(values: np.ndarray) -> np.ndarray:
-        return values.reshape(count, size).mean(axis=1)
+    # columns, then appended loss columns) and the projection's row factors
+    # at x_k, and for 1 <= k < K the branches of the driving columns.
+    grads, factors, branches = [], [], []
 
     for k in range(steps):
-        rp = rate_pass(net, ops, np.concatenate((p, p[..., differ]), axis=-1) if differ.size else p)
+        rp = rate_pass(net, ops, p if pass_cols is None else p.take(pass_cols, axis=-1))
         iterate_rates[k] = rp.message.min(axis=0)[loss_cols]
-        if k >= 1:
-            loss -= weights[k - 1] * group_means(iterate_rates[k])
         if track_margins:
             min_margin = min(min_margin, _pass_margin(net, rp, slice(q)))
         pass_grad, pass_branches = gradient_pass(net, ops, rp, q)[:2]
@@ -636,31 +678,38 @@ def unrolled_loss(
             nz = x[x != 0.0]
             if nz.size:
                 min_margin = min(min_margin, float(np.abs(nz).min()))
+        p, kept = project_with_tangent(x)
         if want_grad:
             grads.append(pass_grad)
-            xs.append(x)
+            factors.append(kept)
             if k >= 1:
                 branches.append([b for b in pass_branches if b.sel.size])
-        p = project_with_tangent(x)[0]
 
     rp_loss = rate_pass(net, loss_ops, p)
     iterate_rates[steps] = rp_loss.message.min(axis=0)
-    loss -= weights[steps - 1] * group_means(iterate_rates[steps])
+    # the weighted group means of iterates 1..K, subtracted in that order
+    terms = np.zeros((steps + 1, count))
+    terms[1:] = np.asarray(weights[:steps])[:, None] * (
+        iterate_rates[1:].reshape(steps, count, size).mean(axis=2)
+    )
+    loss = np.subtract.accumulate(terms)[-1]
     if track_margins and differ.size < q:
         min_margin = min(min_margin, _pass_margin(net, rp_loss, shared))
     dloss = None
     if want_grad:
-        dloss = np.empty((count, steps))
+        products = np.empty((steps, q) + p.shape[:-1])  # g_k * v, batch first
         lam = -(weights[steps - 1] / size) * gradient_pass(net, loss_ops, rp_loss)[0]
         for k in range(steps - 1, -1, -1):
-            v = project_adjoint(xs[k], lam)
-            # summed batch first, one block per group: its pairwise order
-            # decides the schedules
-            dloss[:, k] = batch_first(grads[k][..., :q] * v).reshape(count, -1).sum(axis=1)
+            v = project_adjoint(factors[k], lam)
+            products[k] = _first_view(grads[k][..., :q] * v)
             if k == 0:
                 break
             hv = hessian_vector(net, opt_ops, branches[k - 1], v)
-            lam = -(weights[k - 1] / size) * grads[k][..., loss_cols] + v + step[k] * hv
+            loss_grad = grads[k] if pass_cols is None else grads[k].take(loss_cols, axis=-1)
+            lam = -(weights[k - 1] / size) * loss_grad + v + step[k] * hv
+        # summed in one block per (step, group): its pairwise order decides
+        # the schedules
+        dloss = np.ascontiguousarray(products.reshape(steps, count, -1).sum(axis=2).T)
     if mu.ndim == 1:
         loss = float(loss[0])
         dloss = None if dloss is None else dloss[0]
@@ -694,9 +743,6 @@ def _pass_margin(net: NetIndex, rp: RatePass, cols: np.ndarray | slice = slice(N
     for hop in range(2, net.num_hops + 1):
         margin = min(margin, _gap_min(rp.gains[hop - 1][..., cols]))
     margin = min(margin, _gap_min(rp.message[:, cols]))
-    flat = rp.message.argmin(axis=0) * rp.q + np.arange(rp.q)
-    constraints = np.concatenate(
-        [_column(rates, flat) for rates in rp.rates[:-1] + [rp.user_rates]]
-    )
-    margin = min(margin, _gap_min(constraints[:, cols]))
+    table = _constraint_table(rp, rp.message.argmin(axis=0) * rp.q + np.arange(rp.q))
+    margin = min(margin, _gap_min(table[:, cols]))
     return margin

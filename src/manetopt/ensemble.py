@@ -123,6 +123,11 @@ def infer_batch(
 ) -> BatchResult:
     """Multi-start inference on many channels; channel ``i`` uses ``seeds[i]``.
 
+    ``mu`` is (K,), or (S, K) for S schedules on S equal contiguous groups of
+    the channels, as in ``engine.unrolled_loss``: group s is channels
+    ``s*C/S`` to ``(s+1)*C/S - 1`` of C and steps by ``mu[s]``.  Each
+    channel's result is the one a call on it alone would give.
+
     Every (channel, member) pair of a chunk of channels runs in one batch and
     keeps its best iterate so far (strict ``>``: the earliest iteration wins a
     tie, and a number replaces a NaN); the lowest member holding the
@@ -133,32 +138,44 @@ def infer_batch(
     if ensemble_size < 1:
         raise ValueError("the ensemble needs at least one member")
     mu = np.asarray(mu, dtype=np.float64)
-    if len(mu) < 1:
+    if mu.shape[-1] < 1:
         raise ValueError("the step schedule must contain at least one step")
     channels = list(channels)
     if not channels:
         raise ValueError("inference needs at least one channel")
     if len(seeds) != len(channels):
         raise ValueError(f"{len(seeds)} seeds for {len(channels)} channels")
+    groups = mu.reshape(-1, mu.shape[-1])
+    if len(channels) % len(groups):
+        raise ValueError(
+            f"{len(channels)} channels do not split into {len(groups)} equal groups"
+        )
+    size = len(channels) // len(groups)
     topology = topology_of(channels[0])
     net = engine.net_index(topology)
     parts = []
     for start in range(0, len(channels), _CHUNK):
         chunk = channels[start : start + _CHUNK]
-        ops = engine.operands_from([ch for ch in chunk for _ in range(ensemble_size)], noise)
+        ops = engine.operands_from(chunk, noise, repeat=ensemble_size)
         starts = _starts(topology, ensemble_size, seeds[start : start + _CHUNK])
-        trajectory = engine.iterate_schedule(net, ops, starts, mu)
+        steps = mu
+        if mu.ndim == 2:
+            # each element's step per iteration, (K, elements)
+            owner = np.arange(start, start + len(chunk)) // size
+            steps = np.repeat(groups[owner].T, ensemble_size, axis=1)
+        trajectory = engine.iterate_schedule(net, ops, starts, steps)
         next(trajectory)  # initial guesses are never candidates
-        best_p, best = next(trajectory)
-        best_p = best_p.copy()
+        p, best = next(trajectory)
+        # batch-last, as the iterates are laid out
+        best_p = p.transpose(1, 2, 0).copy()
         iteration = np.ones(len(best), dtype=np.int64)
         for k, (p, rate) in enumerate(trajectory, start=2):
             better = (rate > best) | (np.isnan(best) & ~np.isnan(rate))
             best = np.where(better, rate, best)
-            best_p[better] = p[better]
+            np.copyto(best_p, p.transpose(1, 2, 0), where=better)
             iteration[better] = k
         ranked = np.where(np.isnan(best), -np.inf, best)
         member = np.argmax(ranked.reshape(len(chunk), ensemble_size), axis=1)
         pick = np.arange(len(chunk)) * ensemble_size + member
-        parts.append((best_p[pick], best[pick], member, iteration[pick]))
+        parts.append((engine.batch_first(best_p[..., pick]), best[pick], member, iteration[pick]))
     return BatchResult(*(np.concatenate(field) for field in zip(*parts)))

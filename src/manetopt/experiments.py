@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__ as _version
 from .channels import ChannelDataset, ChannelRealization, NoiseProfile, Topology, build_dataset
 from .engine import stack_channels
-from .ensemble import infer_batch
+from .ensemble import BatchResult, infer_batch
 from .errors import ConfigurationError
 from .gridsearch import grid_capacity, grid_points
 from .jsonfile import write_json
@@ -348,18 +348,37 @@ def _ensemble_seeds(config: ExperimentConfig, level_index: int, count: int) -> l
     return [derive_seed(config.seed, ENSEMBLE, level_index, i) for i in range(count)]
 
 
+def _ensemble_batch(
+    config: ExperimentConfig,
+    inputs: Sequence[list],
+    noise: NoiseProfile,
+    mus: Sequence[np.ndarray],
+    level_index: int,
+) -> BatchResult:
+    """Ensemble inference with schedule ``mus[g]`` on the channels
+    ``inputs[g]`` (the test channels or their estimates) for every g, in one
+    ``infer_batch`` call.  Every group uses the level's ensemble seeds, so
+    each gets what a call on it alone would give."""
+    seeds = _ensemble_seeds(config, level_index, len(inputs[0]))
+    return infer_batch(
+        [ch for group in inputs for ch in group],
+        noise,
+        np.stack(mus),
+        config.ensemble_size,
+        seeds * len(inputs),
+    )
+
+
 def _ensemble_rates(
     config: ExperimentConfig,
     channels,
     noise: NoiseProfile,
-    mu: np.ndarray,
+    mus: Sequence[np.ndarray],
     level_index: int,
-) -> np.ndarray:
-    """Full-CSI ensemble min rates per test channel."""
-    seeds = _ensemble_seeds(config, level_index, len(channels))
-    return infer_batch(
-        channels, noise, mu, config.ensemble_size, seeds
-    ).selected_min_rate_eval
+) -> list[np.ndarray]:
+    """Full-CSI ensemble min rates per test channel, one array per schedule."""
+    batch = _ensemble_batch(config, [channels] * len(mus), noise, mus, level_index)
+    return np.split(batch.selected_min_rate_eval, len(mus))
 
 
 def _pilot_estimates(
@@ -376,20 +395,6 @@ def _pilot_estimates(
         )
         for i, ch in enumerate(channels)
     ]
-
-
-def _ensemble_rates_noisy(
-    config: ExperimentConfig,
-    channels,
-    estimates,
-    noise: NoiseProfile,
-    mu: np.ndarray,
-    level_index: int,
-) -> np.ndarray:
-    """Realized (true-channel) min rates when inferring from pilot estimates."""
-    seeds = _ensemble_seeds(config, level_index, len(channels))
-    selected = infer_batch(estimates, noise, mu, config.ensemble_size, seeds).selected
-    return min_rate(ChannelRealization(*stack_channels(channels)), selected, noise)[0]
 
 
 def _fixed_rates(
@@ -470,7 +475,7 @@ def run_noise_sweep(config: ExperimentConfig) -> dict:
             config, topology, train_db, FULL_CSI, config.mu_artifact,
             f"full_{train_db:g}db",
         )
-        unfolded = _ensemble_rates(config, channels, noise, mu, index)
+        (unfolded,) = _ensemble_rates(config, channels, noise, [mu], index)
         # One fixed-step run serves both baselines: the rates at step k do
         # not depend on how many steps follow.
         fixed = _fixed_rates(
@@ -500,7 +505,8 @@ def run_noisy_robustness(config: ExperimentConfig) -> dict:
     Realized rates are always measured on the true channels; the pilot
     estimates are shared between the two schedules so comparisons are paired.
     Both schedules of a level train together in one call unless an artifact
-    or the cache supplies them.
+    or the cache supplies them, and a level's four ensemble inferences run
+    as one batch.
     """
     os.makedirs(config.out_dir, exist_ok=True)
     topology = Topology(config.hop_sizes)
@@ -521,15 +527,19 @@ def run_noisy_robustness(config: ExperimentConfig) -> dict:
             (FULL_CSI, config.mu_artifact, f"full_{db:g}db"),
             (NOISY_CSI, config.mu_artifact_noisy, f"noisy_{db:g}db"),
         ])
-        clean_full = _ensemble_rates(config, channels, noise, mu_clean, index)
-        noisy_full = _ensemble_rates(config, channels, noise, mu_noisy, index)
         estimates = _pilot_estimates(config, channels, noise, index)
-        clean_noisy = _ensemble_rates_noisy(
-            config, channels, estimates, noise, mu_clean, index
+        # both schedules on the true channels, then on their estimates; the
+        # selections made on estimates are scored on the true channels
+        batch = _ensemble_batch(
+            config, [channels, channels, estimates, estimates], noise,
+            [mu_clean, mu_noisy] * 2, index,
         )
-        noisy_noisy = _ensemble_rates_noisy(
-            config, channels, estimates, noise, mu_noisy, index
-        )
+        count = len(channels)
+        clean_full, noisy_full = np.split(batch.selected_min_rate_eval[: 2 * count], 2)
+        realized = min_rate(
+            ChannelRealization(*stack_channels(channels * 2)), batch.selected[2 * count :], noise
+        )[0]
+        clean_noisy, noisy_noisy = np.split(realized, 2)
         rows.append(
             [db, clean_full.mean(), clean_noisy.mean(), noisy_full.mean(), noisy_noisy.mean()]
         )
@@ -588,8 +598,9 @@ def run_transfer(config: ExperimentConfig) -> dict:
     channels = _test_channels(config, target)
     for index, db in enumerate(config.noise_db):
         noise = noise_profile(db, target.num_hops)
-        transferred = _ensemble_rates(config, channels, noise, mu_source, index)
-        native = _ensemble_rates(config, channels, noise, mu_native, index)
+        transferred, native = _ensemble_rates(
+            config, channels, noise, [mu_source, mu_native], index
+        )
         fixed40 = _fixed_rates(channels, noise, config.train.iterations, target)[-1]
         rows.append([db, transferred.mean(), native.mean(), fixed40.mean()])
         for i in range(len(channels)):
@@ -613,7 +624,7 @@ def run_oracle_compare(config: ExperimentConfig) -> dict:
     mu = _trained_schedule(
         config, topology, db, FULL_CSI, config.mu_artifact, f"full_{db:g}db"
     )
-    ensemble = _ensemble_rates(config, channels, noise, mu, 0)
+    (ensemble,) = _ensemble_rates(config, channels, noise, [mu], 0)
     oracle = _oracle_rates(config, channels, noise)
     header = ["channel", "ensemble_rate", "oracle_rate"]
     rows = [[i, ensemble[i], oracle[i]] for i in range(len(channels))]

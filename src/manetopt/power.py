@@ -16,12 +16,16 @@ projection is deliberately not implemented.
 take its batch-last layout: a row runs along axis -2 and the batch axis is
 last, so a batch of matrices is ``(stacked_rows, N, q)``.  Row sums add in
 the order numpy sums a contiguous last axis, so results do not depend on the
-layout.  ``project`` takes rows along the last axis.
+layout.  Without a tangent direction, ``project_with_tangent`` returns the
+per-row factors of the point (``RowFactors``), which ``project_adjoint``
+takes in place of the point, so that a reverse sweep does not recompute
+them.  ``project`` takes rows along the last axis.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,35 +61,45 @@ def project(raw: np.ndarray) -> np.ndarray:
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """Sum over axis -2, keeping it, in numpy's order for a contiguous axis:
-    +0.0 plus, below eight terms, their sequential sum; from eight to 128,
-    eight running sums combined as a tree, then the remainder; above that,
-    the sums of two halves."""
+    +0.0 plus, below eight terms, their sequential sum (one reduction over
+    an outer axis adds them in that order); from eight to 128, eight running
+    sums combined as a tree, then the remainder; above that, the sums of two
+    halves."""
     n = a.shape[-2]
     if n > 128:
         half = n // 2
         half -= half % 8
         return _row_sum(a[..., :half, :]) + _row_sum(a[..., half:, :])
     if n < 8:
-        total, done = a[..., 0:1, :], 1
-    else:
-        done = n - n % 8
-        r = [a[..., i : i + 1, :] for i in range(8)]
-        for i in range(8, done):
-            r[i % 8] = r[i % 8] + a[..., i : i + 1, :]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return 0.0 + a.sum(axis=-2, keepdims=True)
+    done = n - n % 8
+    r = [a[..., i : i + 1, :] for i in range(8)]
+    for i in range(8, done):
+        r[i % 8] = r[i % 8] + a[..., i : i + 1, :]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
     for i in range(done, n):
         total = total + a[..., i : i + 1, :]
     return 0.0 + total
 
 
-def _row_factors(x: np.ndarray):
-    """Per-row pieces shared by the projection, its tangent and its adjoint.
+@dataclass
+class RowFactors:
+    """Per-row pieces of the projection at one point, all that its tangent
+    and its adjoint read: the mask of positive entries, the unit rows, the
+    rescale factor (``None`` if no row needed one), the pass-through and
+    degenerate row masks, and the row norms with degenerate rows set to 1."""
 
-    Returns the mask of positive entries, the clamped rows ``u`` (rescaled
-    where needed), the rescale factor (``None`` if no row needed one), the
-    pass-through and degenerate row masks, and the row norms of ``u`` with
-    degenerate rows set to 1.
-    """
+    positive: np.ndarray
+    unit: np.ndarray
+    scale: np.ndarray | None
+    passthrough: np.ndarray
+    degenerate: np.ndarray
+    safe: np.ndarray
+
+
+def _row_factors(x: np.ndarray) -> tuple[np.ndarray, RowFactors]:
+    """The clamped rows ``u`` of ``x`` (rescaled where needed) and the
+    factors of its rows."""
     positive = x > 0.0
     u = np.where(positive, x, 0.0)
     sumsq = _row_sum(u * u)
@@ -97,60 +111,62 @@ def _row_factors(x: np.ndarray):
     # row is divided by exactly 1, so it stays bit-identical.
     inexact = (sumsq < _SMALLEST_NORMAL) | (sumsq == np.inf)
     scale = None
-    if np.any(inexact):
+    if inexact.any():
         peak = np.max(u, axis=-2, keepdims=True)
         scale = np.where(inexact & (peak > 0.0), peak, 1.0)
         u = u / scale
         norms = np.sqrt(_row_sum(u * u))
     degenerate = norms == 0.0
     safe = np.where(degenerate, 1.0, norms)
-    return positive, u, scale, passthrough, degenerate, safe
+    return u, RowFactors(positive, u / safe, scale, passthrough, degenerate, safe)
 
 
 def project_with_tangent(
     x: np.ndarray, dx: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Row projection plus, optionally, its derivative in one direction.
+) -> tuple[np.ndarray, np.ndarray | RowFactors]:
+    """Row projection plus its derivative in one direction, or its factors.
 
     Rows run along axis -2 (the batch axis is last).  ``dx`` has the shape of
     ``x``; the returned tangent differentiates the selected branch of the
     projection (clamped entries pass nothing, near-unit rows pass through
-    unchanged, degenerate rows are constant).
+    unchanged, degenerate rows are constant).  Without ``dx`` the second
+    value is the ``RowFactors`` of ``x``, which ``project_adjoint`` takes in
+    place of ``x``.
     """
-    n = x.shape[-2]
-    positive, u, scale, passthrough, degenerate, safe = _row_factors(x)
-    unit = u / safe
-    out = np.where(passthrough, u, np.minimum(unit, 1.0))
-    out = np.where(degenerate, 1.0 / np.sqrt(n), out)
+    u, f = _row_factors(x)
+    out = np.where(f.passthrough, u, np.minimum(f.unit, 1.0))
+    if f.degenerate.any():
+        out = np.where(f.degenerate, 1.0 / np.sqrt(x.shape[-2]), out)
     if dx is None:
-        return out, None
-    du = np.where(positive, dx, 0.0)
+        return out, f
+    du = np.where(f.positive, dx, 0.0)
     # (I/s - u u^T/s^3) du, written with the unit row so that no power of s
     # under- or overflows, and divided by the rescale factor last: a row
     # whose only positive entry is subnormal then gets an exact 0
-    radial = _row_sum(unit * du)
-    dout = np.where(passthrough, du, (du - unit * radial) / safe)
-    if scale is not None:
-        dout = dout / scale
-    dout = np.where(degenerate, 0.0, dout)
+    radial = _row_sum(f.unit * du)
+    dout = np.where(f.passthrough, du, (du - f.unit * radial) / f.safe)
+    if f.scale is not None:
+        dout = dout / f.scale
+    dout = np.where(f.degenerate, 0.0, dout)
     return out, dout
 
 
-def project_adjoint(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+def project_adjoint(x: np.ndarray | RowFactors, a: np.ndarray) -> np.ndarray:
     """Transpose of the tangent map of ``project_with_tangent`` at ``x``,
     applied to ``a``: ``<tangent(dx), a> == <dx, project_adjoint(x, a)>``.
 
-    Per row, with D the mask of positive entries: scaled rows give
-    ``D (a/s - u (u.a)/s^3)``, divided by the rescale factor; pass-through
-    rows give ``D a``; degenerate rows give 0.
+    ``x`` is the point, or the ``RowFactors`` that ``project_with_tangent``
+    returned at it, which spares recomputing them.  Per row, with D the mask
+    of positive entries: scaled rows give ``D (a/s - u (u.a)/s^3)``, divided
+    by the rescale factor; pass-through rows give ``D a``; degenerate rows
+    give 0.
     """
-    positive, u, scale, passthrough, _, safe = _row_factors(x)
-    unit = u / safe
-    radial = _row_sum(unit * a)
-    back = np.where(passthrough, a, (a - unit * radial) / safe)
-    back = np.where(positive, back, 0.0)  # degenerate rows have no positive entry
-    if scale is not None:
-        back = back / scale
+    f = x if isinstance(x, RowFactors) else _row_factors(x)[1]
+    radial = _row_sum(f.unit * a)
+    back = np.where(f.passthrough, a, (a - f.unit * radial) / f.safe)
+    back = np.where(f.positive, back, 0.0)  # degenerate rows have no positive entry
+    if f.scale is not None:
+        back = back / f.scale
     return back
 
 

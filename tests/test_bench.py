@@ -8,7 +8,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 STAGES = {
-    "step", "loss", "loss_grad", "loss_grad_noisy", "calibrate", "infer", "train", "train_pair",
+    "step", "rate_pass", "gradient_pass", "project_with_tangent", "project_adjoint",
+    "loss", "loss_grad", "loss_grad_noisy", "calibrate", "infer", "train", "train_pair",
 }
 ENVIRONMENT = {
     "git_sha", "source_sha256", "python", "numpy", "blas", "manetopt",

@@ -131,6 +131,28 @@ def ref_select_binding(net, rp, nstar):
     return bind_hop, bind_node
 
 
+def loop_select_binding(net, rp, nstar):
+    """``engine.select_binding`` as a hop-by-hop loop on the batch-last
+    pass: the relay minimum moves to a later hop only on a strict decrease,
+    then the relay binds only if strictly below the end users' minimum."""
+    flat = nstar * rp.q + np.arange(rp.q)
+    nhops = net.num_hops
+    col = engine._column(rp.rates[0], flat)
+    relay_v, relay_node = col.min(axis=0), col.argmin(axis=0)
+    relay_hop = np.ones_like(relay_node)
+    for r in range(2, nhops):
+        col = engine._column(rp.rates[r - 1], flat)
+        v = col.min(axis=0)
+        lower = v < relay_v
+        relay_v = np.where(lower, v, relay_v)
+        relay_hop = np.where(lower, r, relay_hop)
+        relay_node = np.where(lower, col.argmin(axis=0), relay_node)
+    col = engine._column(rp.user_rates, flat)
+    user_v, user_l = col.min(axis=0), col.argmin(axis=0)
+    use_relay = relay_v < user_v
+    return np.where(use_relay, relay_hop, nhops), np.where(use_relay, relay_node, user_l)
+
+
 def ref_gradient_pass(net, ops, rp):
     q = rp.q
     want_d = rp.dphi is not None
@@ -569,3 +591,168 @@ def test_unrolled_loss_makes_one_rate_pass_per_step(monkeypatch):
     assert widths == [2 * size + size - 1] * steps + [2 * size]
     backward = events[events.index(("adjoint", None)):]
     assert all(name == "adjoint" for name, _ in backward)
+
+
+# --- the binding table against the hop-by-hop loop --------------------------
+
+
+def _coarse_pass(hop_sizes, seed, q=60):
+    """A rate pass whose constraint values are rounded to a coarse grid, so
+    that users, relays, hops and nodes tie often, with the message rates
+    recomputed from them; the coefficients and gains stay those of the
+    pass, so every branch's gradient is defined."""
+    topology = mo.Topology(hop_sizes)
+    net = engine.net_index(topology)
+    entries = _entries(topology, q, seed=[75, seed])
+    ops = engine.operands_from([ch for ch, _ in entries], entries[0][1])
+    p = engine.batch_last(_starts(topology, q, seed=seed))
+    rp = engine.rate_pass(net, ops, p)
+    rp.rates = [np.round(r * 4.0) / 4.0 for r in rp.rates]
+    rp.user_rates = np.where(np.isinf(rp.user_rates), np.inf, np.round(rp.user_rates * 4.0) / 4.0)
+    return net, ops, rp
+
+
+def _remessage(net, rp):
+    rp.message = np.minimum.reduce(
+        [rp.user_rates.min(axis=0)] + [r.min(axis=0) for r in rp.rates[:-1]]
+    )
+
+
+def _check_binding(monkeypatch, net, ops, rp):
+    nstar = rp.message.argmin(axis=0)
+    hop, node = engine.select_binding(net, rp, nstar)
+    ref_hop, ref_node = loop_select_binding(net, rp, nstar)
+    assert np.array_equal(hop, ref_hop)
+    assert np.array_equal(node, ref_node)
+    with np.errstate(invalid="ignore"):
+        grad = engine.gradient_pass(net, ops, rp)[0]
+        monkeypatch.setattr(engine, "select_binding", loop_select_binding)
+        ref_grad = engine.gradient_pass(net, ops, rp)[0]
+    monkeypatch.undo()
+    assert np.array_equal(grad, ref_grad, equal_nan=True)
+    return hop, node
+
+
+@pytest.mark.parametrize("hop_sizes", [(2, 2), (3, 3), (1, 2, 2), (2, 2, 2), (2, 3, 4), (2, 9)])
+def test_select_binding_matches_loop_on_random_passes(hop_sizes):
+    topology = mo.Topology(hop_sizes)
+    net = engine.net_index(topology)
+    entries = _entries(topology, 50, seed=[76, len(hop_sizes)])
+    ops = engine.operands_from([ch for ch, _ in entries], entries[0][1])
+    p = engine.batch_last(_starts(topology, 50, seed=11))
+    rp = engine.rate_pass(net, ops, p)
+    rng = np.random.default_rng(12)
+    for nstar in (rp.message.argmin(axis=0), rng.integers(0, topology.end_users, 50)):
+        hop, node = engine.select_binding(net, rp, nstar)
+        ref_hop, ref_node = loop_select_binding(net, rp, nstar)
+        assert np.array_equal(hop, ref_hop)
+        assert np.array_equal(node, ref_node)
+
+
+@pytest.mark.parametrize("hop_sizes", [(2, 2), (3, 3), (1, 2, 2), (2, 2, 2), (2, 3, 4)])
+def test_select_binding_matches_loop_on_coarse_passes(monkeypatch, hop_sizes):
+    net, ops, rp = _coarse_pass(hop_sizes, seed=13)
+    _remessage(net, rp)
+    hop, _ = _check_binding(monkeypatch, net, ops, rp)
+    # an end user tied with a relay node, and won
+    nstar = rp.message.argmin(axis=0)
+    flat = nstar * rp.q + np.arange(rp.q)
+    relay_best = np.minimum.reduce([engine._column(r, flat).min(axis=0) for r in rp.rates[:-1]])
+    assert np.any((hop == net.num_hops) & (relay_best == rp.message[nstar, np.arange(rp.q)]))
+
+
+@pytest.mark.parametrize("hop_sizes", [(3, 3), (2, 2, 2)])
+def test_select_binding_matches_loop_on_exact_ties(monkeypatch, hop_sizes):
+    # Every constraint of every message equal, so an end user binds in
+    # element 0; the end users raised in the others, so the first node of
+    # hop 1 binds in element 1; hop 1 raised to the end users in element 2,
+    # so the end user beats hop 1, unless hop 2 is lower; and all but the
+    # first node of hop 1 lowered in element 3, so the second node binds.
+    net, ops, rp = _coarse_pass(hop_sizes, seed=14, q=6)
+    finite = np.isfinite(rp.user_rates)
+    for r in rp.rates:
+        r[...] = 0.5
+    rp.user_rates = np.where(finite, 0.5, np.inf)
+    rp.user_rates[..., 1:] = np.where(finite[..., 1:], 0.75, np.inf)
+    rp.rates[0][..., 2] = 0.75
+    rp.rates[0][1:, :, 3] = 0.25
+    _remessage(net, rp)
+    hop, node = _check_binding(monkeypatch, net, ops, rp)
+    assert np.all(rp.message.argmin(axis=0) == 0)
+    assert (hop[0], node[0]) == (net.num_hops, finite[:, 0, 0].argmax())
+    assert (hop[1], node[1]) == (1, 0)
+    if net.num_hops > 2:
+        assert (hop[2], node[2]) == (2, 0)
+    else:
+        assert (hop[2], node[2]) == (net.num_hops, finite[:, 0, 2].argmax())
+    assert (hop[3], node[3]) == (1, 1)
+
+
+@pytest.mark.parametrize("hop_sizes", [(3, 3), (2, 2, 2)])
+def test_select_binding_matches_loop_on_inf_and_nan(monkeypatch, hop_sizes):
+    net, ops, rp = _coarse_pass(hop_sizes, seed=15, q=12)
+    # element 0: no end user need decode any message
+    rp.user_rates[..., 0] = np.inf
+    # a NaN at an end user, at a node of hop 1 and, with three hops, of hop 2
+    rp.user_rates[1, :, 1] = np.nan
+    rp.rates[0][1, :, 2] = np.nan
+    rp.rates[0][0, 0, 3] = np.nan
+    if net.num_hops > 2:
+        rp.rates[1][1, :, 4] = np.nan
+        rp.rates[1][0, 0, 5] = np.nan
+        rp.rates[0][..., 5] = 0.0
+    _remessage(net, rp)
+    _check_binding(monkeypatch, net, ops, rp)
+
+
+# --- kept projection factors -----------------------------------------------
+
+
+def test_adjoint_from_kept_factors_equals_fresh_adjoint():
+    rng = np.random.default_rng(16)
+    rows, n = 12, 5
+    x = rng.normal(size=(rows, n))
+    x[0] = 1.0 / np.sqrt(n)                # passes through
+    x[1] = 0.0                             # degenerate
+    x[2] = -np.abs(x[2])                   # degenerate after clamping
+    x[3] = np.abs(x[3]) * 1e-170           # squares underflow: rescaled
+    x[4] = 0.0
+    x[4, -1] = 2.2e-313                    # only positive entry is subnormal
+    x[5] = np.abs(x[5]) * 1e200            # squares overflow: rescaled
+    a = rng.normal(size=(rows, n))
+    a[6] = -0.0
+    for batch in (x.T, x[..., None]):      # the rows as a batch, and as one matrix
+        cot = a.T if batch.ndim == 2 else a[..., None]
+        with np.errstate(over="ignore"):
+            out, kept = power.project_with_tangent(batch)
+            fresh = power.project_adjoint(batch, cot)
+            out_t, _ = power.project_with_tangent(batch, cot)
+        assert isinstance(kept, power.RowFactors)
+        assert out.tobytes() == out_t.tobytes()
+        assert power.project_adjoint(kept, cot).tobytes() == fresh.tobytes()
+
+
+def test_backward_sweep_recomputes_no_row_factors(monkeypatch):
+    topology = mo.Topology((3, 3))
+    net = engine.net_index(topology)
+    entries = _entries(topology, 6, seed=77)
+    ops = engine.operands_from([ch for ch, _ in entries], entries[0][1])
+    p0 = _starts(topology, 6, seed=12)
+    events = []
+    row_factors, project_adjoint = power._row_factors, engine.project_adjoint
+
+    def counted_row_factors(x):
+        events.append("row_factors")
+        return row_factors(x)
+
+    def marked_adjoint(x, lam):
+        events.append("adjoint")
+        return project_adjoint(x, lam)
+
+    monkeypatch.setattr(power, "_row_factors", counted_row_factors)
+    monkeypatch.setattr(engine, "project_adjoint", marked_adjoint)
+    steps = 5
+    mu = np.full(steps, 0.2)
+    engine.unrolled_loss(net, ops, ops, p0, mu, iteration_weights(steps))
+    assert events.count("row_factors") == steps
+    assert events[events.index("adjoint"):] == ["adjoint"] * steps

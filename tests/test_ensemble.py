@@ -310,3 +310,24 @@ def test_infer_batch_rejects_no_channels(world):
     topo, noise, ch, mu = world
     with pytest.raises(ValueError):
         mo.infer_batch([], noise, mu, 4, [])
+
+
+@pytest.mark.parametrize("hop_sizes", [(2, 2), (3, 3), (1, 2, 2)])
+def test_grouped_infer_batch_equals_separate_calls(monkeypatch, hop_sizes):
+    # Three schedules on three groups of four channels, over chunks of five:
+    # chunk boundaries fall inside groups, and the last chunk is partial.
+    monkeypatch.setattr(ensemble, "_CHUNK", 5)
+    topo = mo.Topology(hop_sizes)
+    noise = mo.NoiseProfile((0.5,) * topo.num_hops)
+    rng = np.random.default_rng(32)
+    channels = [mo.sample_channel(topo, 1.0, rng) for _ in range(12)]
+    mu = np.random.default_rng(33).uniform(0.01, 0.5, (3, 10))
+    seeds = [200 + i for i in range(12)]
+    joint = mo.infer_batch(channels, noise, mu, 3, seeds)
+    for s in range(3):
+        block = slice(4 * s, 4 * (s + 1))
+        alone = mo.infer_batch(channels[block], noise, mu[s], 3, seeds[block])
+        for field in ("selected", "selected_min_rate_eval", "member_index", "iteration_index"):
+            assert getattr(joint, field)[block].tobytes() == getattr(alone, field).tobytes()
+    with pytest.raises(ValueError, match="equal groups"):
+        mo.infer_batch(channels, noise, np.full((5, 10), 0.1), 3, seeds)
