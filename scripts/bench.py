@@ -93,7 +93,6 @@ def _network(hop_sizes) -> str:
 def bench_network(hop_sizes, q, steps, calib_iterations, repeats) -> list[dict]:
     topology = mo.Topology(hop_sizes)
     noise = mo.NoiseProfile((1.0,) * topology.num_hops)
-    net = engine.net_index(topology)
     channels = _channels(topology, q, seed=[17, q, *hop_sizes])
     ops = engine.operands_from(channels, noise)
     rng = np.random.default_rng([18, q])
@@ -109,15 +108,15 @@ def bench_network(hop_sizes, q, steps, calib_iterations, repeats) -> list[dict]:
                  us_per_element=1e6 * seconds / elements if elements else None, **extra)
         )
 
-    record("step", best_of(repeats, lambda: list(engine.iterate_schedule(net, ops, p0, mu))),
+    record("step", best_of(repeats, lambda: list(engine.iterate_schedule(topology, ops, p0, mu))),
            q * steps)
     p = engine.batch_last(p0)
-    rp = engine.rate_pass(net, ops, p)
-    grad = engine.gradient_pass(net, ops, rp)[0]
+    rp = engine.rate_pass(topology, ops, p)
+    grad = engine.gradient_pass(topology, ops, rp)[0]
     x = p + 0.1 * grad
     for name, kernel in (
-        ("rate_pass", lambda: engine.rate_pass(net, ops, p)),
-        ("gradient_pass", lambda: engine.gradient_pass(net, ops, rp)),
+        ("rate_pass", lambda: engine.rate_pass(topology, ops, p)),
+        ("gradient_pass", lambda: engine.gradient_pass(topology, ops, rp)),
         ("project_with_tangent", lambda: power.project_with_tangent(x)),
         ("project_adjoint", lambda: power.project_adjoint(x, grad)),
     ):
@@ -132,7 +131,7 @@ def bench_network(hop_sizes, q, steps, calib_iterations, repeats) -> list[dict]:
         ("loss", ops, False), ("loss_grad", ops, True), ("loss_grad_noisy", est_ops, True)
     ):
         seconds = best_of(repeats, lambda: engine.unrolled_loss(
-            net, drive, ops, p0, mu, weights, want_grad=want_grad))
+            topology, drive, ops, p0, mu, weights, want_grad=want_grad))
         record(name, seconds, q * steps)
     calib = channels[: max(1, q // 7)]
     seconds = best_of(repeats, lambda: pgd.calibrate_fixed_step(

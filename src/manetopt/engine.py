@@ -42,7 +42,9 @@ only its tangent, reading the forward values from the kept branches.
 Index conventions: hops are numbered 1..B (hop 1 is the source broadcast);
 node, message and row indices are 0-based.  Reception at hop b depends on the
 coefficients of the devices transmitting into it: the source row for hop 1,
-relay-layer block b-1 otherwise.
+relay-layer block b-1 (``Topology.block_rows``) otherwise.  Every kernel
+takes the package's ``Topology``; the constraint table's row numbering is
+built once per topology and cached, so equal topologies share it.
 """
 
 from __future__ import annotations
@@ -60,40 +62,14 @@ LN2 = float(np.log(2.0))
 INV_LN2 = 1.0 / LN2
 
 
-@dataclass(frozen=True)
-class NetIndex:
-    """Precomputed index helpers for one topology."""
-
-    hop_sizes: tuple[int, ...]
-
-    @property
-    def num_hops(self) -> int:
-        return len(self.hop_sizes)
-
-    @property
-    def end_users(self) -> int:
-        return self.hop_sizes[-1]
-
-    @property
-    def stacked_rows(self) -> int:
-        return 1 + sum(self.hop_sizes[:-1])
-
-    def block(self, layer: int) -> slice:
-        start = sum(self.hop_sizes[: layer - 1])
-        return slice(start, start + self.hop_sizes[layer - 1])
-
-    @functools.cached_property
-    def constraints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Reception hop and node of each row of a constraint table
-        (``_constraint_table``): the end users at hop B, then the nodes of
-        relay-fed hops 1..B-1."""
-        sizes = (self.end_users,) + self.hop_sizes[:-1]
-        hops = (self.num_hops,) + tuple(range(1, self.num_hops))
-        return np.repeat(hops, sizes), np.concatenate([np.arange(m) for m in sizes])
-
-
-def net_index(topology: Topology) -> NetIndex:
-    return NetIndex(hop_sizes=topology.hop_sizes)
+@functools.cache
+def _constraints(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """Reception hop and node of each row of a constraint table
+    (``_constraint_table``): the end users at hop B, then the nodes of
+    relay-fed hops 1..B-1."""
+    sizes = (topology.end_users,) + topology.hop_sizes[:-1]
+    hops = (topology.num_hops,) + tuple(range(1, topology.num_hops))
+    return np.repeat(hops, sizes), np.concatenate([np.arange(m) for m in sizes])
 
 
 def batch_last(a: np.ndarray) -> np.ndarray:
@@ -246,12 +222,12 @@ def _channel_products(ht: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np
     return c[:m], c[m:]
 
 
-def rate_pass(net: NetIndex, ops: ChannelOperands, p: np.ndarray) -> RatePass:
+def rate_pass(topology: Topology, ops: ChannelOperands, p: np.ndarray) -> RatePass:
     """Evaluate every reception rate for a batch of power matrices.
 
     ``p`` is (stacked_rows, N, q).
     """
-    nhops = net.num_hops
+    nhops = topology.num_hops
 
     phi = p[-1]
     phi2 = phi * phi
@@ -267,7 +243,7 @@ def rate_pass(net: NetIndex, ops: ChannelOperands, p: np.ndarray) -> RatePass:
 
     for hop in range(2, nhops + 1):
         j = hop - 2
-        cr, ci = _channel_products(ops.ht[j], p[net.block(hop - 1)])
+        cr, ci = _channel_products(ops.ht[j], p[topology.block_rows(hop - 1)])
         g = cr * cr + ci * ci
         ib = _masked_sum(_interferers(g), g)
         rates.append(np.log1p(g / (ib + ops.sig2[hop - 1])) * INV_LN2)
@@ -317,14 +293,14 @@ def _constraint_table(rp: RatePass, flat: np.ndarray) -> np.ndarray:
     """Every constraint on message ``flat = n * q + i`` of each element i:
     the rates of the end users, inf where one need not decode it, then those
     of the nodes of relay-fed hops 1..B-1, one row per constraint as
-    ``NetIndex.constraints`` numbers them."""
+    ``_constraints`` numbers them."""
     return np.concatenate(
         [_column(rp.user_rates, flat)] + [_column(rates, flat) for rates in rp.rates[:-1]]
     )
 
 
 def select_binding(
-    net: NetIndex, rp: RatePass, nstar: np.ndarray
+    topology: Topology, rp: RatePass, nstar: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pick the binding constraint of message ``nstar`` for every element.
 
@@ -335,12 +311,12 @@ def select_binding(
     holds a NaN is skipped, and every relay hop is once hop 1 holds one.
     """
     table = _constraint_table(rp, flat=nstar * rp.q + np.arange(rp.q))
-    hop, node = net.constraints
+    hop, node = _constraints(topology)
     if np.isnan(table.min()):
         # argmin stops at the first NaN; rule out the relay hops to skip
         table = table.copy()
         skip_all = np.isnan(table[hop == 1]).any(axis=0)
-        for r in range(1, net.num_hops):
+        for r in range(1, topology.num_hops):
             rows = hop == r
             skip = skip_all | np.isnan(table[rows]).any(axis=0)
             table[np.ix_(rows, skip)] = np.inf
@@ -364,7 +340,7 @@ class _SourceBranch:
     tot: np.ndarray
     w_int: np.ndarray      # (s,) gradient weight of an interferer
 
-    def tangent(self, net: NetIndex, ops: ChannelOperands, dp: np.ndarray, dgrad: np.ndarray):
+    def tangent(self, topology: Topology, ops: ChannelOperands, dp: np.ndarray, dgrad: np.ndarray):
         n, a, phi, den, tot = self.n, self.a, self.phi, self.den, self.tot
         si = np.arange(self.sel.size)
         phin = phi[n, si]
@@ -402,10 +378,10 @@ class _RelayBranch:
     w: np.ndarray          # (N, s) gradient weight of each message's gain
     response: np.ndarray   # (M_{b-1}, N, s) gain response to the transmit block
 
-    def tangent(self, net: NetIndex, ops: ChannelOperands, dp: np.ndarray, dgrad: np.ndarray):
+    def tangent(self, topology: Topology, ops: ChannelOperands, dp: np.ndarray, dgrad: np.ndarray):
         n, gn, den, tot = self.n, self.gn, self.den, self.tot
         j = self.hop - 2
-        rows = net.block(self.hop - 1)
+        rows = topology.block_rows(self.hop - 1)
         si = np.arange(self.sel.size)
         ht = ops.ht[j]
         dc_re, dc_im = _channel_products(ht[_at(ht, self.sel, 0)], dp[rows][..., self.sel])
@@ -439,7 +415,7 @@ def _first_columns(values: tuple, columns: int | None) -> tuple:
 
 
 def gradient_pass(
-    net: NetIndex,
+    topology: Topology,
     ops: ChannelOperands,
     rp: RatePass,
     columns: int | None = None,
@@ -453,15 +429,15 @@ def gradient_pass(
     restricted to the first ``columns`` batch columns when given.
     """
     q = rp.q
-    nmsg = net.end_users
+    nmsg = topology.end_users
 
     nstar = rp.message.argmin(axis=0)
-    bind_hop, bind_node = select_binding(net, rp, nstar)
+    bind_hop, bind_node = select_binding(topology, rp, nstar)
 
-    grad = np.zeros((net.stacked_rows, nmsg, q))
+    grad = np.zeros((topology.stacked_rows, nmsg, q))
     branches: list[Branch] = []
 
-    for r in range(1, net.num_hops + 1):
+    for r in range(1, topology.num_hops + 1):
         sel = (bind_hop == r).nonzero()[0]
         if sel.size == 0:
             continue
@@ -488,7 +464,7 @@ def gradient_pass(
             )))
         else:
             j = r - 2
-            rows = net.block(r - 1)
+            rows = topology.block_rows(r - 1)
             ht = ops.ht[j]
             at = _at(ht, sel, 0)
             m = ht.shape[1] // 2  # real parts in rows :m, imaginary in m:
@@ -515,7 +491,7 @@ def gradient_pass(
 
 
 def hessian_vector(
-    net: NetIndex, ops: ChannelOperands, branches: list[Branch], dp: np.ndarray
+    topology: Topology, ops: ChannelOperands, branches: list[Branch], dp: np.ndarray
 ) -> np.ndarray:
     """Derivative of ``gradient_pass``'s gradient in the direction ``dp``
     (stacked_rows, N, q), the Hessian-vector product of each element's
@@ -523,38 +499,32 @@ def hessian_vector(
     tangent runs: the forward values come from the branches."""
     dgrad = np.zeros(dp.shape)
     for branch in branches:
-        branch.tangent(net, ops, dp, dgrad)
+        branch.tangent(topology, ops, dp, dgrad)
     return dgrad
 
 
 def iterate_schedule(
-    net: NetIndex,
+    topology: Topology,
     ops: ChannelOperands,
     p0: np.ndarray,
     mu,
-    eval_ops: ChannelOperands | None = None,
 ):
     """Run the step schedule, yielding ``(p_k, rates_k)`` for k = 0..K.
 
     ``p0`` and every yielded ``p_k`` are (q, stacked_rows, N); ``p_k`` is a
     view of batch-last memory that is never modified afterwards.
-    ``rates_k`` holds each element's min rate at iterate ``p_k``, measured
-    under ``eval_ops`` (default ``ops``, the channel driving the updates).
-    ``mu[k]`` is a scalar, or an array of shape (q,) for a step per element.
+    ``rates_k`` holds each element's min rate at iterate ``p_k`` on the
+    channel driving the updates.  ``mu[k]`` is a scalar, or an array of
+    shape (q,) for a step per element.
     """
-    if eval_ops is None:
-        eval_ops = ops
     p = batch_last(np.asarray(p0, dtype=np.float64))
     for k in range(len(mu)):
-        rp = rate_pass(net, ops, p)
-        if eval_ops is ops:
-            yield _first_view(p), rp.message.min(axis=0)
-        else:
-            yield _first_view(p), rate_pass(net, eval_ops, p).message.min(axis=0)
-        x = p + mu[k] * gradient_pass(net, ops, rp)[0]
+        rp = rate_pass(topology, ops, p)
+        yield _first_view(p), rp.message.min(axis=0)
+        x = p + mu[k] * gradient_pass(topology, ops, rp)[0]
         del rp  # so that no two passes are alive at once
         p = project_with_tangent(x)[0]
-    yield _first_view(p), rate_pass(net, eval_ops, p).message.min(axis=0)
+    yield _first_view(p), rate_pass(topology, ops, p).message.min(axis=0)
 
 
 @dataclass
@@ -596,7 +566,7 @@ def _with_columns(
 
 
 def unrolled_loss(
-    net: NetIndex,
+    topology: Topology,
     opt_ops: ChannelOperands,
     loss_ops: ChannelOperands,
     p0: np.ndarray,
@@ -667,11 +637,11 @@ def unrolled_loss(
     grads, factors, branches = [], [], []
 
     for k in range(steps):
-        rp = rate_pass(net, ops, p if pass_cols is None else p.take(pass_cols, axis=-1))
+        rp = rate_pass(topology, ops, p if pass_cols is None else p.take(pass_cols, axis=-1))
         iterate_rates[k] = rp.message.min(axis=0)[loss_cols]
         if track_margins:
-            min_margin = min(min_margin, _pass_margin(net, rp, slice(q)))
-        pass_grad, pass_branches = gradient_pass(net, ops, rp, q)[:2]
+            min_margin = min(min_margin, _pass_margin(topology, rp, slice(q)))
+        pass_grad, pass_branches = gradient_pass(topology, ops, rp, q)[:2]
         grad = pass_grad[..., :q]
         x = p + step[k] * grad
         if track_margins:
@@ -685,7 +655,7 @@ def unrolled_loss(
             if k >= 1:
                 branches.append([b for b in pass_branches if b.sel.size])
 
-    rp_loss = rate_pass(net, loss_ops, p)
+    rp_loss = rate_pass(topology, loss_ops, p)
     iterate_rates[steps] = rp_loss.message.min(axis=0)
     # the weighted group means of iterates 1..K, subtracted in that order
     terms = np.zeros((steps + 1, count))
@@ -694,17 +664,17 @@ def unrolled_loss(
     )
     loss = np.subtract.accumulate(terms)[-1]
     if track_margins and differ.size < q:
-        min_margin = min(min_margin, _pass_margin(net, rp_loss, shared))
+        min_margin = min(min_margin, _pass_margin(topology, rp_loss, shared))
     dloss = None
     if want_grad:
         products = np.empty((steps, q) + p.shape[:-1])  # g_k * v, batch first
-        lam = -(weights[steps - 1] / size) * gradient_pass(net, loss_ops, rp_loss)[0]
+        lam = -(weights[steps - 1] / size) * gradient_pass(topology, loss_ops, rp_loss)[0]
         for k in range(steps - 1, -1, -1):
             v = project_adjoint(factors[k], lam)
             products[k] = _first_view(grads[k][..., :q] * v)
             if k == 0:
                 break
-            hv = hessian_vector(net, opt_ops, branches[k - 1], v)
+            hv = hessian_vector(topology, opt_ops, branches[k - 1], v)
             loss_grad = grads[k] if pass_cols is None else grads[k].take(loss_cols, axis=-1)
             lam = -(weights[k - 1] / size) * loss_grad + v + step[k] * hv
         # summed in one block per (step, group): its pairwise order decides
@@ -732,7 +702,7 @@ def _gap_min(values: np.ndarray) -> float:
     return float(nz.min()) if nz.size else np.inf
 
 
-def _pass_margin(net: NetIndex, rp: RatePass, cols: np.ndarray | slice = slice(None)) -> float:
+def _pass_margin(topology: Topology, rp: RatePass, cols: np.ndarray | slice = slice(None)) -> float:
     """Smallest distance to any branch switch of the current pass, over its
     batch columns ``cols``.
 
@@ -740,7 +710,7 @@ def _pass_margin(net: NetIndex, rp: RatePass, cols: np.ndarray | slice = slice(N
     decode obligations, the message argmin and the binding-constraint choice.
     """
     margin = _gap_min(rp.phi[:, cols])
-    for hop in range(2, net.num_hops + 1):
+    for hop in range(2, topology.num_hops + 1):
         margin = min(margin, _gap_min(rp.gains[hop - 1][..., cols]))
     margin = min(margin, _gap_min(rp.message[:, cols]))
     table = _constraint_table(rp, rp.message.argmin(axis=0) * rp.q + np.arange(rp.q))

@@ -152,7 +152,6 @@ def infer_batch(
         )
     size = len(channels) // len(groups)
     topology = topology_of(channels[0])
-    net = engine.net_index(topology)
     parts = []
     for start in range(0, len(channels), _CHUNK):
         chunk = channels[start : start + _CHUNK]
@@ -163,7 +162,7 @@ def infer_batch(
             # each element's step per iteration, (K, elements)
             owner = np.arange(start, start + len(chunk)) // size
             steps = np.repeat(groups[owner].T, ensemble_size, axis=1)
-        trajectory = engine.iterate_schedule(net, ops, starts, steps)
+        trajectory = engine.iterate_schedule(topology, ops, starts, steps)
         next(trajectory)  # initial guesses are never candidates
         p, best = next(trajectory)
         # batch-last, as the iterates are laid out

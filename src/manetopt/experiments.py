@@ -108,16 +108,22 @@ class ExperimentConfig:
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hop_sizes", tuple(int(m) for m in self.hop_sizes))
         object.__setattr__(self, "noise_db", tuple(float(x) for x in self.noise_db))
-        if self.source_hop_sizes is not None:
-            object.__setattr__(
-                self, "source_hop_sizes", tuple(int(m) for m in self.source_hop_sizes)
-            )
+        try:
+            object.__setattr__(self, "hop_sizes", Topology(self.hop_sizes).hop_sizes)
+            if self.source_hop_sizes is not None:
+                source = Topology(self.source_hop_sizes).hop_sizes
+                object.__setattr__(self, "source_hop_sizes", source)
+        except ValueError as exc:
+            raise ConfigurationError(f"bad hop sizes: {exc}") from exc
         if not self.noise_db:
             raise ConfigurationError("at least one noise level is required")
         if self.ensemble_size < 1:
             raise ConfigurationError("ensemble_size must be >= 1")
+        if self.test_size < 1:
+            raise ConfigurationError("test_size must be >= 1")
+        if not 0.0 < self.oracle_resolution <= 1.0:
+            raise ConfigurationError("oracle_resolution must be in (0, 1]")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -195,7 +201,12 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_manifest(config: ExperimentConfig, outputs: list[str], seeds: dict) -> None:
+def _write_tables(config: ExperimentConfig, tables: dict, seeds: dict) -> dict:
+    """Write each ``name: (header, rows)`` table to ``<name>.csv`` in the
+    output directory, then the run manifest; returns ``tables``."""
+    os.makedirs(config.out_dir, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv(os.path.join(config.out_dir, f"{name}.csv"), header, rows)
     manifest = {
         "scenario": config.scenario,
         "config": config.identity(),
@@ -206,11 +217,12 @@ def _write_manifest(config: ExperimentConfig, outputs: list[str], seeds: dict) -
             "numpy": np.__version__,
             "manetopt": _version,
         },
-        "outputs": sorted(outputs),
+        "outputs": sorted(f"{name}.csv" for name in tables),
     }
     write_json(
         os.path.join(config.out_dir, "run_manifest.json"), manifest, sort_keys=True, indent=2
     )
+    return tables
 
 
 def _cache_path(config: ExperimentConfig, kind: str, descriptor: dict) -> str | None:
@@ -319,6 +331,8 @@ def _trained_schedules(
         keys.append((train_cfg, path))
     missing = [i for i, mu in enumerate(mus) if mu is None]
     if missing:
+        if config.train_size < 1:
+            raise ConfigurationError("train_size must be >= 1 to train a schedule")
         noise = noise_profile(db, topology.num_hops)
         dataset = build_dataset(
             topology, noise, config.train_size, derive_seed(config.seed, TRAIN_DATA)
@@ -420,7 +434,6 @@ def _oracle_rates(
 
 def run_iter_curve(config: ExperimentConfig) -> dict:
     """Mean min rate per iteration: learned schedule vs fixed step (vs oracle)."""
-    os.makedirs(config.out_dir, exist_ok=True)
     topology = Topology(config.hop_sizes)
     with_oracle = config.include_oracle and topology.end_users <= 2
     if with_oracle:
@@ -446,15 +459,11 @@ def run_iter_curve(config: ExperimentConfig) -> dict:
         if oracle_mean is not None:
             row.append(oracle_mean)
         rows.append(row)
-    path = os.path.join(config.out_dir, "iter_curve.csv")
-    write_csv(path, header, rows)
-    _write_manifest(config, ["iter_curve.csv"], {"noise_db": db})
-    return {"iter_curve": (header, rows)}
+    return _write_tables(config, {"iter_curve": (header, rows)}, {"noise_db": db})
 
 
 def run_noise_sweep(config: ExperimentConfig) -> dict:
     """Final min rate vs noise level for the learned and fixed-step optimizers."""
-    os.makedirs(config.out_dir, exist_ok=True)
     topology = Topology(config.hop_sizes)
     iterations = config.train.iterations
     with_oracle = config.include_oracle and topology.end_users <= 2
@@ -489,14 +498,8 @@ def run_noise_sweep(config: ExperimentConfig) -> dict:
         rows.append(row)
         for i in range(len(channels)):
             chan_rows.append([db, i, unfolded[i], fixed40[i]])
-    write_csv(os.path.join(config.out_dir, "noise_sweep.csv"), header, rows)
-    write_csv(
-        os.path.join(config.out_dir, "noise_sweep_channels.csv"), chan_header, chan_rows
-    )
-    _write_manifest(
-        config, ["noise_sweep.csv", "noise_sweep_channels.csv"], {"levels": len(rows)}
-    )
-    return {"noise_sweep": (header, rows), "noise_sweep_channels": (chan_header, chan_rows)}
+    tables = {"noise_sweep": (header, rows), "noise_sweep_channels": (chan_header, chan_rows)}
+    return _write_tables(config, tables, {"levels": len(rows)})
 
 
 def run_noisy_robustness(config: ExperimentConfig) -> dict:
@@ -508,7 +511,6 @@ def run_noisy_robustness(config: ExperimentConfig) -> dict:
     or the cache supplies them, and a level's four ensemble inferences run
     as one batch.
     """
-    os.makedirs(config.out_dir, exist_ok=True)
     topology = Topology(config.hop_sizes)
     header = [
         "noise_db",
@@ -547,21 +549,11 @@ def run_noisy_robustness(config: ExperimentConfig) -> dict:
             chan_rows.append(
                 [db, i, clean_full[i], clean_noisy[i], noisy_full[i], noisy_noisy[i]]
             )
-    write_csv(os.path.join(config.out_dir, "noisy_robustness.csv"), header, rows)
-    write_csv(
-        os.path.join(config.out_dir, "noisy_robustness_channels.csv"),
-        chan_header,
-        chan_rows,
-    )
-    _write_manifest(
-        config,
-        ["noisy_robustness.csv", "noisy_robustness_channels.csv"],
-        {"levels": len(rows)},
-    )
-    return {
+    tables = {
         "noisy_robustness": (header, rows),
         "noisy_robustness_channels": (chan_header, chan_rows),
     }
+    return _write_tables(config, tables, {"levels": len(rows)})
 
 
 def run_transfer(config: ExperimentConfig) -> dict:
@@ -571,7 +563,6 @@ def run_transfer(config: ExperimentConfig) -> dict:
     unchanged; natively trained and fixed-step baselines run on the same test
     channels for comparison.
     """
-    os.makedirs(config.out_dir, exist_ok=True)
     target = Topology(config.hop_sizes)
     if config.mu_artifact is None:
         if config.source_hop_sizes is None:
@@ -605,17 +596,12 @@ def run_transfer(config: ExperimentConfig) -> dict:
         rows.append([db, transferred.mean(), native.mean(), fixed40.mean()])
         for i in range(len(channels)):
             chan_rows.append([db, i, transferred[i], native[i], fixed40[i]])
-    write_csv(os.path.join(config.out_dir, "transfer.csv"), header, rows)
-    write_csv(os.path.join(config.out_dir, "transfer_channels.csv"), chan_header, chan_rows)
-    _write_manifest(
-        config, ["transfer.csv", "transfer_channels.csv"], {"levels": len(rows)}
-    )
-    return {"transfer": (header, rows), "transfer_channels": (chan_header, chan_rows)}
+    tables = {"transfer": (header, rows), "transfer_channels": (chan_header, chan_rows)}
+    return _write_tables(config, tables, {"levels": len(rows)})
 
 
 def run_oracle_compare(config: ExperimentConfig) -> dict:
     """Per-channel ensemble min rate against the exhaustive grid reference."""
-    os.makedirs(config.out_dir, exist_ok=True)
     topology = Topology(config.hop_sizes)
     grid_points(topology, config.oracle_resolution)  # refuse before training
     db = config.noise_db[0]
@@ -630,15 +616,8 @@ def run_oracle_compare(config: ExperimentConfig) -> dict:
     rows = [[i, ensemble[i], oracle[i]] for i in range(len(channels))]
     summary_header = ["noise_db", "ensemble_mean", "oracle_mean", "ratio"]
     summary = [[db, ensemble.mean(), oracle.mean(), ensemble.mean() / oracle.mean()]]
-    write_csv(os.path.join(config.out_dir, "oracle_compare.csv"), header, rows)
-    write_csv(os.path.join(config.out_dir, "oracle_summary.csv"), summary_header, summary)
-    _write_manifest(
-        config, ["oracle_compare.csv", "oracle_summary.csv"], {"noise_db": db}
-    )
-    return {
-        "oracle_compare": (header, rows),
-        "oracle_summary": (summary_header, summary),
-    }
+    tables = {"oracle_compare": (header, rows), "oracle_summary": (summary_header, summary)}
+    return _write_tables(config, tables, {"noise_db": db})
 
 
 SCENARIOS: dict[str, Callable[[ExperimentConfig], dict]] = {

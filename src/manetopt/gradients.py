@@ -47,9 +47,9 @@ class ObjectiveGradient:
 def objective_gradient(
     channel: ChannelRealization, p: np.ndarray, noise: NoiseProfile
 ) -> ObjectiveGradient:
-    net, ops, pq, batch = _flatten(channel, p, noise)
-    rp = engine.rate_pass(net, ops, pq)
-    grad, _, nstar, bind_hop, bind_node = engine.gradient_pass(net, ops, rp)
+    topology, ops, pq, batch = _flatten(channel, p, noise)
+    rp = engine.rate_pass(topology, ops, pq)
+    grad, _, nstar, bind_hop, bind_node = engine.gradient_pass(topology, ops, rp)
     values = np.moveaxis(grad, -1, 0).reshape(batch + grad.shape[:-1])
     if batch:
         return ObjectiveGradient(
@@ -89,9 +89,8 @@ def finite_difference_gradient(
     flat = p.reshape(-1)
     stack = np.concatenate([flat + offsets, flat - offsets]).reshape(2 * coords, rows, n)
     topology = topology_of(channel)
-    net = engine.net_index(topology)
     ops = engine.operands_from(channel, noise)
-    values = engine.rate_pass(net, ops, engine.batch_last(stack)).message.min(axis=0)
+    values = engine.rate_pass(topology, ops, engine.batch_last(stack)).message.min(axis=0)
     return ((values[:coords] - values[coords:]) / (2.0 * step)).reshape(rows, n)
 
 
@@ -103,6 +102,5 @@ def tie_margin(
     Exactly coincident values are ignored (they are structurally stuck, not a
     crossing); use this to exclude near-tie points from oracle comparisons.
     """
-    net, ops, pq, _ = _flatten(channel, p, noise)
-    rp = engine.rate_pass(net, ops, pq)
-    return engine._pass_margin(net, rp)
+    topology, ops, pq, _ = _flatten(channel, p, noise)
+    return engine._pass_margin(topology, engine.rate_pass(topology, ops, pq))

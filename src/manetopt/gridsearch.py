@@ -111,7 +111,7 @@ def grid_points(topology: Topology, resolution: float) -> int:
 
 
 def _block_values(
-    net: engine.NetIndex,
+    topology: Topology,
     ops: engine.ChannelOperands,
     grid: np.ndarray,
     rows: slice,
@@ -124,10 +124,10 @@ def _block_values(
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total))
         combo = np.array(np.unravel_index(idx, shape))  # (block rows, chunk)
-        p = np.broadcast_to(grid[0][:, None], (net.stacked_rows, 2, len(idx))).copy()
+        p = np.broadcast_to(grid[0][:, None], (topology.stacked_rows, 2, len(idx))).copy()
         p[rows] = np.moveaxis(grid[combo], -1, 1)
-        rp = engine.rate_pass(net, ops, p)
-        hop_rates = rp.user_rates if hop == net.num_hops else rp.rates[hop - 1]
+        rp = engine.rate_pass(topology, ops, p)
+        hop_rates = rp.user_rates if hop == topology.num_hops else rp.rates[hop - 1]
         values[start : start + len(idx)] = hop_rates.min(axis=(0, 1))
     return values.reshape(shape)
 
@@ -174,11 +174,10 @@ def grid_capacity(
     points = _axis_points(resolution)
     axis = np.linspace(0.0, 1.0, points)
     grid = np.stack([axis, np.sqrt(1.0 - axis * axis)], axis=-1)  # (points, 2)
-    net = engine.net_index(topology)
     ops = engine.operands_from(channel, noise)
 
     values = [
-        _block_values(net, ops, grid, block, hop) for block, hop in _blocks(topology)
+        _block_values(topology, ops, grid, block, hop) for block, hop in _blocks(topology)
     ]
     best_value = min(float(v.max()) for v in values)
     best = np.concatenate([

@@ -61,9 +61,8 @@ def pgd_step(
     p = np.asarray(p, dtype=np.float64)
     if not is_feasible(p):
         raise ValueError("pgd_step requires a feasible matrix")
-    net = engine.net_index(topology_of(channel))
     _, (stepped, _) = engine.iterate_schedule(
-        net, engine.operands_from(channel, noise), p[None], [float(mu)]
+        topology_of(channel), engine.operands_from(channel, noise), p[None], [float(mu)]
     )
     return stepped[0]
 
@@ -88,25 +87,21 @@ def run_pgd_batch(
     p0: np.ndarray,
     mu: Sequence[float] | np.ndarray,
     record_iterates: bool = False,
-    eval_channels: ChannelRealization | Sequence[ChannelRealization] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Run the schedule over a batch of starts and/or channels.
 
     ``p0`` is (batch, rows, N).  A single channel broadcasts over the batch
     (multi-start on one realization); a sequence supplies one channel per
-    batch element.  ``eval_channels`` measures the recorded rates on a
-    different channel than the one driving the steps.  Returns the min rates
-    per iterate of shape (K+1, batch) and, optionally, all iterates.
+    batch element.  Returns the min rates on the driving channels per
+    iterate, of shape (K+1, batch), and, optionally, all iterates.
     """
     mu = np.asarray(mu, dtype=np.float64)
     p0 = np.asarray(p0, dtype=np.float64)
-    first_ch = channels if isinstance(channels, ChannelRealization) else channels[0]
-    net = engine.net_index(topology_of(first_ch))
+    topology = topology_of(channels if isinstance(channels, ChannelRealization) else channels[0])
     ops = engine.operands_from(channels, noise)
-    eval_ops = None if eval_channels is None else engine.operands_from(eval_channels, noise)
     rates = np.empty((len(mu) + 1, len(p0)))
     iterates = np.empty((len(mu) + 1,) + p0.shape) if record_iterates else None
-    for k, (p, rate) in enumerate(engine.iterate_schedule(net, ops, p0, mu, eval_ops)):
+    for k, (p, rate) in enumerate(engine.iterate_schedule(topology, ops, p0, mu)):
         rates[k] = rate
         if record_iterates:
             iterates[k] = p
@@ -144,10 +139,9 @@ def calibrate_fixed_step(
     )
     mu = np.broadcast_to(np.repeat(tried, count), (iterations, q))
     ops = engine.operands_from(list(channels) * len(tried), noise)
-    net = engine.net_index(topology)
     keep = min(iterations + 1, max(2, int(round(tail_fraction * iterations))))
     tail = np.empty((keep, len(tried)))
-    for k, (_, rates) in enumerate(engine.iterate_schedule(net, ops, p0, mu)):
+    for k, (_, rates) in enumerate(engine.iterate_schedule(topology, ops, p0, mu)):
         row = k - (iterations + 1 - keep)
         if row >= 0:
             tail[row] = rates.reshape(len(tried), count).mean(axis=1)

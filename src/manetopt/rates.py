@@ -58,11 +58,10 @@ class RateReport:
 
 def _flatten(
     channel: ChannelRealization, p: np.ndarray, noise: NoiseProfile
-) -> tuple[engine.NetIndex, engine.ChannelOperands, np.ndarray, tuple[int, ...]]:
+) -> tuple[Topology, engine.ChannelOperands, np.ndarray, tuple[int, ...]]:
     topology = topology_of(channel)
     if len(noise.hop_noise_vars) != topology.num_hops:
         raise ValueError("noise profile length does not match the hop count")
-    net = engine.net_index(topology)
     p = np.asarray(p, dtype=np.float64)
     if p.shape[-2:] != (topology.stacked_rows, topology.end_users):
         raise ValueError(
@@ -82,14 +81,14 @@ def _flatten(
     else:
         first, later = channel.first_hop, channel.later_hops
     ops = engine.prepare_operands(first, later, np.asarray(noise.hop_noise_vars))
-    return net, ops, engine.batch_last(pq), batch
+    return topology, ops, engine.batch_last(pq), batch
 
 
 def compute_report(
     channel: ChannelRealization, p: np.ndarray, noise: NoiseProfile
 ) -> RateReport:
-    net, ops, pq, batch = _flatten(channel, p, noise)
-    rp = engine.rate_pass(net, ops, pq)
+    topology, ops, pq, batch = _flatten(channel, p, noise)
+    rp = engine.rate_pass(topology, ops, pq)
 
     def shape(arr: np.ndarray) -> np.ndarray:
         return np.moveaxis(arr, -1, 0).reshape(batch + arr.shape[:-1])

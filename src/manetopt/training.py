@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import engine
-from .channels import ChannelDataset, ChannelRealization, NoiseProfile, Topology
+from .channels import ChannelDataset, ChannelRealization, NoiseProfile, Topology, topology_of
 from .jsonfile import write_json
 from .pgd import FIXED_STEP
 from .pilots import lmmse_estimate, make_pilots, simulate_pilot_rx
@@ -141,7 +141,7 @@ def _estimate_entries(
 
 
 def _batch_loss_grad(
-    net: engine.NetIndex,
+    topology: Topology,
     entries: Sequence[tuple[ChannelRealization, NoiseProfile]],
     opt_channels: Sequence[ChannelRealization] | None,
     mu: np.ndarray,
@@ -165,7 +165,7 @@ def _batch_loss_grad(
     p0q = np.broadcast_to(p0, (q,) + p0.shape)
     weights = iteration_weights(np.shape(mu)[-1])
     return engine.unrolled_loss(
-        net,
+        topology,
         opt_ops,
         loss_ops,
         p0q,
@@ -186,10 +186,7 @@ def loss_grad_mu(
     """Gradient of the batch-averaged loss with respect to the step sizes."""
     if not batch:
         raise ValueError("batch must be non-empty")
-    from .channels import topology_of
-
     topology = topology_of(batch[0][0])
-    net = engine.net_index(topology)
     opt = None
     if mode == NOISY_CSI:
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
@@ -198,7 +195,7 @@ def loss_grad_mu(
         )
     elif mode != FULL_CSI:
         raise ValueError(f"unknown mode {mode!r}")
-    result = _batch_loss_grad(net, batch, opt, np.asarray(mu, float), p0)
+    result = _batch_loss_grad(topology, batch, opt, np.asarray(mu, float), p0)
     return result.grad
 
 
@@ -233,7 +230,6 @@ def train(
     if lead.batch_count > size:
         raise ValueError("batch_count cannot exceed the dataset size")
     topology = dataset.topology
-    net = engine.net_index(topology)
 
     mu = np.array([
         np.full(lead.iterations, float(FIXED_STEP if c.init_step is None else c.init_step))
@@ -264,7 +260,7 @@ def train(
                 )
                 truth = [ch for ch, _ in entries]
                 opt = [ch for n in noisy for ch in (estimates if n else truth)]
-            result = _batch_loss_grad(net, entries * len(configs), opt, mu, p0)
+            result = _batch_loss_grad(topology, entries * len(configs), opt, mu, p0)
             for s, c in enumerate(configs):
                 states[s], mu[s] = adam_update(
                     states[s], result.grad[s], mu[s], c.learning_rate, c.beta1, c.beta2, c.eps

@@ -152,7 +152,6 @@ def test_criterion_03_mu_gradient_correctness():
     t0 = time.time()
     topology = mo.Topology((2, 2))
     noise = mo.NoiseProfile((1.0, 1.0))
-    net = engine.net_index(topology)
     worst = 0.0
     checked = 0
     seed = 0
@@ -168,7 +167,7 @@ def test_criterion_03_mu_gradient_correctness():
             opt = _estimate_entries(
                 entries, topology, 1.0, [np.random.default_rng([404, seed, i]) for i in range(4)]
             )
-        result = _batch_loss_grad(net, entries, opt, mu, p0, track_margins=True)
+        result = _batch_loss_grad(topology, entries, opt, mu, p0, track_margins=True)
         if result.min_margin < 1e-4:
             continue
         checked += 1
@@ -179,8 +178,8 @@ def test_criterion_03_mu_gradient_correctness():
             up[j] += delta
             down[j] -= delta
             fd[j] = (
-                _batch_loss_grad(net, entries, opt, up, p0, want_grad=False).loss
-                - _batch_loss_grad(net, entries, opt, down, p0, want_grad=False).loss
+                _batch_loss_grad(topology, entries, opt, up, p0, want_grad=False).loss
+                - _batch_loss_grad(topology, entries, opt, down, p0, want_grad=False).loss
             ) / (2 * delta)
         err = float(np.max(np.abs(result.grad - fd)) / max(np.max(np.abs(fd)), 1e-9))
         worst = max(worst, err)
@@ -319,10 +318,12 @@ def schedule_final_rates(config, channels, noise, mu, level_index=0):
         starts.append(
             member_starts(topology, size, derive_seed(config.seed, ENSEMBLE, level_index, index))
         )
-    rates, _ = mo.run_pgd_batch(
-        estimates, noise, np.concatenate(starts), mu, eval_channels=truths
+    _, iterates = mo.run_pgd_batch(
+        estimates, noise, np.concatenate(starts), mu, record_iterates=True
     )
-    return rates[-1].reshape(len(channels), size).mean(axis=1)
+    truth = mo.ChannelRealization(*engine.stack_channels(truths))
+    rates, _ = mo.min_rate(truth, iterates[-1], noise)
+    return rates.reshape(len(channels), size).mean(axis=1)
 
 
 def robustness_verdict(noisy, clean):

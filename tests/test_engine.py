@@ -60,8 +60,8 @@ def ascending(values, mask):
     return total
 
 
-def ref_rate_pass(net, ops, p, dp=None):
-    nmsg = net.end_users
+def ref_rate_pass(topology, ops, p, dp=None):
+    nmsg = topology.end_users
     eye = np.eye(nmsg, dtype=bool)
     phi = p[:, -1, :]
     phi2 = phi * phi
@@ -77,9 +77,9 @@ def ref_rate_pass(net, ops, p, dp=None):
     if dp is not None:
         rp.dphi = dp[:, -1, :]
         rp.di1 = ascending(2.0 * phi * rp.dphi, mask1)
-    for hop in range(2, net.num_hops + 1):
+    for hop in range(2, topology.num_hops + 1):
         j = hop - 2
-        rows = net.block(hop - 1)
+        rows = topology.block_rows(hop - 1)
         cr = ops.ht_re[j] @ p[:, rows, :]
         ci = ops.ht_im[j] @ p[:, rows, :]
         g = cr * cr + ci * ci
@@ -100,10 +100,10 @@ def ref_rate_pass(net, ops, p, dp=None):
             rp.dc_im.append(dci)
             rp.dgains.append(dg)
             rp.dib.append(ascending(dg, mb))
-        if hop == net.num_hops:
+        if hop == topology.num_hops:
             diag = np.diagonal(g, axis1=-2, axis2=-1)
             rp.elig = g >= diag[:, :, None]
-    relay_mins = [rp.rates[r - 1].min(axis=-2) for r in range(1, net.num_hops)]
+    relay_mins = [rp.rates[r - 1].min(axis=-2) for r in range(1, topology.num_hops)]
     user_min = np.where(rp.elig, rp.rates[-1], np.inf).min(axis=-2)
     rp.message = np.minimum.reduce(relay_mins + [user_min])
     rp.q = rp.message.shape[0]
@@ -114,10 +114,10 @@ def _full(arr, q):
     return arr if arr.shape[0] == q else np.broadcast_to(arr, (q,) + arr.shape[1:])
 
 
-def ref_select_binding(net, rp, nstar):
+def ref_select_binding(topology, rp, nstar):
     qi = np.arange(rp.q)
     relay_vals, relay_args = [], []
-    for r in range(1, net.num_hops):
+    for r in range(1, topology.num_hops):
         col = rp.rates[r - 1][qi, :, nstar]
         relay_vals.append(col.min(axis=-1))
         relay_args.append(col.argmin(axis=-1))
@@ -126,17 +126,17 @@ def ref_select_binding(net, rp, nstar):
     relay_v, relay_m = rv[rhop, qi], ra[rhop, qi]
     masked = np.where(rp.elig[qi, :, nstar], rp.rates[-1][qi, :, nstar], np.inf)
     use_relay = relay_v < masked.min(axis=-1)
-    bind_hop = np.where(use_relay, rhop + 1, net.num_hops)
+    bind_hop = np.where(use_relay, rhop + 1, topology.num_hops)
     bind_node = np.where(use_relay, relay_m, masked.argmin(axis=-1))
     return bind_hop, bind_node
 
 
-def loop_select_binding(net, rp, nstar):
+def loop_select_binding(topology, rp, nstar):
     """``engine.select_binding`` as a hop-by-hop loop on the batch-last
     pass: the relay minimum moves to a later hop only on a strict decrease,
     then the relay binds only if strictly below the end users' minimum."""
     flat = nstar * rp.q + np.arange(rp.q)
-    nhops = net.num_hops
+    nhops = topology.num_hops
     col = engine._column(rp.rates[0], flat)
     relay_v, relay_node = col.min(axis=0), col.argmin(axis=0)
     relay_hop = np.ones_like(relay_node)
@@ -153,14 +153,14 @@ def loop_select_binding(net, rp, nstar):
     return np.where(use_relay, relay_hop, nhops), np.where(use_relay, relay_node, user_l)
 
 
-def ref_gradient_pass(net, ops, rp):
+def ref_gradient_pass(topology, ops, rp):
     q = rp.q
     want_d = rp.dphi is not None
     nstar = rp.message.argmin(axis=-1)
-    bind_hop, bind_node = ref_select_binding(net, rp, nstar)
-    grad = np.zeros((q, net.stacked_rows, net.end_users))
+    bind_hop, bind_node = ref_select_binding(topology, rp, nstar)
+    grad = np.zeros((q, topology.stacked_rows, topology.end_users))
     dgrad = np.zeros_like(grad) if want_d else None
-    for r in range(1, net.num_hops + 1):
+    for r in range(1, topology.num_hops + 1):
         sel = np.nonzero(bind_hop == r)[0]
         if sel.size == 0:
             continue
@@ -192,7 +192,7 @@ def ref_gradient_pass(net, ops, rp):
                 dgrad[sel, -1, :] = dg
         else:
             j = r - 2
-            rows = net.block(r - 1)
+            rows = topology.block_rows(r - 1)
             hre = _full(ops.ht_re[j], q)[sel, node, :]
             him = _full(ops.ht_im[j], q)[sel, node, :]
             sb = _full(ops.sig2, q)[sel, r - 1]
@@ -266,14 +266,14 @@ def ref_project_adjoint(x, a):
     return back if scale is None else back / scale
 
 
-def ref_iterate(net, ops, p0, mu):
+def ref_iterate(topology, ops, p0, mu):
     p = np.array(p0, dtype=np.float64)
     for k in range(len(mu)):
-        rp = ref_rate_pass(net, ops, p)
+        rp = ref_rate_pass(topology, ops, p)
         yield p, rp.message.min(axis=-1)
-        grad = ref_gradient_pass(net, ops, rp)[0]
+        grad = ref_gradient_pass(topology, ops, rp)[0]
         p = ref_project_with_tangent(p + mu[k] * grad)[0]
-    yield p, ref_rate_pass(net, ops, p).message.min(axis=-1)
+    yield p, ref_rate_pass(topology, ops, p).message.min(axis=-1)
 
 
 def _ref_gap_min(values):
@@ -283,19 +283,19 @@ def _ref_gap_min(values):
     return float(nz.min()) if nz.size else np.inf
 
 
-def ref_pass_margin(net, rp):
+def ref_pass_margin(topology, rp):
     margin = _ref_gap_min(rp.phi)
-    for hop in range(2, net.num_hops + 1):
+    for hop in range(2, topology.num_hops + 1):
         margin = min(margin, _ref_gap_min(rp.gains[hop - 1]))
     margin = min(margin, _ref_gap_min(rp.message))
     nstar = rp.message.argmin(axis=-1)
     qi = np.arange(rp.q)
-    cols = [rp.rates[r - 1][qi, :, nstar] for r in range(1, net.num_hops)]
+    cols = [rp.rates[r - 1][qi, :, nstar] for r in range(1, topology.num_hops)]
     user = np.where(rp.elig[qi, :, nstar], rp.rates[-1][qi, :, nstar], np.inf)
     return min(margin, _ref_gap_min(np.concatenate(cols + [user], axis=-1)))
 
 
-def ref_unrolled_loss(net, opt_ops, loss_ops, p0, mu, weights):
+def ref_unrolled_loss(topology, opt_ops, loss_ops, p0, mu, weights):
     """Loss, gradient, iterate rates, final iterate and min margin."""
     steps = len(mu)
     p = np.array(p0, dtype=np.float64)
@@ -306,36 +306,36 @@ def ref_unrolled_loss(net, opt_ops, loss_ops, p0, mu, weights):
     margin = np.inf
     ps, gs, xs, loss_grads = [], [], [], []
     for k in range(steps):
-        rp = ref_rate_pass(net, opt_ops, p)
-        rp_loss = rp if same else ref_rate_pass(net, loss_ops, p)
+        rp = ref_rate_pass(topology, opt_ops, p)
+        rp_loss = rp if same else ref_rate_pass(topology, loss_ops, p)
         rates[k] = rp_loss.message.min(axis=-1)
         if k >= 1:
             loss -= weights[k - 1] * rates[k].mean()
-        margin = min(margin, ref_pass_margin(net, rp))
-        grad = ref_gradient_pass(net, opt_ops, rp)[0]
+        margin = min(margin, ref_pass_margin(topology, rp))
+        grad = ref_gradient_pass(topology, opt_ops, rp)[0]
         x = p + mu[k] * grad
         nz = x[x != 0.0]
         if nz.size:
             margin = min(margin, float(np.abs(nz).min()))
         if k >= 1:
-            loss_grads.append(grad if same else ref_gradient_pass(net, loss_ops, rp_loss)[0])
+            loss_grads.append(grad if same else ref_gradient_pass(topology, loss_ops, rp_loss)[0])
         ps.append(p)
         gs.append(grad)
         xs.append(x)
         p = ref_project_with_tangent(x)[0]
-    rp_loss = ref_rate_pass(net, loss_ops, p)
+    rp_loss = ref_rate_pass(topology, loss_ops, p)
     rates[steps] = rp_loss.message.min(axis=-1)
     loss -= weights[steps - 1] * rates[steps].mean()
     if same:
-        margin = min(margin, ref_pass_margin(net, rp_loss))
+        margin = min(margin, ref_pass_margin(topology, rp_loss))
     dloss = np.empty(steps)
-    lam = -(weights[steps - 1] / q) * ref_gradient_pass(net, loss_ops, rp_loss)[0]
+    lam = -(weights[steps - 1] / q) * ref_gradient_pass(topology, loss_ops, rp_loss)[0]
     for k in range(steps - 1, -1, -1):
         v = ref_project_adjoint(xs[k], lam)
         dloss[k] = np.sum(gs[k] * v)
         if k == 0:
             break
-        hv = ref_gradient_pass(net, opt_ops, ref_rate_pass(net, opt_ops, ps[k], dp=v))[1]
+        hv = ref_gradient_pass(topology, opt_ops, ref_rate_pass(topology, opt_ops, ps[k], dp=v))[1]
         lam = -(weights[k - 1] / q) * loss_grads[k - 1] + v + mu[k] * hv
     return float(loss), dloss, rates, p, float(margin)
 
@@ -378,16 +378,15 @@ def _assert_same(new, ref):
 @pytest.mark.parametrize("hop_sizes", TOPOLOGIES)
 def test_iterate_schedule_matches_reference(hop_sizes, pick):
     topology = mo.Topology(hop_sizes)
-    net = engine.net_index(topology)
     entries = _entries(topology, 9, seed=[71, len(hop_sizes), hop_sizes[-1]])[pick]
     ops, ref_ops = _both_operands(
         [ch for ch, _ in entries], [n.hop_noise_vars for _, n in entries]
     )
     p0 = _starts(topology, 9, seed=7)[pick]
     mu = np.random.default_rng(3).uniform(0.01, 1.0, 300)
-    new = engine.iterate_schedule(net, ops, p0, mu)
+    new = engine.iterate_schedule(topology, ops, p0, mu)
     for k, ((p, rates), (p_ref, rates_ref)) in enumerate(
-        zip(new, ref_iterate(net, ref_ops, p0, mu))
+        zip(new, ref_iterate(topology, ref_ops, p0, mu))
     ):
         _assert_same(p, p_ref)
         _assert_same(rates, rates_ref)
@@ -396,7 +395,6 @@ def test_iterate_schedule_matches_reference(hop_sizes, pick):
 
 def _check_unrolled_loss(hop_sizes, noisy, pick):
     topology = mo.Topology(hop_sizes)
-    net = engine.net_index(topology)
     entries = _entries(topology, 8, seed=[72, len(hop_sizes), hop_sizes[-1]])[pick]
     noise_rows = [n.hop_noise_vars for _, n in entries]
     loss_ops, ref_loss_ops = _both_operands([ch for ch, _ in entries], noise_rows)
@@ -410,10 +408,10 @@ def _check_unrolled_loss(hop_sizes, noisy, pick):
     mu = np.random.default_rng(4).uniform(0.02, 0.5, 12)
     weights = iteration_weights(len(mu))
     result = engine.unrolled_loss(
-        net, opt_ops, loss_ops, p0, mu, weights, want_grad=True, track_margins=True
+        topology, opt_ops, loss_ops, p0, mu, weights, want_grad=True, track_margins=True
     )
     loss, grad, rates, final, margin = ref_unrolled_loss(
-        net, ref_opt_ops, ref_loss_ops, p0, mu, weights
+        topology, ref_opt_ops, ref_loss_ops, p0, mu, weights
     )
     assert result.loss == loss
     _assert_same(result.grad, grad)
@@ -440,7 +438,6 @@ def test_single_element_unrolled_loss_matches_reference(hop_sizes, noisy):
 @pytest.mark.parametrize("hop_sizes", [(2, 2), (1, 2, 2)])
 def test_grid_chunk_matches_reference(hop_sizes):
     topology = mo.Topology(hop_sizes)
-    net = engine.net_index(topology)
     channel = mo.sample_channel(topology, 1.0, np.random.default_rng(5))
     noise = mo.NoiseProfile((1.0,) * topology.num_hops)
     ops = engine.operands_from(channel, noise)
@@ -451,14 +448,14 @@ def test_grid_chunk_matches_reference(hop_sizes):
     axis = np.linspace(0.0, 1.0, 101)
     grid = np.stack([axis, np.sqrt(1.0 - axis * axis)], axis=-1)
     for rows, hop in gridsearch._blocks(topology):
-        values = gridsearch._block_values(net, ops, grid, rows, hop)
+        values = gridsearch._block_values(topology, ops, grid, rows, hop)
         shape = values.shape
         combo = np.array(np.unravel_index(np.arange(values.size), shape)).T
-        p = np.broadcast_to(grid[0], (values.size, net.stacked_rows, 2)).copy()
+        p = np.broadcast_to(grid[0], (values.size, topology.stacked_rows, 2)).copy()
         p[:, rows] = grid[combo]
-        rp = ref_rate_pass(net, ref_ops, p)
+        rp = ref_rate_pass(topology, ref_ops, p)
         hop_rates = rp.rates[hop - 1]
-        if hop == net.num_hops:
+        if hop == topology.num_hops:
             hop_rates = np.where(rp.elig, hop_rates, np.inf)
         _assert_same(values, hop_rates.min(axis=(-2, -1)).reshape(shape))
 
@@ -504,7 +501,6 @@ def test_grouped_unrolled_loss_matches_separate_calls(hop_sizes, drive):
     # loss, gradient, iterate rates and final iterate equal a call on that
     # group alone, and the joint margin is the smallest of the groups'.
     topology = mo.Topology(hop_sizes)
-    net = engine.net_index(topology)
     groups, size, steps = 4, 4, 10
     entries = _entries(topology, groups * size, seed=[73, len(hop_sizes), hop_sizes[-1]])
     noise_rows = np.array([n.hop_noise_vars for _, n in entries])
@@ -532,7 +528,7 @@ def test_grouped_unrolled_loss_matches_separate_calls(hop_sizes, drive):
     p0 = _starts(topology, groups * size, seed=9)
     mu = np.random.default_rng(5).uniform(0.02, 0.5, (groups, steps))
     weights = iteration_weights(steps)
-    joint = engine.unrolled_loss(net, opt_ops, loss_ops, p0, mu, weights, track_margins=True)
+    joint = engine.unrolled_loss(topology, opt_ops, loss_ops, p0, mu, weights, track_margins=True)
     assert joint.loss.shape == (groups,)
     assert joint.grad.shape == (groups, steps)
     margins = []
@@ -541,7 +537,7 @@ def test_grouped_unrolled_loss_matches_separate_calls(hop_sizes, drive):
         own_loss = operands(truth, block)
         own_opt = operands(estimates, block) if noisy[s] else own_loss
         alone = engine.unrolled_loss(
-            net, own_opt, own_loss, p0[block], mu[s], weights, track_margins=True
+            topology, own_opt, own_loss, p0[block], mu[s], weights, track_margins=True
         )
         assert joint.loss[s] == alone.loss
         _assert_same(joint.grad[s], alone.grad)
@@ -550,7 +546,7 @@ def test_grouped_unrolled_loss_matches_separate_calls(hop_sizes, drive):
         margins.append(alone.min_margin)
     assert joint.min_margin == min(margins)
     with pytest.raises(ValueError, match="equal groups"):
-        engine.unrolled_loss(net, loss_ops, loss_ops, p0, np.full((5, steps), 0.1), weights)
+        engine.unrolled_loss(topology, loss_ops, loss_ops, p0, np.full((5, steps), 0.1), weights)
 
 
 def test_unrolled_loss_makes_one_rate_pass_per_step(monkeypatch):
@@ -559,7 +555,6 @@ def test_unrolled_loss_makes_one_rate_pass_per_step(monkeypatch):
     # the noisy group's other loss columns, the last iterate one over the
     # loss columns, and the backward sweep makes none.
     topology = mo.Topology((3, 3))
-    net = engine.net_index(topology)
     size, steps = 5, 7
     entries = _entries(topology, size, seed=74)
     truth = [ch for ch, _ in entries]
@@ -573,9 +568,9 @@ def test_unrolled_loss_makes_one_rate_pass_per_step(monkeypatch):
     events = []
     rate_pass, project_adjoint = engine.rate_pass, engine.project_adjoint
 
-    def counted_rate_pass(net, ops, p):
+    def counted_rate_pass(topology, ops, p):
         events.append(("rate_pass", p.shape[-1]))
-        return rate_pass(net, ops, p)
+        return rate_pass(topology, ops, p)
 
     def marked_adjoint(x, lam):
         events.append(("adjoint", None))
@@ -585,7 +580,7 @@ def test_unrolled_loss_makes_one_rate_pass_per_step(monkeypatch):
     monkeypatch.setattr(engine, "project_adjoint", marked_adjoint)
     mu = np.random.default_rng(6).uniform(0.02, 0.5, (2, steps))
     p0 = _starts(topology, 2 * size, seed=10)
-    result = engine.unrolled_loss(net, opt_ops, loss_ops, p0, mu, iteration_weights(steps))
+    result = engine.unrolled_loss(topology, opt_ops, loss_ops, p0, mu, iteration_weights(steps))
     assert result.grad.shape == (2, steps)
     widths = [width for name, width in events if name == "rate_pass"]
     assert widths == [2 * size + size - 1] * steps + [2 * size]
@@ -602,32 +597,31 @@ def _coarse_pass(hop_sizes, seed, q=60):
     recomputed from them; the coefficients and gains stay those of the
     pass, so every branch's gradient is defined."""
     topology = mo.Topology(hop_sizes)
-    net = engine.net_index(topology)
     entries = _entries(topology, q, seed=[75, seed])
     ops = engine.operands_from([ch for ch, _ in entries], entries[0][1])
     p = engine.batch_last(_starts(topology, q, seed=seed))
-    rp = engine.rate_pass(net, ops, p)
+    rp = engine.rate_pass(topology, ops, p)
     rp.rates = [np.round(r * 4.0) / 4.0 for r in rp.rates]
     rp.user_rates = np.where(np.isinf(rp.user_rates), np.inf, np.round(rp.user_rates * 4.0) / 4.0)
-    return net, ops, rp
+    return topology, ops, rp
 
 
-def _remessage(net, rp):
+def _remessage(topology, rp):
     rp.message = np.minimum.reduce(
         [rp.user_rates.min(axis=0)] + [r.min(axis=0) for r in rp.rates[:-1]]
     )
 
 
-def _check_binding(monkeypatch, net, ops, rp):
+def _check_binding(monkeypatch, topology, ops, rp):
     nstar = rp.message.argmin(axis=0)
-    hop, node = engine.select_binding(net, rp, nstar)
-    ref_hop, ref_node = loop_select_binding(net, rp, nstar)
+    hop, node = engine.select_binding(topology, rp, nstar)
+    ref_hop, ref_node = loop_select_binding(topology, rp, nstar)
     assert np.array_equal(hop, ref_hop)
     assert np.array_equal(node, ref_node)
     with np.errstate(invalid="ignore"):
-        grad = engine.gradient_pass(net, ops, rp)[0]
+        grad = engine.gradient_pass(topology, ops, rp)[0]
         monkeypatch.setattr(engine, "select_binding", loop_select_binding)
-        ref_grad = engine.gradient_pass(net, ops, rp)[0]
+        ref_grad = engine.gradient_pass(topology, ops, rp)[0]
     monkeypatch.undo()
     assert np.array_equal(grad, ref_grad, equal_nan=True)
     return hop, node
@@ -636,29 +630,28 @@ def _check_binding(monkeypatch, net, ops, rp):
 @pytest.mark.parametrize("hop_sizes", [(2, 2), (3, 3), (1, 2, 2), (2, 2, 2), (2, 3, 4), (2, 9)])
 def test_select_binding_matches_loop_on_random_passes(hop_sizes):
     topology = mo.Topology(hop_sizes)
-    net = engine.net_index(topology)
     entries = _entries(topology, 50, seed=[76, len(hop_sizes)])
     ops = engine.operands_from([ch for ch, _ in entries], entries[0][1])
     p = engine.batch_last(_starts(topology, 50, seed=11))
-    rp = engine.rate_pass(net, ops, p)
+    rp = engine.rate_pass(topology, ops, p)
     rng = np.random.default_rng(12)
     for nstar in (rp.message.argmin(axis=0), rng.integers(0, topology.end_users, 50)):
-        hop, node = engine.select_binding(net, rp, nstar)
-        ref_hop, ref_node = loop_select_binding(net, rp, nstar)
+        hop, node = engine.select_binding(topology, rp, nstar)
+        ref_hop, ref_node = loop_select_binding(topology, rp, nstar)
         assert np.array_equal(hop, ref_hop)
         assert np.array_equal(node, ref_node)
 
 
 @pytest.mark.parametrize("hop_sizes", [(2, 2), (3, 3), (1, 2, 2), (2, 2, 2), (2, 3, 4)])
 def test_select_binding_matches_loop_on_coarse_passes(monkeypatch, hop_sizes):
-    net, ops, rp = _coarse_pass(hop_sizes, seed=13)
-    _remessage(net, rp)
-    hop, _ = _check_binding(monkeypatch, net, ops, rp)
+    topology, ops, rp = _coarse_pass(hop_sizes, seed=13)
+    _remessage(topology, rp)
+    hop, _ = _check_binding(monkeypatch, topology, ops, rp)
     # an end user tied with a relay node, and won
     nstar = rp.message.argmin(axis=0)
     flat = nstar * rp.q + np.arange(rp.q)
     relay_best = np.minimum.reduce([engine._column(r, flat).min(axis=0) for r in rp.rates[:-1]])
-    assert np.any((hop == net.num_hops) & (relay_best == rp.message[nstar, np.arange(rp.q)]))
+    assert np.any((hop == topology.num_hops) & (relay_best == rp.message[nstar, np.arange(rp.q)]))
 
 
 @pytest.mark.parametrize("hop_sizes", [(3, 3), (2, 2, 2)])
@@ -668,7 +661,7 @@ def test_select_binding_matches_loop_on_exact_ties(monkeypatch, hop_sizes):
     # hop 1 binds in element 1; hop 1 raised to the end users in element 2,
     # so the end user beats hop 1, unless hop 2 is lower; and all but the
     # first node of hop 1 lowered in element 3, so the second node binds.
-    net, ops, rp = _coarse_pass(hop_sizes, seed=14, q=6)
+    topology, ops, rp = _coarse_pass(hop_sizes, seed=14, q=6)
     finite = np.isfinite(rp.user_rates)
     for r in rp.rates:
         r[...] = 0.5
@@ -676,33 +669,33 @@ def test_select_binding_matches_loop_on_exact_ties(monkeypatch, hop_sizes):
     rp.user_rates[..., 1:] = np.where(finite[..., 1:], 0.75, np.inf)
     rp.rates[0][..., 2] = 0.75
     rp.rates[0][1:, :, 3] = 0.25
-    _remessage(net, rp)
-    hop, node = _check_binding(monkeypatch, net, ops, rp)
+    _remessage(topology, rp)
+    hop, node = _check_binding(monkeypatch, topology, ops, rp)
     assert np.all(rp.message.argmin(axis=0) == 0)
-    assert (hop[0], node[0]) == (net.num_hops, finite[:, 0, 0].argmax())
+    assert (hop[0], node[0]) == (topology.num_hops, finite[:, 0, 0].argmax())
     assert (hop[1], node[1]) == (1, 0)
-    if net.num_hops > 2:
+    if topology.num_hops > 2:
         assert (hop[2], node[2]) == (2, 0)
     else:
-        assert (hop[2], node[2]) == (net.num_hops, finite[:, 0, 2].argmax())
+        assert (hop[2], node[2]) == (topology.num_hops, finite[:, 0, 2].argmax())
     assert (hop[3], node[3]) == (1, 1)
 
 
 @pytest.mark.parametrize("hop_sizes", [(3, 3), (2, 2, 2)])
 def test_select_binding_matches_loop_on_inf_and_nan(monkeypatch, hop_sizes):
-    net, ops, rp = _coarse_pass(hop_sizes, seed=15, q=12)
+    topology, ops, rp = _coarse_pass(hop_sizes, seed=15, q=12)
     # element 0: no end user need decode any message
     rp.user_rates[..., 0] = np.inf
     # a NaN at an end user, at a node of hop 1 and, with three hops, of hop 2
     rp.user_rates[1, :, 1] = np.nan
     rp.rates[0][1, :, 2] = np.nan
     rp.rates[0][0, 0, 3] = np.nan
-    if net.num_hops > 2:
+    if topology.num_hops > 2:
         rp.rates[1][1, :, 4] = np.nan
         rp.rates[1][0, 0, 5] = np.nan
         rp.rates[0][..., 5] = 0.0
-    _remessage(net, rp)
-    _check_binding(monkeypatch, net, ops, rp)
+    _remessage(topology, rp)
+    _check_binding(monkeypatch, topology, ops, rp)
 
 
 # --- kept projection factors -----------------------------------------------
@@ -734,7 +727,6 @@ def test_adjoint_from_kept_factors_equals_fresh_adjoint():
 
 def test_backward_sweep_recomputes_no_row_factors(monkeypatch):
     topology = mo.Topology((3, 3))
-    net = engine.net_index(topology)
     entries = _entries(topology, 6, seed=77)
     ops = engine.operands_from([ch for ch, _ in entries], entries[0][1])
     p0 = _starts(topology, 6, seed=12)
@@ -753,6 +745,6 @@ def test_backward_sweep_recomputes_no_row_factors(monkeypatch):
     monkeypatch.setattr(engine, "project_adjoint", marked_adjoint)
     steps = 5
     mu = np.full(steps, 0.2)
-    engine.unrolled_loss(net, ops, ops, p0, mu, iteration_weights(steps))
+    engine.unrolled_loss(topology, ops, ops, p0, mu, iteration_weights(steps))
     assert events.count("row_factors") == steps
     assert events[events.index("adjoint"):] == ["adjoint"] * steps

@@ -108,9 +108,9 @@ def test_bulk_starts_match_per_member_loop(monkeypatch, hop_sizes, ensemble_size
     seen = []
     iterate = ensemble.engine.iterate_schedule
 
-    def spy(net, ops, p0, mu, *args, **kwargs):
+    def spy(topology, ops, p0, mu):
         seen.append(np.array(p0))
-        return iterate(net, ops, p0, mu, *args, **kwargs)
+        return iterate(topology, ops, p0, mu)
 
     monkeypatch.setattr(ensemble.engine, "iterate_schedule", spy)
     monkeypatch.setattr(ensemble, "_CHUNK", 3)

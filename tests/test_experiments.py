@@ -434,6 +434,28 @@ def test_cli_success_and_exit_codes(tmp_path):
     # capability error surfaces as exit code 3
     big = tiny_config(tmp_path, "oracle-compare", hop_sizes=(3, 3))
     assert _run_cli(tmp_path, "oracle-compare", big) == 3
+    # out-of-range values -> configuration error
+    oracle = tiny_config(tmp_path, "oracle-compare").to_dict()
+    for key, value in (
+        ("test_size", 0),
+        ("oracle_resolution", 0),
+        ("oracle_resolution", 1.5),
+        ("hop_sizes", [2]),
+        ("hop_sizes", [2, 0]),
+        ("source_hop_sizes", [0, 2]),
+        ("train_size", 0),
+    ):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(dict(oracle, **{key: value})))
+        assert cli.main(["oracle-compare", "--config", str(cfg_path)]) == 2, key
+    # train_size only matters when a schedule has to train
+    artifact = tmp_path / "mu.json"
+    save_schedule(str(artifact), np.full(6, 0.1), Topology((2, 2)), "full-csi", 3)
+    frozen = tiny_config(
+        tmp_path, "oracle-compare", train_size=0, mu_artifact=str(artifact),
+        out_dir=str(tmp_path / "frozen"),
+    )
+    assert _run_cli(tmp_path, "oracle-compare", frozen) == 0
 
 
 def test_cli_overrides(tmp_path):

@@ -25,7 +25,6 @@ def brute_force_grid(channel, noise, resolution, chunk=131_072):
     total = points**rows
     axis = np.linspace(0.0, 1.0, points)
     other = np.sqrt(1.0 - axis * axis)
-    net = engine.net_index(topology)
     ops = engine.operands_from(channel, noise)
     best_value = -np.inf
     best_index = 0
@@ -35,7 +34,7 @@ def brute_force_grid(channel, noise, resolution, chunk=131_072):
         p = np.empty((len(idx), rows, 2))
         p[:, :, 0] = axis[combo]
         p[:, :, 1] = other[combo]
-        values = engine.rate_pass(net, ops, engine.batch_last(p)).message.min(axis=0)
+        values = engine.rate_pass(topology, ops, engine.batch_last(p)).message.min(axis=0)
         local = int(np.argmax(values))
         if values[local] > best_value:
             best_value = float(values[local])

@@ -115,20 +115,6 @@ def test_batch_broadcasts_single_channel(net_122):
         assert np.array_equal(rates[:, i], single.min_rates)
 
 
-def test_eval_channels_split(net_122):
-    # Rates can be recorded on a different channel than the one driving steps.
-    topo, ch, noise = net_122
-    other = mo.sample_channel(topo, 1.0, np.random.default_rng(500))
-    p0 = mo.uniform_init(topo)[None]
-    mu = np.full(5, 0.2)
-    rates, iterates = mo.run_pgd_batch(
-        ch, noise, p0, mu, record_iterates=True, eval_channels=other
-    )
-    for k in range(6):
-        expected, _ = mo.min_rate(other, iterates[k, 0], noise)
-        assert rates[k, 0] == expected
-
-
 def test_calibrate_fixed_step_small():
     from manetopt.pgd import STEP_CANDIDATES
 
@@ -190,9 +176,9 @@ def test_calibration_never_runs_its_smallest_candidate(monkeypatch):
     elements = []
     iterate = engine.iterate_schedule
 
-    def counting(net, ops, p0, mu, eval_ops=None):
+    def counting(topology, ops, p0, mu):
         elements.append(len(p0))
-        return iterate(net, ops, p0, mu, eval_ops)
+        return iterate(topology, ops, p0, mu)
 
     monkeypatch.setattr(engine, "iterate_schedule", counting)
     topo = mo.Topology((2, 2))

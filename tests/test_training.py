@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import manetopt as mo
-from manetopt import engine
 from manetopt.training import (
     _batch_loss_grad,
     _estimate_entries,
@@ -82,12 +81,11 @@ def test_loss_grad_mu_causality(small_world):
 
 def test_loss_grad_mu_matches_finite_differences(small_world):
     topo, noise, ds = small_world
-    net = engine.net_index(topo)
     batch = list(ds.entries[:4])
     rng = np.random.default_rng(3)
     mu = np.abs(rng.normal(0.15, 0.05, 8)) + 0.02
     p0 = mo.random_init(topo, rng)
-    result = _batch_loss_grad(net, batch, None, mu, p0, track_margins=True)
+    result = _batch_loss_grad(topo, batch, None, mu, p0, track_margins=True)
     assert result.min_margin > 1e-4
     grad = mo.loss_grad_mu(batch, mu, p0)
     assert np.allclose(grad, result.grad)
@@ -98,8 +96,8 @@ def test_loss_grad_mu_matches_finite_differences(small_world):
         up[j] += delta
         down[j] -= delta
         fd[j] = (
-            _batch_loss_grad(net, batch, None, up, p0, want_grad=False).loss
-            - _batch_loss_grad(net, batch, None, down, p0, want_grad=False).loss
+            _batch_loss_grad(topo, batch, None, up, p0, want_grad=False).loss
+            - _batch_loss_grad(topo, batch, None, down, p0, want_grad=False).loss
         ) / (2 * delta)
     assert np.max(np.abs(grad - fd)) / max(np.max(np.abs(fd)), 1e-9) <= 1e-3
 
@@ -108,7 +106,6 @@ def test_gradient_leaves_the_forward_sweep_bit_identical(small_world):
     # The reverse sweep only reads the trajectory: asking for the gradient
     # must not change the loss, the per-iterate rates or the last iterate.
     topo, noise, ds = small_world
-    net = engine.net_index(topo)
     entries = list(ds.entries[:6])
     estimates = _estimate_entries(
         entries, topo, 1.0, [np.random.default_rng([2, i]) for i in range(6)]
@@ -117,8 +114,8 @@ def test_gradient_leaves_the_forward_sweep_bit_identical(small_world):
     mu = np.abs(rng.normal(0.15, 0.05, 12)) + 0.02
     p0 = mo.random_init(topo, rng)
     for opt in (None, estimates):
-        with_grad = _batch_loss_grad(net, entries, opt, mu, p0)
-        without = _batch_loss_grad(net, entries, opt, mu, p0, want_grad=False)
+        with_grad = _batch_loss_grad(topo, entries, opt, mu, p0)
+        without = _batch_loss_grad(topo, entries, opt, mu, p0, want_grad=False)
         assert without.grad is None
         assert with_grad.loss == without.loss
         assert np.array_equal(with_grad.iterate_rates, without.iterate_rates)
@@ -131,7 +128,6 @@ def test_noisy_gradient_matches_directional_difference_deep_and_long():
     # difference along a random delta, on batches clear of every kink.
     topo = mo.Topology((1, 2, 2))
     noise = mo.NoiseProfile((1.0, 1.0, 1.0))
-    net = engine.net_index(topo)
     checked = 0
     seed = 0
     while checked < 3:
@@ -143,15 +139,15 @@ def test_noisy_gradient_matches_directional_difference_deep_and_long():
         opt = _estimate_entries(
             entries, topo, 1.0, [np.random.default_rng([606, seed, i]) for i in range(4)]
         )
-        result = _batch_loss_grad(net, entries, opt, mu, p0, track_margins=True)
+        result = _batch_loss_grad(topo, entries, opt, mu, p0, track_margins=True)
         if result.min_margin <= 1e-4:
             continue
         checked += 1
         delta = rng.normal(size=40)
         h = 1e-6
         fd = (
-            _batch_loss_grad(net, entries, opt, mu + h * delta, p0, want_grad=False).loss
-            - _batch_loss_grad(net, entries, opt, mu - h * delta, p0, want_grad=False).loss
+            _batch_loss_grad(topo, entries, opt, mu + h * delta, p0, want_grad=False).loss
+            - _batch_loss_grad(topo, entries, opt, mu - h * delta, p0, want_grad=False).loss
         ) / (2 * h)
         assert abs(result.grad @ delta - fd) / max(abs(fd), 1e-9) <= 1e-3
 
@@ -170,13 +166,12 @@ def test_noisy_mode_uses_estimates_for_steps_and_truth_for_loss(small_world):
     # Drive the trajectory with one channel set and the loss with another;
     # the iterates must follow the former, the loss value the latter.
     topo, noise, ds = small_world
-    net = engine.net_index(topo)
     entries = list(ds.entries[:3])
     other = mo.build_dataset(topo, noise, 3, seed=99)
     estimates = list(other.channels())
     mu = np.full(5, 0.2)
     p0 = mo.uniform_init(topo)
-    result = _batch_loss_grad(net, entries, estimates, mu, p0)
+    result = _batch_loss_grad(topo, entries, estimates, mu, p0)
 
     expected_loss = 0.0
     for (true_ch, _), est_ch in zip(entries, estimates):
