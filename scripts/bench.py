@@ -10,6 +10,10 @@ M relays, M end users) at batch sizes q = 20 and 350:
 
 - ``step``: one projected-gradient step of ``engine.iterate_schedule``, per
   batch element (K steps over q elements);
+- ``fixed_baseline``: the noise sweep's fixed-step run on 1x4x4 at -10 dB,
+  ``pgd.run_pgd_batch`` at ``pgd.FIXED_STEP`` from uniform starts on 200
+  channels, cut to 200 steps, per element step.  Unlike ``step``'s random
+  starts, most of its steps move only the source row;
 - ``rate_pass``, ``gradient_pass``, ``project_with_tangent`` and
   ``project_adjoint``: the kernels of one step, each called K times on the
   same random feasible iterates (the projection at the point one step of
@@ -58,7 +62,7 @@ os.environ.update(studyrun.PINNED_THREADS)
 import numpy as np  # noqa: E402
 
 import manetopt as mo  # noqa: E402
-from manetopt import engine, ensemble, gridsearch, pgd, power  # noqa: E402
+from manetopt import engine, ensemble, experiments, gridsearch, pgd, power  # noqa: E402
 from manetopt.training import iteration_weights  # noqa: E402
 
 NETWORKS = ((2, 2), (3, 3), (4, 4))
@@ -68,6 +72,8 @@ CALIB_ITERATIONS = 500
 ENSEMBLE = 6
 TRAIN_CHANNELS = 200
 TRAIN_BATCHES = 10
+FIXED_CHANNELS = 200
+FIXED_STEPS = 200
 TINY = {"batches": (7,), "steps": 2, "calib_iterations": 3, "train_channels": 4,
         "train_batches": 2}
 
@@ -165,6 +171,20 @@ def bench_train(hop_sizes, steps, channels, batches, repeats) -> list[dict]:
     return records
 
 
+def bench_fixed_baseline(channels, steps, repeats) -> dict:
+    topology = mo.Topology((4, 4))
+    noise = experiments.noise_profile(-10.0, topology.num_hops)
+    test = _channels(topology, channels, seed=22)
+    starts = np.broadcast_to(
+        power.uniform_init(topology), (channels, topology.stacked_rows, topology.end_users)
+    )
+    mu = np.full(steps, pgd.FIXED_STEP)
+    seconds = best_of(repeats, lambda: pgd.run_pgd_batch(test, noise, starts, mu))
+    return {"name": "fixed_baseline", "network": "1x4x4", "q": channels, "K": steps,
+            "repeats": repeats, "best_s": seconds,
+            "us_per_element": 1e6 * seconds / (channels * steps), "noise_db": -10.0}
+
+
 def bench_grid(repeats, resolution) -> dict:
     topology = mo.Topology((2, 2))
     channel = _channels(topology, 1, seed=19)[0]
@@ -209,16 +229,19 @@ def main(argv: list[str] | None = None) -> Path:
     args = parser.parse_args(argv)
     batches, steps, calib_iterations = BATCHES, STEPS, CALIB_ITERATIONS
     train_channels, train_batches = TRAIN_CHANNELS, TRAIN_BATCHES
+    fixed_channels, fixed_steps = FIXED_CHANNELS, FIXED_STEPS
     resolution = 1e-2
     if args.tiny:
         batches, steps, calib_iterations = TINY["batches"], TINY["steps"], TINY["calib_iterations"]
         train_channels, train_batches = TINY["train_channels"], TINY["train_batches"]
+        fixed_channels, fixed_steps = TINY["batches"][0], TINY["steps"]
         resolution = 0.25
     records = []
     for hop_sizes in NETWORKS:
         for q in batches:
             records += bench_network(hop_sizes, q, steps, calib_iterations, args.repeats)
         records += bench_train(hop_sizes, steps, train_channels, train_batches, args.repeats)
+    records.append(bench_fixed_baseline(fixed_channels, fixed_steps, args.repeats))
     records.append(bench_grid(args.repeats, resolution))
     environment = environment_record()
     doc = {"environment": environment, "tiny": args.tiny, "records": records}

@@ -94,10 +94,10 @@ class NoiseProfile:
         variances = tuple(float(v) for v in self.hop_noise_vars)
         object.__setattr__(self, "hop_noise_vars", variances)
         # sigma_b = 0 is tolerated so the noiseless estimation limit is testable.
-        if any(v < 0 for v in variances):
-            raise ValueError("noise variances must be nonnegative")
-        if not self.channel_var > 0:
-            raise ValueError("channel variance must be positive")
+        if not all(0 <= v < np.inf for v in variances):
+            raise ValueError("noise variances must be finite and nonnegative")
+        if not 0 < self.channel_var < np.inf:
+            raise ValueError("channel variance must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,15 @@ backward step needs a Hessian-vector product of the objective, the
 derivative of ``gradient_pass`` in one direction: ``hessian_vector`` runs
 only its tangent, reading the forward values from the kept branches.
 
+``iterate_schedule`` carries its relay hops from step to step: relay-fed
+hop b is recomputed only for the batch columns whose block b-1 differs in
+any bit from the previous iterate, and written over the kept arrays in
+place.  Two invariants make that exact: hop b depends on the iterate only
+through block b-1, and a column's bits do not depend on the columns computed
+with it (each stacked matrix's product is its own, and a masked sum adds in
+ascending m at any width, one column included).  Every other caller makes
+fresh passes.
+
 Index conventions: hops are numbered 1..B (hop 1 is the source broadcast);
 node, message and row indices are 0-based.  Reception at hop b depends on the
 coefficients of the devices transmitting into it: the source row for hop 1,
@@ -222,41 +231,78 @@ def _channel_products(ht: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np
     return c[:m], c[m:]
 
 
-def rate_pass(topology: Topology, ops: ChannelOperands, p: np.ndarray) -> RatePass:
-    """Evaluate every reception rate for a batch of power matrices.
+def _relay_hop(
+    ops: ChannelOperands, hop: int, block: np.ndarray, cols: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
+    """Real and imaginary channel products, gains, masked interference sums
+    and rates, each (M_b, N, s), of relay-fed hop ``hop`` (>= 2) for the
+    batch-last transmit block ``block`` (M_{b-1}, N, s): of every batch
+    column, or of the operands' batch columns ``cols``.  A column's bits do
+    not depend on the columns computed with it."""
+    ht, sig2 = ops.ht[hop - 2], ops.sig2[hop - 1]
+    if cols is not None:
+        ht, sig2 = ht[_at(ht, cols, 0)], sig2[_at(sig2, cols, -1)]
+    cr, ci = _channel_products(ht, block)
+    g = cr * cr + ci * ci
+    ib = _masked_sum(_interferers(g), g)
+    return cr, ci, g, ib, np.log1p(g / (ib + sig2)) * INV_LN2
 
-    ``p`` is (stacked_rows, N, q).
+
+def _relay_hops(topology: Topology, ops: ChannelOperands, p: np.ndarray) -> list[tuple]:
+    """``_relay_hop`` of hops 2..B at ``p`` (stacked_rows, N, q)."""
+    return [
+        _relay_hop(ops, hop, p[topology.block_rows(hop - 1)])
+        for hop in range(2, topology.num_hops + 1)
+    ]
+
+
+def _step_relay_hops(
+    topology: Topology, ops: ChannelOperands, relay: list[tuple], prev: np.ndarray, p: np.ndarray
+) -> None:
+    """Bring ``relay``, the ``_relay_hops`` at ``prev``, to ``p`` in place.
+
+    Hop b depends on the power matrix only through block b-1, so it is
+    recomputed only for the batch columns whose block b-1 differs from
+    ``prev`` in any bit (bits, not ``==``, which would take -0.0 for +0.0);
+    those columns are written over, and every other column keeps its value.
     """
-    nhops = topology.num_hops
+    for i, hop in enumerate(range(2, topology.num_hops + 1)):
+        rows = topology.block_rows(hop - 1)
+        block = p[rows]
+        changed = block.view(np.uint64) != prev[rows].view(np.uint64)
+        if not changed.any():
+            continue
+        cols = changed.any(axis=(0, 1)).nonzero()[0]
+        if cols.size == changed.shape[-1]:
+            relay[i] = _relay_hop(ops, hop, block)
+        else:
+            for kept, new in zip(relay[i], _relay_hop(ops, hop, block.take(cols, axis=-1), cols)):
+                kept[..., cols] = new
 
+
+def _pass_from(ops: ChannelOperands, p: np.ndarray, relay: list[tuple]) -> RatePass:
+    """The rate pass at ``p`` (stacked_rows, N, q), given ``relay``, its
+    ``_relay_hops``: hop 1 and the message rates are computed here, and the
+    pass holds the relay hops' arrays themselves."""
     phi = p[-1]
     phi2 = phi * phi
     i1 = _masked_sum(_interferers(phi), phi2)
     a1 = ops.a1[:, None, :]
     u1 = a1 * phi2 / (a1 * i1 + ops.sig2[0])
-    rates: list[np.ndarray] = [np.log1p(u1) * INV_LN2]
-
-    c_re: list[np.ndarray | None] = [None]
-    c_im: list[np.ndarray | None] = [None]
-    gains: list[np.ndarray | None] = [None]
-    ib_list: list[np.ndarray | None] = [None]
-
-    for hop in range(2, nhops + 1):
-        j = hop - 2
-        cr, ci = _channel_products(ops.ht[j], p[topology.block_rows(hop - 1)])
-        g = cr * cr + ci * ci
-        ib = _masked_sum(_interferers(g), g)
-        rates.append(np.log1p(g / (ib + ops.sig2[hop - 1])) * INV_LN2)
+    rates = [np.log1p(u1) * INV_LN2]
+    c_re, c_im, gains, ib_list = [None], [None], [None], [None]
+    for cr, ci, g, ib, rate in relay:
         c_re.append(cr)
         c_im.append(ci)
         gains.append(g)
         ib_list.append(ib)
+        rates.append(rate)
 
     g = gains[-1]
     diag = g.diagonal(0, 0, 1).T  # (N, q): receiver l's own gain
     user_rates = np.where(g >= diag[:, None, :], rates[-1], np.inf)
     message = user_rates.min(axis=0)
-    for r in range(1, nhops):
+    for r in range(1, len(rates)):
         np.minimum(message, rates[r - 1].min(axis=0), out=message)
 
     return RatePass(
@@ -271,6 +317,14 @@ def rate_pass(topology: Topology, ops: ChannelOperands, p: np.ndarray) -> RatePa
         user_rates=user_rates,
         message=message,
     )
+
+
+def rate_pass(topology: Topology, ops: ChannelOperands, p: np.ndarray) -> RatePass:
+    """Evaluate every reception rate for a batch of power matrices.
+
+    ``p`` is (stacked_rows, N, q).
+    """
+    return _pass_from(ops, p, _relay_hops(topology, ops, p))
 
 
 def _full(arr: np.ndarray, q: int, axis: int) -> np.ndarray:
@@ -414,6 +468,17 @@ def _first_columns(values: tuple, columns: int | None) -> tuple:
     return tuple([v[cut] for v in values])
 
 
+def _leading(rp: RatePass, q: int) -> RatePass:
+    """The first ``q`` batch columns of a pass, as views."""
+
+    def cut(a: np.ndarray | None) -> np.ndarray | None:
+        return None if a is None else a[..., :q]
+
+    fields = {k: [cut(a) for a in v] if isinstance(v, list) else cut(v)
+              for k, v in vars(rp).items() if k != "q"}
+    return RatePass(q=q, **fields)
+
+
 def gradient_pass(
     topology: Topology,
     ops: ChannelOperands,
@@ -516,15 +581,26 @@ def iterate_schedule(
     ``rates_k`` holds each element's min rate at iterate ``p_k`` on the
     channel driving the updates.  ``mu[k]`` is a scalar, or an array of
     shape (q,) for a step per element.
+
+    Each step's pass carries the previous one forward: relay-fed hop b is
+    recomputed only for the elements whose block b-1 changed in any bit
+    (``_step_relay_hops``).  Two invariants make that exact: hop b's values
+    depend on the iterate only through block b-1, and a column's bits do not
+    depend on the columns computed with it.  A step's gradient is nonzero in
+    one block, and the projection returns feasible rows bit-identically, so
+    most steps move only the source row.  Only the relay hops' arrays outlive
+    a step; hop 1, the message rates and the gradient are made anew.
     """
     p = batch_last(np.asarray(p0, dtype=np.float64))
+    relay = _relay_hops(topology, ops, p)
     for k in range(len(mu)):
-        rp = rate_pass(topology, ops, p)
+        rp = _pass_from(ops, p, relay)
         yield _first_view(p), rp.message.min(axis=0)
         x = p + mu[k] * gradient_pass(topology, ops, rp)[0]
-        del rp  # so that no two passes are alive at once
-        p = project_with_tangent(x)[0]
-    yield _first_view(p), rate_pass(topology, ops, p).message.min(axis=0)
+        del rp  # hop 1 and the message rates go; only the relay hops' arrays live on
+        prev, p = p, project_with_tangent(x)[0]
+        _step_relay_hops(topology, ops, relay, prev, p)
+    yield _first_view(p), _pass_from(ops, p, relay).message.min(axis=0)
 
 
 @dataclass
@@ -590,11 +666,13 @@ def unrolled_loss(
     One rate pass per step serves both channels: the elements whose driving
     and loss operands differ in any bit get a second column, appended after
     the q driving columns, and every other element scores its loss on its
-    driving column.  The backward sweep runs only the tangent of each step's
-    selected branches (``hessian_vector``), which the forward sweep kept, so
-    a call makes K + 1 rate passes.  ``min_margin`` covers the driving
-    columns of every step and, at the last iterate, the elements whose loss
-    column is their driving column.
+    driving column.  Only the backward sweep reads the gradient of the
+    appended columns, so without ``want_grad`` each step's gradient pass
+    covers the q driving columns alone.  The backward sweep runs only the
+    tangent of each step's selected branches (``hessian_vector``), which the
+    forward sweep kept, so a call makes K + 1 rate passes.  ``min_margin``
+    covers the driving columns of every step and, at the last iterate, the
+    elements whose loss column is their driving column.
 
     ``mu`` is (K,), or (S, K) for S schedules on S equal contiguous groups of
     the batch: group s is elements ``s*q/S`` to ``(s+1)*q/S - 1``, steps by
@@ -641,8 +719,11 @@ def unrolled_loss(
         iterate_rates[k] = rp.message.min(axis=0)[loss_cols]
         if track_margins:
             min_margin = min(min_margin, _pass_margin(topology, rp, slice(q)))
-        pass_grad, pass_branches = gradient_pass(topology, ops, rp, q)[:2]
-        grad = pass_grad[..., :q]
+        if want_grad:
+            pass_grad, pass_branches = gradient_pass(topology, ops, rp, q)[:2]
+            grad = pass_grad[..., :q]
+        else:
+            grad = gradient_pass(topology, ops, _leading(rp, q))[0]
         x = p + step[k] * grad
         if track_margins:
             nz = x[x != 0.0]

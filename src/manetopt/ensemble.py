@@ -29,8 +29,9 @@ from .power import project, uniform_init
 
 __all__ = ["EnsembleResult", "BatchResult", "infer", "infer_batch", "member_starts"]
 
-# Channels per batch in ``infer_batch``; bounds its peak memory.
-_CHUNK = 64
+# Batch columns (channels x members) per batch in ``infer_batch``; bounds its
+# peak memory whatever the ensemble size.
+_CHUNK = 384
 
 
 @dataclass
@@ -128,10 +129,11 @@ def infer_batch(
     ``s*C/S`` to ``(s+1)*C/S - 1`` of C and steps by ``mu[s]``.  Each
     channel's result is the one a call on it alone would give.
 
-    Every (channel, member) pair of a chunk of channels runs in one batch and
-    keeps its best iterate so far (strict ``>``: the earliest iteration wins a
-    tie, and a number replaces a NaN); the lowest member holding the
-    channel's best value is selected.  A chunk's starts are those of
+    Every (channel, member) pair of a chunk of channels runs in one batch of
+    at most ``_CHUNK`` columns (of one channel at least) and keeps its best
+    iterate so far (strict ``>``: the earliest iteration wins a tie, and a
+    number replaces a NaN); the lowest member holding the channel's best
+    value is selected.  A chunk's starts are those of
     ``member_starts`` for each of its seeds, drawn from the same per-member
     streams and projected in one call.
     """
@@ -152,11 +154,12 @@ def infer_batch(
         )
     size = len(channels) // len(groups)
     topology = topology_of(channels[0])
+    per_chunk = max(1, _CHUNK // ensemble_size)
     parts = []
-    for start in range(0, len(channels), _CHUNK):
-        chunk = channels[start : start + _CHUNK]
+    for start in range(0, len(channels), per_chunk):
+        chunk = channels[start : start + per_chunk]
         ops = engine.operands_from(chunk, noise, repeat=ensemble_size)
-        starts = _starts(topology, ensemble_size, seeds[start : start + _CHUNK])
+        starts = _starts(topology, ensemble_size, seeds[start : start + per_chunk])
         steps = mu
         if mu.ndim == 2:
             # each element's step per iteration, (K, elements)

@@ -26,6 +26,8 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 import os
 import platform
 from collections.abc import Callable, Iterable, Sequence
@@ -118,8 +120,10 @@ class ExperimentConfig:
             raise ConfigurationError(f"bad hop sizes: {exc}") from exc
         if not self.noise_db:
             raise ConfigurationError("at least one noise level is required")
-        if self.ensemble_size < 1:
-            raise ConfigurationError("ensemble_size must be >= 1")
+        if not all(math.isfinite(db) for db in self.noise_db):
+            raise ConfigurationError("noise levels must be finite")
+        if not isinstance(self.ensemble_size, numbers.Integral) or self.ensemble_size < 1:
+            raise ConfigurationError("ensemble_size must be an integer >= 1")
         if self.test_size < 1:
             raise ConfigurationError("test_size must be >= 1")
         if not 0.0 < self.oracle_resolution <= 1.0:

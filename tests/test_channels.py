@@ -69,6 +69,11 @@ def test_noise_profile_validation():
         mo.NoiseProfile((-1.0, 1.0))
     with pytest.raises(ValueError):
         mo.NoiseProfile((1.0,), channel_var=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            mo.NoiseProfile((1.0, bad))
+        with pytest.raises(ValueError):
+            mo.NoiseProfile((1.0,), channel_var=bad)
     # zero noise is allowed for the estimation limit
     mo.NoiseProfile((0.0, 0.0))
 

@@ -374,16 +374,24 @@ def _assert_same(new, ref):
 # --- tests -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("pick", [slice(None), slice(1, 2)], ids=["batch", "single"])
+@pytest.mark.parametrize(
+    "pick", [slice(None), slice(1, 2), None], ids=["batch", "single", "uniform"]
+)
 @pytest.mark.parametrize("hop_sizes", TOPOLOGIES)
 def test_iterate_schedule_matches_reference(hop_sizes, pick):
+    # "uniform": small constant steps from uniform starts, where the relay
+    # blocks of most elements stay still for long stretches of steps.
     topology = mo.Topology(hop_sizes)
-    entries = _entries(topology, 9, seed=[71, len(hop_sizes), hop_sizes[-1]])[pick]
+    entries = _entries(topology, 9, seed=[71, len(hop_sizes), hop_sizes[-1]])[pick or slice(None)]
     ops, ref_ops = _both_operands(
         [ch for ch, _ in entries], [n.hop_noise_vars for _, n in entries]
     )
-    p0 = _starts(topology, 9, seed=7)[pick]
-    mu = np.random.default_rng(3).uniform(0.01, 1.0, 300)
+    if pick is None:
+        p0 = np.stack([power.uniform_init(topology)] * 9)
+        mu = np.full(300, mo.FIXED_STEP)
+    else:
+        p0 = _starts(topology, 9, seed=7)[pick]
+        mu = np.random.default_rng(3).uniform(0.01, 1.0, 300)
     new = engine.iterate_schedule(topology, ops, p0, mu)
     for k, ((p, rates), (p_ref, rates_ref)) in enumerate(
         zip(new, ref_iterate(topology, ref_ops, p0, mu))
@@ -391,6 +399,62 @@ def test_iterate_schedule_matches_reference(hop_sizes, pick):
         _assert_same(p, p_ref)
         _assert_same(rates, rates_ref)
     assert k == len(mu)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("one_channel", [False, True], ids=["channels", "broadcast"])
+@pytest.mark.parametrize("hop_sizes", [(2, 2, 2), (2, 9)])
+def test_step_relay_hops_recomputes_exactly_the_moved_columns(monkeypatch, hop_sizes, one_channel):
+    # Each case moves some batch columns of some relay blocks.  Hop b is
+    # recomputed on exactly the columns whose block b-1 moved, over the full
+    # width when all did, and the updated values equal a fresh pass bit for
+    # bit.  On (2, 9) a one-column subset sums nine end users' interference.
+    # "broadcast" runs one channel's batch-1 operands over every start.
+    topology = mo.Topology(hop_sizes)
+    q = 6
+    entries = _entries(topology, 1 if one_channel else q, seed=[76, len(hop_sizes)])
+    ops = _both_operands([ch for ch, _ in entries], [n.hop_noise_vars for _, n in entries])[0]
+    prev = engine.batch_last(_starts(topology, q, seed=11))
+    other = engine.batch_last(_starts(topology, q, seed=12))
+    calls = []
+    relay_hop = engine._relay_hop
+
+    def spy(ops, hop, block, cols=None):
+        calls.append((hop, None if cols is None else cols.tolist()))
+        return relay_hop(ops, hop, block, cols)
+
+    monkeypatch.setattr(engine, "_relay_hop", spy)
+
+    def moved(moves):
+        p = prev.copy()
+        for block, cols in moves.items():
+            rows = topology.block_rows(block)
+            p[rows, :, cols] = other[rows, :, cols]
+        return prev, p, moves
+
+    # -0.0 == +0.0, but the bits differ, and so may a product's sign
+    zero, negative = prev.copy(), prev.copy()
+    row = topology.block_rows(1).start
+    zero[row, 0, 2], negative[row, 0, 2] = 0.0, -0.0
+    last = topology.num_hops - 1
+    cases = [
+        moved({}),
+        moved({1: [4]}),
+        moved({1: [0, 3], last: [5]}),
+        moved({b: list(range(q)) for b in range(1, last + 1)}),
+        (zero, negative, {1: [2]}),
+    ]
+    for base, p, moves in cases:
+        relay = engine._relay_hops(topology, ops, base)
+        calls.clear()
+        engine._step_relay_hops(topology, ops, relay, base, p)
+        expected = [(b + 1, None if len(c) == q else c) for b, c in sorted(moves.items())]
+        assert calls == expected, moves
+        for kept, fresh in zip(relay, engine._relay_hops(topology, ops, p)):
+            assert all(_same_bits(a, b) for a, b in zip(kept, fresh)), moves
 
 
 def _check_unrolled_loss(hop_sizes, noisy, pick):
@@ -586,6 +650,24 @@ def test_unrolled_loss_makes_one_rate_pass_per_step(monkeypatch):
     assert widths == [2 * size + size - 1] * steps + [2 * size]
     backward = events[events.index(("adjoint", None)):]
     assert all(name == "adjoint" for name, _ in backward)
+    # Without the step-size gradient, only the driving columns reach the
+    # gradient pass; the results are those of the call with it.
+    widths = []
+    gradient_pass = engine.gradient_pass
+
+    def counted_gradient_pass(topology, ops, rp, columns=None):
+        widths.append(rp.q)
+        return gradient_pass(topology, ops, rp, columns)
+
+    monkeypatch.setattr(engine, "gradient_pass", counted_gradient_pass)
+    plain = engine.unrolled_loss(
+        topology, opt_ops, loss_ops, p0, mu, iteration_weights(steps), want_grad=False
+    )
+    assert widths == [2 * size] * steps
+    assert plain.grad is None
+    _assert_same(plain.loss, result.loss)
+    _assert_same(plain.iterate_rates, result.iterate_rates)
+    _assert_same(plain.final, result.final)
 
 
 # --- the binding table against the hop-by-hop loop --------------------------

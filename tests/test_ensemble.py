@@ -113,7 +113,7 @@ def test_bulk_starts_match_per_member_loop(monkeypatch, hop_sizes, ensemble_size
         return iterate(topology, ops, p0, mu)
 
     monkeypatch.setattr(ensemble.engine, "iterate_schedule", spy)
-    monkeypatch.setattr(ensemble, "_CHUNK", 3)
+    monkeypatch.setattr(ensemble, "_CHUNK", 3 * ensemble_size)
     rng = np.random.default_rng(17)
     channels = [mo.sample_channel(topo, 1.0, rng) for _ in seeds]
     noise = mo.NoiseProfile((0.5,) * topo.num_hops)
@@ -207,7 +207,7 @@ def _assert_batch_matches_infer(batch, references):
 @pytest.mark.parametrize("ensemble_size", [1, 4])
 def test_infer_batch_matches_infer_full_csi(monkeypatch, hop_sizes, ensemble_size):
     # Seven channels over chunks of three also cover a partial last chunk.
-    monkeypatch.setattr(ensemble, "_CHUNK", 3)
+    monkeypatch.setattr(ensemble, "_CHUNK", 3 * ensemble_size)
     topo = mo.Topology(hop_sizes)
     noise = mo.NoiseProfile((0.5,) * topo.num_hops)
     rng = np.random.default_rng(31)
@@ -316,7 +316,7 @@ def test_infer_batch_rejects_no_channels(world):
 def test_grouped_infer_batch_equals_separate_calls(monkeypatch, hop_sizes):
     # Three schedules on three groups of four channels, over chunks of five:
     # chunk boundaries fall inside groups, and the last chunk is partial.
-    monkeypatch.setattr(ensemble, "_CHUNK", 5)
+    monkeypatch.setattr(ensemble, "_CHUNK", 5 * 3)
     topo = mo.Topology(hop_sizes)
     noise = mo.NoiseProfile((0.5,) * topo.num_hops)
     rng = np.random.default_rng(32)

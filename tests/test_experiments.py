@@ -444,6 +444,9 @@ def test_cli_success_and_exit_codes(tmp_path):
         ("hop_sizes", [2, 0]),
         ("source_hop_sizes", [0, 2]),
         ("train_size", 0),
+        ("noise_db", [float("nan")]),
+        ("noise_db", [0.0, float("inf")]),
+        ("ensemble_size", 1.5),
     ):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(dict(oracle, **{key: value})))
