@@ -14,6 +14,10 @@ M relays, M end users) at batch sizes q = 20 and 350:
   ``pgd.run_pgd_batch`` at ``pgd.FIXED_STEP`` from uniform starts on 200
   channels, cut to 200 steps, per element step.  Unlike ``step``'s random
   starts, most of its steps move only the source row;
+- ``sweep_infer``: the noise sweep's inference on 1x4x4 at -10 dB,
+  ``ensemble.infer_batch`` on 200 channels of E members at the frozen K=40
+  schedule of the study benchmark's ``sweep-4x4`` workload
+  (``studybench/inputs/mu_4x4_m10db.json``), per element step;
 - ``rate_pass``, ``gradient_pass``, ``project_with_tangent`` and
   ``project_adjoint``: the kernels of one step, each called K times on the
   same random feasible iterates (the projection at the point one step of
@@ -185,6 +189,20 @@ def bench_fixed_baseline(channels, steps, repeats) -> dict:
             "us_per_element": 1e6 * seconds / (channels * steps), "noise_db": -10.0}
 
 
+def bench_sweep_infer(channels, steps, repeats) -> dict:
+    topology = mo.Topology((4, 4))
+    noise = experiments.noise_profile(-10.0, topology.num_hops)
+    test = _channels(topology, channels, seed=23)
+    schedule = json.loads((ROOT / "studybench" / "inputs" / "mu_4x4_m10db.json").read_text())
+    mu = np.asarray(schedule["steps"][:steps], dtype=np.float64)
+    seeds = list(range(channels))
+    seconds = best_of(repeats, lambda: ensemble.infer_batch(test, noise, mu, ENSEMBLE, seeds))
+    return {"name": "sweep_infer", "network": "1x4x4", "q": channels * ENSEMBLE, "K": len(mu),
+            "repeats": repeats, "best_s": seconds,
+            "us_per_element": 1e6 * seconds / (channels * ENSEMBLE * len(mu)),
+            "noise_db": -10.0, "channels": channels, "ensemble": ENSEMBLE}
+
+
 def bench_grid(repeats, resolution) -> dict:
     topology = mo.Topology((2, 2))
     channel = _channels(topology, 1, seed=19)[0]
@@ -242,6 +260,7 @@ def main(argv: list[str] | None = None) -> Path:
             records += bench_network(hop_sizes, q, steps, calib_iterations, args.repeats)
         records += bench_train(hop_sizes, steps, train_channels, train_batches, args.repeats)
     records.append(bench_fixed_baseline(fixed_channels, fixed_steps, args.repeats))
+    records.append(bench_sweep_infer(fixed_channels, steps, args.repeats))
     records.append(bench_grid(args.repeats, resolution))
     environment = environment_record()
     doc = {"environment": environment, "tiny": args.tiny, "records": records}

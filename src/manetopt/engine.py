@@ -39,14 +39,36 @@ backward step needs a Hessian-vector product of the objective, the
 derivative of ``gradient_pass`` in one direction: ``hessian_vector`` runs
 only its tangent, reading the forward values from the kept branches.
 
-``iterate_schedule`` carries its relay hops from step to step: relay-fed
-hop b is recomputed only for the batch columns whose block b-1 differs in
-any bit from the previous iterate, and written over the kept arrays in
-place.  Two invariants make that exact: hop b depends on the iterate only
-through block b-1, and a column's bits do not depend on the columns computed
-with it (each stacked matrix's product is its own, and a masked sum adds in
-ascending m at any width, one column included).  Every other caller makes
-fresh passes.
+``iterate_schedule`` takes block-local steps.  A step's gradient is nonzero
+only in the block feeding each element's binding hop (the source row for
+hop 1, relay block b-1 for hop b), so a step re-projects only those rows:
+the source row of every element plus block b-1 of each element bound at
+hop b, laid along the batch axis of one projection call.  It recomputes
+relay-fed hop b only on the columns bound at hop b, writing them over the
+hop's kept (5 M_b, N, q) array with one scatter, and keeps hop B's end-user
+table and its per-message minimum the same way; hop 1 and the message rates
+are made anew.  Step 0, and any step after a projection output held a NaN,
+is full: every row is re-projected and every hop recomputed on every
+column.  Four invariants make the result bit-identical to re-projecting
+every row and recomputing every hop at every step:
+
+1. a column's bits do not depend on the columns computed with it (each
+   stacked matrix's product is its own, a masked sum adds in ascending m
+   at any width, one column included, and the projection acts on each row
+   and column alone);
+2. from step 1 on, every row of p is the projection of a finite x (a NaN
+   or -inf entry of x projects as 0 would); the projection returns such a
+   row bit for bit and never yields -0.0 or NaN for finite input, so a row
+   with zero gradient (x = p + mu * 0 = p) does not move, the bound columns
+   are a superset of the moved ones, and recomputing a column that did not
+   move gives the same bits;
+3. ``mu * 0 == 0``, so steps must be finite, which ``iterate_schedule``
+   checks;
+4. a NaN output comes only from +inf in x (a huge step, or a gradient at
+   zero noise) and breaks invariant 2, so the next step is full; step 0 is
+   full because p0 may hold -0.0 or rows no projection made.
+
+Every other caller makes fresh passes.
 
 Index conventions: hops are numbered 1..B (hop 1 is the source broadcast);
 node, message and row indices are 0-based.  Reception at hop b depends on the
@@ -61,6 +83,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,14 +221,15 @@ def _interferers(key: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _masked_sum(mask: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``sum_m mask[..., m, n, q] * values[..., m, q]``, added in ascending m.
+def _masked_sum(mask: np.ndarray, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``sum_m mask[..., m, n, q] * values[..., m, q]``, added in ascending m
+    (into ``out`` when given).
 
     A product with the mask rather than ``np.where``, which branches on every
     element: for finite values it adds the same terms (a masked-out negative
     value adds -0.0, which can change a sum only in the sign of a zero).
     """
-    return (values[..., :, None, :] * mask).sum(axis=-3)
+    return (values[..., :, None, :] * mask).sum(axis=-3, out=out)
 
 
 def _ascending_sum(terms: np.ndarray) -> np.ndarray:
@@ -221,34 +245,50 @@ def _column(values: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return values.reshape(values.shape[:-2] + (-1,)).take(flat, axis=-1)
 
 
-def _channel_products(ht: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts (M_b, N, q) of the products of a batch-last
-    block with the stacked channel matrices ``ht`` (q, 2 M_b, M_{b-1}) of
-    ``ChannelOperands``, from one stacked matmul: each row's product does
-    not depend on the rows stacked with it."""
-    c = batch_last(ht @ batch_first(block))
-    m = len(c) // 2
-    return c[:m], c[m:]
+def _products(ht: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The (2 M_b, N, q) products, real rows above imaginary rows, of a
+    batch-last block with the stacked channel matrices ``ht``
+    (q, 2 M_b, M_{b-1}) of ``ChannelOperands``, as a batch-last view of one
+    stacked matmul: each row's product does not depend on the rows stacked
+    with it."""
+    return (ht @ batch_first(block)).transpose(1, 2, 0)
+
+
+def _hop_views(hop: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The real and imaginary channel products, gains, masked interference
+    sums and rates, each (M_b, N, s), held by the (5 M_b, N, s) array of a
+    relay-fed hop (``_relay_hop``)."""
+    m = len(hop) // 5
+    return hop[:m], hop[m : 2 * m], hop[2 * m : 3 * m], hop[3 * m : 4 * m], hop[4 * m :]
 
 
 def _relay_hop(
     ops: ChannelOperands, hop: int, block: np.ndarray, cols: np.ndarray | None = None
-) -> tuple[np.ndarray, ...]:
-    """Real and imaginary channel products, gains, masked interference sums
-    and rates, each (M_b, N, s), of relay-fed hop ``hop`` (>= 2) for the
-    batch-last transmit block ``block`` (M_{b-1}, N, s): of every batch
-    column, or of the operands' batch columns ``cols``.  A column's bits do
-    not depend on the columns computed with it."""
+) -> np.ndarray:
+    """Relay-fed hop ``hop`` (>= 2) for the batch-last transmit block
+    ``block`` (M_{b-1}, N, s): of every batch column, or of the operands'
+    batch columns ``cols``.  Its arrays are views of one (5 M_b, N, s)
+    array (``_hop_views``), so a step writes recomputed columns back with
+    one scatter.  A column's bits do not depend on the columns computed with
+    it."""
     ht, sig2 = ops.ht[hop - 2], ops.sig2[hop - 1]
     if cols is not None:
         ht, sig2 = ht[_at(ht, cols, 0)], sig2[_at(sig2, cols, -1)]
-    cr, ci = _channel_products(ht, block)
-    g = cr * cr + ci * ci
-    ib = _masked_sum(_interferers(g), g)
-    return cr, ci, g, ib, np.log1p(g / (ib + sig2)) * INV_LN2
+    c = _products(ht, block)
+    out = np.empty((len(c) // 2 * 5,) + c.shape[1:])
+    out[: len(c)] = c
+    cr, ci, g, ib, rate = _hop_views(out)
+    del c  # not held through the masked sum
+    np.multiply(cr, cr, out=g)
+    g += ci * ci
+    _masked_sum(_interferers(g), g, out=ib)
+    np.divide(g, ib + sig2, out=rate)
+    np.log1p(rate, out=rate)
+    rate *= INV_LN2
+    return out
 
 
-def _relay_hops(topology: Topology, ops: ChannelOperands, p: np.ndarray) -> list[tuple]:
+def _relay_hops(topology: Topology, ops: ChannelOperands, p: np.ndarray) -> list[np.ndarray]:
     """``_relay_hop`` of hops 2..B at ``p`` (stacked_rows, N, q)."""
     return [
         _relay_hop(ops, hop, p[topology.block_rows(hop - 1)])
@@ -256,34 +296,22 @@ def _relay_hops(topology: Topology, ops: ChannelOperands, p: np.ndarray) -> list
     ]
 
 
-def _step_relay_hops(
-    topology: Topology, ops: ChannelOperands, relay: list[tuple], prev: np.ndarray, p: np.ndarray
-) -> None:
-    """Bring ``relay``, the ``_relay_hops`` at ``prev``, to ``p`` in place.
-
-    Hop b depends on the power matrix only through block b-1, so it is
-    recomputed only for the batch columns whose block b-1 differs from
-    ``prev`` in any bit (bits, not ``==``, which would take -0.0 for +0.0);
-    those columns are written over, and every other column keeps its value.
-    """
-    for i, hop in enumerate(range(2, topology.num_hops + 1)):
-        rows = topology.block_rows(hop - 1)
-        block = p[rows]
-        changed = block.view(np.uint64) != prev[rows].view(np.uint64)
-        if not changed.any():
-            continue
-        cols = changed.any(axis=(0, 1)).nonzero()[0]
-        if cols.size == changed.shape[-1]:
-            relay[i] = _relay_hop(ops, hop, block)
-        else:
-            for kept, new in zip(relay[i], _relay_hop(ops, hop, block.take(cols, axis=-1), cols)):
-                kept[..., cols] = new
+def _end_users(g: np.ndarray, rate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, N, s) end-user rate table of hop B's gains and rates, inf
+    where end user l need not decode message n, and its per-message minimum
+    (N, s)."""
+    diag = g.diagonal(0, 0, 1).T  # (N, s): receiver l's own gain
+    table = np.where(g >= diag[:, None, :], rate, np.inf)
+    return table, table.min(axis=0)
 
 
-def _pass_from(ops: ChannelOperands, p: np.ndarray, relay: list[tuple]) -> RatePass:
+def _pass_from(
+    ops: ChannelOperands, p: np.ndarray, relay: list[np.ndarray], users: tuple | None = None
+) -> RatePass:
     """The rate pass at ``p`` (stacked_rows, N, q), given ``relay``, its
-    ``_relay_hops``: hop 1 and the message rates are computed here, and the
-    pass holds the relay hops' arrays themselves."""
+    ``_relay_hops``, and ``users``, the ``_end_users`` of the last (computed
+    here when not given): hop 1 and the message rates are computed here,
+    and the pass holds views of the relay hops' arrays."""
     phi = p[-1]
     phi2 = phi * phi
     i1 = _masked_sum(_interferers(phi), phi2)
@@ -291,19 +319,17 @@ def _pass_from(ops: ChannelOperands, p: np.ndarray, relay: list[tuple]) -> RateP
     u1 = a1 * phi2 / (a1 * i1 + ops.sig2[0])
     rates = [np.log1p(u1) * INV_LN2]
     c_re, c_im, gains, ib_list = [None], [None], [None], [None]
-    for cr, ci, g, ib, rate in relay:
+    for hop in relay:
+        cr, ci, g, ib, rate = _hop_views(hop)
         c_re.append(cr)
         c_im.append(ci)
         gains.append(g)
         ib_list.append(ib)
         rates.append(rate)
 
-    g = gains[-1]
-    diag = g.diagonal(0, 0, 1).T  # (N, q): receiver l's own gain
-    user_rates = np.where(g >= diag[:, None, :], rates[-1], np.inf)
-    message = user_rates.min(axis=0)
+    user_rates, message = users or _end_users(gains[-1], rates[-1])
     for r in range(1, len(rates)):
-        np.minimum(message, rates[r - 1].min(axis=0), out=message)
+        message = np.minimum(message, rates[r - 1].min(axis=0))
 
     return RatePass(
         q=message.shape[-1],
@@ -438,9 +464,9 @@ class _RelayBranch:
         rows = topology.block_rows(self.hop - 1)
         si = np.arange(self.sel.size)
         ht = ops.ht[j]
-        dc_re, dc_im = _channel_products(ht[_at(ht, self.sel, 0)], dp[rows][..., self.sel])
-        dcr = dc_re[self.node, :, si].T
-        dci = dc_im[self.node, :, si].T
+        dc = _products(ht[_at(ht, self.sel, 0)], dp[rows][..., self.sel])
+        dcr = dc[self.node, :, si].T
+        dci = dc[self.node + len(dc) // 2, :, si].T
         dg = 2.0 * (self.cr * dcr + self.ci * dci)
         dgn = dg[n, si]
         dden = _ascending_sum(dg * self.maskrow)
@@ -479,40 +505,57 @@ def _leading(rp: RatePass, q: int) -> RatePass:
     return RatePass(q=q, **fields)
 
 
-def gradient_pass(
+class _HopGradient(NamedTuple):
+    """The elements ``sel`` of a pass that bind at hop ``hop``, the stacked
+    rows ``rows`` that feed that hop (the source row's index -1 for hop 1, a
+    slice of relay rows otherwise), their gradient ``block`` ((N, s) for
+    hop 1, (rows, N, s) otherwise), and the branch ``hessian_vector``
+    reads."""
+
+    hop: int
+    sel: np.ndarray
+    rows: int | slice
+    block: np.ndarray
+    branch: Branch
+
+
+def _binding(topology: Topology, rp: RatePass) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each element's minimum-rate message and the reception hop and node of
+    its binding constraint (``select_binding``)."""
+    nstar = rp.message.argmin(axis=0)
+    return (nstar,) + select_binding(topology, rp, nstar)
+
+
+def _hop_gradients(
     topology: Topology,
     ops: ChannelOperands,
     rp: RatePass,
+    binding: tuple[np.ndarray, np.ndarray, np.ndarray],
     columns: int | None = None,
-) -> tuple[np.ndarray, list[Branch], np.ndarray, np.ndarray, np.ndarray]:
-    """Exact gradient of the minimum message rate for every batch element.
-
-    The gradient of the single binding rate is placed in the rows of the
-    transmit block feeding the binding reception hop; all other entries are
-    zero.  Gradients are (stacked_rows, N, q).  The elements that bind at
-    each hop come back as a branch holding what ``hessian_vector`` reads,
-    restricted to the first ``columns`` batch columns when given.
-    """
+) -> list[_HopGradient]:
+    """The gradient of each element's binding rate, one ``_HopGradient`` per
+    hop at which some element binds.  A branch keeps only the batch columns
+    below ``columns`` when given."""
     q = rp.q
-    nmsg = topology.end_users
-
-    nstar = rp.message.argmin(axis=0)
-    bind_hop, bind_node = select_binding(topology, rp, nstar)
-
-    grad = np.zeros((topology.stacked_rows, nmsg, q))
-    branches: list[Branch] = []
-
+    nstar, bind_hop, bind_node = binding
+    parts = []
+    left = q  # elements whose hop is still to come
     for r in range(1, topology.num_hops + 1):
+        if not left:
+            break
         sel = (bind_hop == r).nonzero()[0]
         if sel.size == 0:
             continue
+        left -= sel.size
         node = bind_node[sel]
         n = nstar[sel]
         si = np.arange(sel.size)
         if r == 1:
+            # a slice, not an index array, when every element binds here
+            cols = slice(q) if sel.size == q else sel
             a = ops.a1[node, _at(ops.a1, sel, -1)]
-            s1 = ops.sig2[0, _at(ops.sig2, sel, -1)]
-            phi = _full(rp.phi, q, -1)[:, sel]
+            s1 = ops.sig2[0, _at(ops.sig2, cols, -1)]
+            phi = _full(rp.phi, q, -1)[:, cols]
             phin = phi[n, si]
             inter = _full(rp.i1, q, -1)[n, sel]
             den = a * inter + s1
@@ -523,10 +566,9 @@ def gradient_pass(
             w_int = -(2.0 * INV_LN2) * a * sig / (den * tot)
             g = np.where(maskrow, w_int * phi, 0.0)
             g[n, si] = (2.0 * INV_LN2) * a * phin / tot
-            grad[-1][:, sel] = g
-            branches.append(_SourceBranch(*_first_columns(
+            parts.append(_HopGradient(r, sel, -1, g, _SourceBranch(*_first_columns(
                 (sel, n, a, phi, maskrow, sig, den, tot, w_int), columns
-            )))
+            ))))
         else:
             j = r - 2
             rows = topology.block_rows(r - 1)
@@ -548,11 +590,38 @@ def gradient_pass(
             w = np.where(maskrow, -(2.0 * INV_LN2) * (gn / (den * tot)), 0.0)
             w[n, si] = (2.0 * INV_LN2) / tot
             response = hre * cr + him * ci
-            grad[rows][..., sel] = response * w
-            branches.append(_RelayBranch(r, *_first_columns(
+            parts.append(_HopGradient(r, sel, rows, response * w, _RelayBranch(r, *_first_columns(
                 (sel, n, node, hre, him, cr, ci, maskrow, gn, den, tot, w, response), columns
-            )))
-    return grad, branches, nstar, bind_hop, bind_node
+            ))))
+    return parts
+
+
+def _scatter(topology: Topology, parts: list[_HopGradient], q: int) -> np.ndarray:
+    """The dense (stacked_rows, N, q) gradient holding ``parts``, zero
+    elsewhere."""
+    grad = np.zeros((topology.stacked_rows, topology.end_users, q))
+    for part in parts:
+        grad[part.rows][..., part.sel] = part.block
+    return grad
+
+
+def gradient_pass(
+    topology: Topology,
+    ops: ChannelOperands,
+    rp: RatePass,
+    columns: int | None = None,
+) -> tuple[np.ndarray, list[Branch], np.ndarray, np.ndarray, np.ndarray]:
+    """Exact gradient of the minimum message rate for every batch element.
+
+    The gradient of the single binding rate is placed in the rows of the
+    transmit block feeding the binding reception hop; all other entries are
+    zero.  Gradients are (stacked_rows, N, q).  The elements that bind at
+    each hop come back as a branch holding what ``hessian_vector`` reads,
+    restricted to the first ``columns`` batch columns when given.
+    """
+    binding = _binding(topology, rp)
+    parts = _hop_gradients(topology, ops, rp, binding, columns)
+    return (_scatter(topology, parts, rp.q), [part.branch for part in parts]) + binding
 
 
 def hessian_vector(
@@ -580,27 +649,107 @@ def iterate_schedule(
     view of batch-last memory that is never modified afterwards.
     ``rates_k`` holds each element's min rate at iterate ``p_k`` on the
     channel driving the updates.  ``mu[k]`` is a scalar, or an array of
-    shape (q,) for a step per element.
+    shape (q,) for a step per element; every step must be finite
+    (``ValueError`` otherwise, raised by the call itself).
 
-    Each step's pass carries the previous one forward: relay-fed hop b is
-    recomputed only for the elements whose block b-1 changed in any bit
-    (``_step_relay_hops``).  Two invariants make that exact: hop b's values
-    depend on the iterate only through block b-1, and a column's bits do not
-    depend on the columns computed with it.  A step's gradient is nonzero in
-    one block, and the projection returns feasible rows bit-identically, so
-    most steps move only the source row.  Only the relay hops' arrays outlive
-    a step; hop 1, the message rates and the gradient are made anew.
+    A step is block-local.  Step 0 is full: every row is re-projected and
+    every relay-fed hop recomputed on every column, as is any step after a
+    projection output held a NaN.  Any other step re-projects the source
+    row of every element and block b-1 of each element bound at hop b, laid
+    along the batch axis in one projection call, recomputes relay-fed hop b
+    on the columns bound at hop b, and updates hop B's end-user table and
+    its per-message minimum with it.  This is bit-identical to
+    re-projecting every row and recomputing every hop at every step, by the
+    module docstring's four invariants: columns are independent; from step
+    1 on every row of p is a projection output, which the projection
+    returns bit for bit and which holds no -0.0 or NaN, so rows with zero
+    gradient do not move; ``mu * 0 == 0`` for finite steps; and a NaN
+    output, which only +inf in x makes, is followed by a full step.  Only
+    the relay hops' arrays, the end-user table and its minimum outlive a
+    step.
     """
-    p = batch_last(np.asarray(p0, dtype=np.float64))
-    relay = _relay_hops(topology, ops, p)
-    for k in range(len(mu)):
-        rp = _pass_from(ops, p, relay)
+    mu = np.asarray(mu, dtype=np.float64)
+    if not np.isfinite(mu).all():
+        raise ValueError("every step size must be finite")
+    return _iterate(topology, ops, batch_last(np.asarray(p0, dtype=np.float64)), mu)
+
+
+def _iterate(topology: Topology, ops: ChannelOperands, p: np.ndarray, mu: np.ndarray):
+    """``iterate_schedule``'s steps from the batch-last ``p``."""
+    relay = users = None
+    full = True
+    for k in range(len(mu) + 1):
+        if relay is None:  # at p0, and after a full step: every column
+            relay = _relay_hops(topology, ops, p)
+            users = _end_users(*_hop_views(relay[-1])[2::2])
+        rp = _pass_from(ops, p, relay, users)
         yield _first_view(p), rp.message.min(axis=0)
-        x = p + mu[k] * gradient_pass(topology, ops, rp)[0]
-        del rp  # hop 1 and the message rates go; only the relay hops' arrays live on
-        prev, p = p, project_with_tangent(x)[0]
-        _step_relay_hops(topology, ops, relay, prev, p)
-    yield _first_view(p), _pass_from(ops, p, relay).message.min(axis=0)
+        if k == len(mu):
+            return
+        parts = _hop_gradients(topology, ops, rp, _binding(topology, rp))
+        q = rp.q  # a batch-1 p0 widens to the operands' batch at step 0
+        del rp  # hop 1 and the message rates go
+        p, nan = _step(topology, p, parts, mu[k], full, q)
+        if full:
+            relay = users = None  # freed before the new arrays are made
+        else:
+            for part in [part for part in parts if part.hop > 1]:
+                fresh = _relay_hop(ops, part.hop, p[part.rows].take(part.sel, axis=-1), part.sel)
+                relay[part.hop - 2][..., part.sel] = fresh
+                if part.hop == topology.num_hops:
+                    fresh_users = _end_users(*_hop_views(fresh)[2::2])
+                    for kept, new in zip(users, fresh_users):
+                        kept[..., part.sel] = new
+        full = nan
+
+
+def _step(
+    topology: Topology,
+    p: np.ndarray,
+    parts: list[_HopGradient],
+    step: np.ndarray,
+    full: bool,
+    q: int,
+) -> tuple[np.ndarray, bool]:
+    """The next iterate after ``p`` (stacked_rows, N, q, or a batch of 1 at
+    a full step), given the step's ``_hop_gradients``, and whether a
+    projection output holds a NaN.
+
+    A full step re-projects every row.  Any other step re-projects the
+    source row of every element and, for each relay-fed hop's part, the
+    rows of its columns, laid along the batch axis of one (N, rows)
+    projection call: the projection acts on each row alone, so the layout
+    changes no bits.
+    """
+    if full:
+        new = project_with_tangent(p + step * _scatter(topology, parts, q))[0]
+        return new, bool(np.isnan(new).any())
+    n = p.shape[-2]
+    source = p[-1]
+    pieces = []
+    for part in parts:
+        if part.hop > 1:
+            part_step = step if step.ndim == 0 else step[part.sel]
+            x = p[part.rows].take(part.sel, axis=-1) + part_step * part.block
+            pieces.append((part, x.transpose(1, 0, 2).reshape(n, -1)))
+        elif part.sel.size == q:
+            source = source + step * part.block
+        else:
+            # x = p + step * 0 = p in the other columns (invariants 2, 3)
+            grad = np.zeros((n, q))
+            grad[:, part.sel] = part.block
+            source = source + step * grad
+    if pieces:
+        source = np.concatenate([source] + [x for _, x in pieces], axis=-1)
+    out = project_with_tangent(source)[0]
+    new = np.concatenate((p[:-1], out[None, :, :q]))
+    start = q
+    for part, _ in pieces:
+        m, s = part.block.shape[0], part.sel.size
+        block = out[:, start : start + m * s].reshape(n, m, s)
+        new[part.rows][..., part.sel] = block.transpose(1, 0, 2)
+        start += m * s
+    return new, bool(np.isnan(out).any())
 
 
 @dataclass

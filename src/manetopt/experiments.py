@@ -43,7 +43,7 @@ from .errors import ConfigurationError
 from .gridsearch import grid_capacity, grid_points
 from .jsonfile import write_json
 from .pgd import FIXED_STEP, run_pgd_batch
-from .pilots import lmmse_estimate, make_pilots, simulate_pilot_rx
+from .pilots import lmmse_estimates, make_pilots
 from .power import uniform_init
 from .rates import min_rate
 from .training import FULL_CSI, NOISY_CSI, TrainConfig, load_schedule, save_schedule, train
@@ -403,16 +403,14 @@ def _pilot_estimates(
     config: ExperimentConfig, channels, noise: NoiseProfile, level_index: int
 ) -> list:
     """LMMSE estimates of the test channels from one pilot draw per channel."""
-    pilots = make_pilots(Topology(config.hop_sizes))
     pilot_seed = derive_seed(config.seed, PILOTS, level_index)
-    return [
-        lmmse_estimate(
-            simulate_pilot_rx(ch, noise, pilots, np.random.default_rng([pilot_seed, i])),
-            noise,
-            noise.channel_var,
-        )
-        for i, ch in enumerate(channels)
-    ]
+    return lmmse_estimates(
+        channels,
+        [noise] * len(channels),
+        make_pilots(Topology(config.hop_sizes)),
+        [np.random.default_rng([pilot_seed, i]) for i in range(len(channels))],
+        noise.channel_var,
+    )
 
 
 def _fixed_rates(

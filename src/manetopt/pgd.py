@@ -124,9 +124,13 @@ def calibrate_fixed_step(
     the smallest candidate if none of the larger ones settles.  So the
     smallest candidate never runs.  The others run as one batch, candidates
     first, and only the tail of each candidate's mean sequence is kept.
+    Every candidate must be finite (``ValueError`` otherwise).
     """
     from .power import uniform_init
 
+    if not np.isfinite(np.asarray(candidates, dtype=np.float64)).all():
+        # the smallest candidate never runs, so iterate_schedule cannot refuse it
+        raise ValueError("every step size must be finite")
     topology = topology_of(channels[0])
     ordered = sorted(float(c) for c in candidates)[::-1]
     tried = ordered[:-1]

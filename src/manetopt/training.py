@@ -37,7 +37,7 @@ from . import engine
 from .channels import ChannelDataset, ChannelRealization, NoiseProfile, Topology, topology_of
 from .jsonfile import write_json
 from .pgd import FIXED_STEP
-from .pilots import lmmse_estimate, make_pilots, simulate_pilot_rx
+from .pilots import lmmse_estimates, make_pilots
 from .power import random_init
 
 __all__ = [
@@ -132,12 +132,14 @@ def _estimate_entries(
     channel_var: float,
     rngs: Sequence[np.random.Generator],
 ) -> list[ChannelRealization]:
-    pilots = make_pilots(topology)
-    estimates = []
-    for (ch, noise), rng in zip(entries, rngs):
-        block = simulate_pilot_rx(ch, noise, pilots, rng)
-        estimates.append(lmmse_estimate(block, noise, channel_var))
-    return estimates
+    pairs = list(zip(entries, rngs))
+    return lmmse_estimates(
+        [ch for (ch, _), _ in pairs],
+        [n for (_, n), _ in pairs],
+        make_pilots(topology),
+        [rng for _, rng in pairs],
+        channel_var,
+    )
 
 
 def _batch_loss_grad(

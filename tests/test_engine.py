@@ -374,31 +374,109 @@ def _assert_same(new, ref):
 # --- tests -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "pick", [slice(None), slice(1, 2), None], ids=["batch", "single", "uniform"]
-)
+def _unprojected_starts(topology, count, seed):
+    """Starts that no projection made: random feasible rows with -0.0 in
+    place of some zeros, rows within the norm tolerance of the sphere, and
+    rows off it.  Only a step that re-projects every row maps them all onto
+    projection outputs."""
+    starts = _starts(topology, count, seed)
+    starts[0, :, 0] = -0.0
+    starts[1, 0] = -0.0
+    starts[1, 0, -1] = 1.0
+    starts[2] *= 1.0 + 4e-10
+    starts[3] *= 2.0
+    starts[4, -1] = np.linspace(-0.5, 0.5, topology.end_users)
+    return starts
+
+
+def dense_iterate(topology, ops, p0, mu):
+    """``iterate_schedule`` as a fresh rate pass and a dense gradient at
+    every iterate, with every row re-projected: the engine's own kernels,
+    so NaN rates bind as in the engine."""
+    p = engine.batch_last(np.asarray(p0, dtype=np.float64))
+    for k in range(len(mu)):
+        rp = engine.rate_pass(topology, ops, p)
+        yield engine.batch_first(p), rp.message.min(axis=0)
+        p = engine.project_with_tangent(p + mu[k] * engine.gradient_pass(topology, ops, rp)[0])[0]
+    yield engine.batch_first(p), engine.rate_pass(topology, ops, p).message.min(axis=0)
+
+
+def _patch_nan_projection(monkeypatch):
+    """Make the engine's projection give a NaN row wherever x holds an entry
+    above 1e300, as a row holding +inf does; it still acts on each row
+    alone."""
+    project = engine.project_with_tangent
+
+    def patched(x, dx=None):
+        out, second = project(x, dx)
+        return np.where((x > 1e300).any(axis=-2, keepdims=True), np.nan, out), second
+
+    monkeypatch.setattr(engine, "project_with_tangent", patched)
+
+
+def _assert_same_bits(new, ref):
+    """Equal values, NaN where NaN, and equal signs of zeros."""
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert np.array_equal(new, ref, equal_nan=True)
+    zeros = ref == 0.0
+    assert np.array_equal(np.signbit(new[zeros]), np.signbit(ref[zeros]))
+
+
+ITERATE_INPUTS = ["batch", "single", "one_start", "uniform", "zero_noise", "unprojected", "nan"]
+
+
+@pytest.mark.parametrize("case", ITERATE_INPUTS)
 @pytest.mark.parametrize("hop_sizes", TOPOLOGIES)
-def test_iterate_schedule_matches_reference(hop_sizes, pick):
+def test_iterate_schedule_matches_reference(monkeypatch, hop_sizes, case):
+    # The block-local steps against references that re-project every row
+    # and recompute every hop at every step: the engine's kernels stepping
+    # densely, and the batch-first reference wherever no rate is NaN (it
+    # binds NaN rates by other rules).
+    # "one_start": one start over nine channels, so the first step widens
+    # the batch.
     # "uniform": small constant steps from uniform starts, where the relay
     # blocks of most elements stay still for long stretches of steps.
+    # "zero_noise": rates hold NaN once a coefficient reaches 0.
+    # "unprojected": starts holding -0.0 and rows no projection made, which
+    # only a full first step maps onto projection outputs.
+    # "nan": two huge steps, with a projection patched to give NaN rows
+    # where x is huge, put NaN in projection outputs, so the steps after
+    # them must be full.
     topology = mo.Topology(hop_sizes)
-    entries = _entries(topology, 9, seed=[71, len(hop_sizes), hop_sizes[-1]])[pick or slice(None)]
-    ops, ref_ops = _both_operands(
-        [ch for ch, _ in entries], [n.hop_noise_vars for _, n in entries]
-    )
-    if pick is None:
+    entries = _entries(topology, 9, seed=[71, len(hop_sizes), hop_sizes[-1]])
+    noise_rows = [n.hop_noise_vars for _, n in entries]
+    if case == "single":
+        entries, noise_rows = entries[1:2], noise_rows[1:2]
+    if case == "zero_noise":
+        noise_rows = np.zeros_like(noise_rows)
+    ops, ref_ops = _both_operands([ch for ch, _ in entries], noise_rows)
+    mu = np.random.default_rng(3).uniform(0.01, 1.0, 300)
+    p0 = _starts(topology, 9, seed=7)
+    if case in ("single", "one_start"):
+        p0 = p0[1:2]
+    elif case == "uniform":
         p0 = np.stack([power.uniform_init(topology)] * 9)
         mu = np.full(300, mo.FIXED_STEP)
-    else:
-        p0 = _starts(topology, 9, seed=7)[pick]
-        mu = np.random.default_rng(3).uniform(0.01, 1.0, 300)
-    new = engine.iterate_schedule(topology, ops, p0, mu)
-    for k, ((p, rates), (p_ref, rates_ref)) in enumerate(
-        zip(new, ref_iterate(topology, ref_ops, p0, mu))
-    ):
-        _assert_same(p, p_ref)
-        _assert_same(rates, rates_ref)
+    elif case == "unprojected":
+        p0 = _unprojected_starts(topology, 9, seed=7)
+    elif case == "nan":
+        mu = mu[:60]
+        mu[[3, 30]] = 1e303
+        _patch_nan_projection(monkeypatch)
+    saw_nan = False
+    with np.errstate(all="ignore"):
+        refs = [dense_iterate(topology, ops, p0, mu)]
+        if case not in ("zero_noise", "nan"):
+            refs.append(ref_iterate(topology, ref_ops, p0, mu))
+        for k, (got, *expected) in enumerate(
+            zip(engine.iterate_schedule(topology, ops, p0, mu), *refs)
+        ):
+            for want in expected:
+                _assert_same_bits(got[0], want[0])
+                _assert_same_bits(got[1], want[1])
+            saw_nan |= bool(np.isnan(got[0]).any())
     assert k == len(mu)
+    assert saw_nan == (case == "nan")
 
 
 def _same_bits(a, b):
@@ -407,54 +485,69 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("one_channel", [False, True], ids=["channels", "broadcast"])
 @pytest.mark.parametrize("hop_sizes", [(2, 2, 2), (2, 9)])
-def test_step_relay_hops_recomputes_exactly_the_moved_columns(monkeypatch, hop_sizes, one_channel):
-    # Each case moves some batch columns of some relay blocks.  Hop b is
-    # recomputed on exactly the columns whose block b-1 moved, over the full
-    # width when all did, and the updated values equal a fresh pass bit for
-    # bit.  On (2, 9) a one-column subset sums nine end users' interference.
-    # "broadcast" runs one channel's batch-1 operands over every start.
+def test_iterate_schedule_recomputes_exactly_the_bound_columns(monkeypatch, hop_sizes, one_channel):
+    # Steps 0 and 6 are full: step 0 always, step 6 because the huge step 5
+    # puts NaN in projection outputs (through a patched projection).  After
+    # a full step every relay-fed hop is recomputed on every column; after
+    # any other step, hop b on exactly the columns that bound at hop b,
+    # which on (2, 9) include one-column subsets summing nine end users'
+    # interference.  Every pass reads kept relay arrays and an end-user
+    # table equal to fresh ones bit for bit.  "broadcast" runs one channel's
+    # batch-1 operands over every start.
     topology = mo.Topology(hop_sizes)
     q = 6
     entries = _entries(topology, 1 if one_channel else q, seed=[76, len(hop_sizes)])
     ops = _both_operands([ch for ch, _ in entries], [n.hop_noise_vars for _, n in entries])[0]
-    prev = engine.batch_last(_starts(topology, q, seed=11))
-    other = engine.batch_last(_starts(topology, q, seed=12))
-    calls = []
-    relay_hop = engine._relay_hop
+    p0 = _starts(topology, q, seed=11)
+    mu = np.random.default_rng(12).uniform(0.05, 1.0, 40)
+    mu[5] = 1e303
+    _patch_nan_projection(monkeypatch)
+    relay_hop, select_binding = engine._relay_hop, engine.select_binding
+    pass_from = engine._pass_from
+    calls, bound, checking = [], [], []
 
-    def spy(ops, hop, block, cols=None):
-        calls.append((hop, None if cols is None else cols.tolist()))
+    def spy_relay_hop(ops, hop, block, cols=None):
+        if not checking:
+            calls[-1].append((hop, None if cols is None else cols.tolist()))
         return relay_hop(ops, hop, block, cols)
 
-    monkeypatch.setattr(engine, "_relay_hop", spy)
+    def spy_select_binding(topology, rp, nstar):
+        hop, node = select_binding(topology, rp, nstar)
+        bound.append(hop)
+        return hop, node
 
-    def moved(moves):
-        p = prev.copy()
-        for block, cols in moves.items():
-            rows = topology.block_rows(block)
-            p[rows, :, cols] = other[rows, :, cols]
-        return prev, p, moves
+    def spy_pass_from(ops, p, relay, users):
+        checking.append(True)
+        fresh = engine._relay_hops(topology, ops, p)
+        checking.clear()
+        assert all(_same_bits(kept, new) for kept, new in zip(relay, fresh))
+        fresh_users = engine._end_users(*engine._hop_views(fresh[-1])[2::2])
+        assert all(_same_bits(kept, new) for kept, new in zip(users, fresh_users))
+        calls.append([])
+        return pass_from(ops, p, relay, users)
 
-    # -0.0 == +0.0, but the bits differ, and so may a product's sign
-    zero, negative = prev.copy(), prev.copy()
-    row = topology.block_rows(1).start
-    zero[row, 0, 2], negative[row, 0, 2] = 0.0, -0.0
-    last = topology.num_hops - 1
-    cases = [
-        moved({}),
-        moved({1: [4]}),
-        moved({1: [0, 3], last: [5]}),
-        moved({b: list(range(q)) for b in range(1, last + 1)}),
-        (zero, negative, {1: [2]}),
-    ]
-    for base, p, moves in cases:
-        relay = engine._relay_hops(topology, ops, base)
-        calls.clear()
-        engine._step_relay_hops(topology, ops, relay, base, p)
-        expected = [(b + 1, None if len(c) == q else c) for b, c in sorted(moves.items())]
-        assert calls == expected, moves
-        for kept, fresh in zip(relay, engine._relay_hops(topology, ops, p)):
-            assert all(_same_bits(a, b) for a, b in zip(kept, fresh)), moves
+    monkeypatch.setattr(engine, "_relay_hop", spy_relay_hop)
+    monkeypatch.setattr(engine, "select_binding", spy_select_binding)
+    monkeypatch.setattr(engine, "_pass_from", spy_pass_from)
+    calls.append([])
+    with np.errstate(all="ignore"):
+        iterates = [p for p, _ in engine.iterate_schedule(topology, ops, p0, mu)]
+    relay_hops = range(2, topology.num_hops + 1)
+    every = [(hop, None) for hop in relay_hops]
+    assert calls[0] == every  # the starting pass
+    nan_after = [k for k, p in enumerate(iterates) if np.isnan(p).any()]
+    assert nan_after[0] == 6
+    subsets = []
+    for k in range(len(mu)):
+        if k == 0 or k in nan_after:
+            expected = every
+        else:
+            expected = [(hop, (bound[k] == hop).nonzero()[0].tolist())
+                        for hop in relay_hops if (bound[k] == hop).any()]
+            subsets += [cols for _, cols in expected]
+        assert calls[k + 1] == expected, k
+    assert any(len(cols) == 1 for cols in subsets)
+    assert any(1 < len(cols) < q for cols in subsets)
 
 
 def _check_unrolled_loss(hop_sizes, noisy, pick):

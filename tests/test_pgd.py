@@ -50,6 +50,29 @@ def test_pgd_step_requires_feasible_point(net_122):
         mo.pgd_step(np.full((3, 2), 0.9), ch, noise, 0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_steps_are_rejected(net_122, bad):
+    # A zero gradient times an infinite step is NaN, which would move rows
+    # that must stay put; every path into iterate_schedule refuses it.
+    topo, ch, noise = net_122
+    p0 = mo.uniform_init(topo)
+    mu = np.full(5, 0.1)
+    mu[2] = bad
+    per_element = np.full((5, 3), 0.1)
+    per_element[4, 1] = bad
+    calls = [
+        lambda: mo.pgd_step(p0, ch, noise, bad),
+        lambda: mo.run_pgd(ch, noise, p0, mu),
+        lambda: mo.run_pgd_batch(ch, noise, np.stack([p0] * 3), mu),
+        lambda: mo.run_pgd_batch(ch, noise, np.stack([p0] * 3), per_element),
+        lambda: mo.infer_batch([ch, ch], noise, mu, 2, [0, 1]),
+        lambda: mo.calibrate_fixed_step([ch], noise, candidates=(bad, 0.5, 0.1), iterations=3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
 def test_run_pgd_zero_iterations(net_122):
     topo, ch, noise = net_122
     p0 = mo.uniform_init(topo)

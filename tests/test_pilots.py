@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import manetopt as mo
-from manetopt.pilots import block_topology
+from manetopt.pilots import block_topology, lmmse_estimates
 
 
 def test_pilot_length_is_max_transmitters():
@@ -149,3 +149,62 @@ def test_estimates_feed_the_rate_engine():
     est = mo.lmmse_estimate(block, noise, 1.0)
     value, _ = mo.min_rate(est, mo.uniform_init(topo), noise)
     assert np.isfinite(value)
+
+
+def loop_estimate(channel, noise, pilots, gen, channel_var):
+    """One channel's pilot reception and LMMSE estimate, hop by hop: the
+    per-channel arithmetic the stacked kernels replaced."""
+    received = []
+    for hop in range(1, len(pilots) + 1):
+        if hop == 1:
+            clean = channel.first_hop[:, None] * pilots[0][0][None, :]
+        else:
+            clean = channel.later_hops[hop - 2].T @ pilots[hop - 1]
+        scale = np.sqrt(noise.hop_noise_vars[hop - 1] / 2.0)
+        w = gen.standard_normal(clean.shape) * scale + 1j * gen.standard_normal(clean.shape) * scale
+        received.append(clean + w)
+    shrink = [channel_var / (channel_var + v) for v in noise.hop_noise_vars]
+    first = shrink[0] * (received[0] @ pilots[0][0].conj())
+    later = [
+        shrink[hop - 1] * (pilots[hop - 1].conj() @ received[hop - 1].T)
+        for hop in range(2, len(pilots) + 1)
+    ]
+    return received, [first] + later
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per-channel", "shared"])
+@pytest.mark.parametrize("hop_sizes", [(2, 2), (3, 3), (4, 4), (2, 2, 2), (4, 2)])
+def test_stacked_pilots_equal_the_per_channel_loop(hop_sizes, shared):
+    # The stacked reception and estimates give the bytes of the hop-by-hop
+    # loop on each channel, drawing in the same order, from one generator
+    # per channel or one shared by all; channels carry -10, 0 and 10 dB
+    # noise and a zero-noise profile.
+    topo = mo.Topology(hop_sizes)
+    rng = np.random.default_rng([13, *hop_sizes])
+    channels = [mo.sample_channel(topo, 2.0, rng) for _ in range(8)]
+    noises = [
+        mo.NoiseProfile((10.0 ** (db / 10.0),) * topo.num_hops, 2.0)
+        for db in (-10.0, 0.0, 10.0, -10.0, 0.0, 10.0, 0.0, 10.0)
+    ]
+    noises[6] = mo.NoiseProfile((0.0,) * topo.num_hops, 2.0)
+    pilots = mo.make_pilots(topo)
+
+    def generators():
+        if shared:
+            return [np.random.default_rng(21)] * len(channels)
+        return [np.random.default_rng([21, i]) for i in range(len(channels))]
+
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    expected = [
+        loop_estimate(ch, n, pilots, g, 2.0) for ch, n, g in zip(channels, noises, generators())
+    ]
+    stacked = lmmse_estimates(channels, noises, pilots, generators(), 2.0)
+    for (_, want), got in zip(expected, stacked):
+        assert all(same(a, b) for a, b in zip(want, (got.first_hop, *got.later_hops)))
+    for ch, n, g, (received, want) in zip(channels, noises, generators(), expected):
+        block = mo.simulate_pilot_rx(ch, n, pilots, g)
+        assert all(same(a, b) for a, b in zip(received, block.received))
+        got = mo.lmmse_estimate(block, n, 2.0)
+        assert all(same(a, b) for a, b in zip(want, (got.first_hop, *got.later_hops)))
