@@ -132,10 +132,7 @@ def bench_network(hop_sizes, q, steps, calib_iterations, repeats) -> list[dict]:
     ):
         record(name, best_of(repeats, lambda: [kernel() for _ in range(steps)]), q * steps)
     pilots = mo.make_pilots(topology)
-    estimates = [
-        mo.lmmse_estimate(mo.simulate_pilot_rx(ch, noise, pilots, rng), noise, 1.0)
-        for ch in channels
-    ]
+    estimates = mo.lmmse_estimates(channels, [noise] * q, pilots, [rng] * q)
     est_ops = engine.operands_from(estimates, noise)
     for name, drive, want_grad in (
         ("loss", ops, False), ("loss_grad", ops, True), ("loss_grad_noisy", est_ops, True)

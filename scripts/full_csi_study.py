@@ -19,13 +19,11 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="results/full_csi")
     parser.add_argument("--cache", default=".cache")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     common = dict(
         seed=args.seed,
         cache_dir=args.cache,
-        threads=args.threads,
         train=TrainConfig(),
     )
     for sizes in ((2, 2), (3, 3)):

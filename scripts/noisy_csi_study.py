@@ -19,7 +19,6 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="results/noisy_csi")
     parser.add_argument("--cache", default=".cache")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     run_scenario(
@@ -30,7 +29,6 @@ def main() -> None:
             out_dir=f"{args.out}/robustness_3x3",
             seed=args.seed,
             cache_dir=args.cache,
-            threads=args.threads,
             train=TrainConfig(),
         )
     )

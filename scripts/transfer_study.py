@@ -19,7 +19,6 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="results/transfer")
     parser.add_argument("--cache", default=".cache")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     for sizes in ((3, 3), (4, 4)):
@@ -33,7 +32,6 @@ def main() -> None:
                 out_dir=f"{args.out}/to_{tag}",
                 seed=args.seed,
                 cache_dir=args.cache,
-                threads=args.threads,
                 train=TrainConfig(),
             )
         )

@@ -6,12 +6,10 @@ from .channels import (
     NoiseProfile,
     Topology,
     build_dataset,
-    load_dataset,
     sample_channel,
-    save_dataset,
     topology_of,
 )
-from .ensemble import BatchResult, EnsembleResult, infer, infer_batch
+from .ensemble import BatchResult, infer_batch
 from .gradients import (
     ObjectiveGradient,
     finite_difference_gradient,
@@ -24,35 +22,18 @@ from .pgd import (
     FIXED_STEP,
     PgdTrajectory,
     calibrate_fixed_step,
-    pgd_step,
     run_pgd,
     run_pgd_batch,
     write_trajectory_csv,
 )
-from .pilots import PilotBlock, lmmse_estimate, make_pilots, simulate_pilot_rx
-from .power import (
-    is_feasible,
-    load_power_matrix,
-    project,
-    random_init,
-    save_power_matrix,
-    uniform_init,
-)
-from .rates import (
-    RateReport,
-    compute_report,
-    first_hop_rate,
-    gain,
-    later_hop_rate,
-    message_rate,
-    min_rate,
-)
+from .pilots import lmmse_estimates, make_pilots
+from .power import is_feasible, project, random_init, uniform_init
+from .rates import RateReport, compute_report, min_rate
 from .training import (
     AdamState,
     TrainConfig,
     adam_update,
     load_schedule,
-    loss_grad_mu,
     save_schedule,
     train,
 )

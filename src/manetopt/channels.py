@@ -12,7 +12,6 @@ coherence block and independent across blocks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +24,6 @@ __all__ = [
     "sample_channel",
     "build_dataset",
     "topology_of",
-    "save_dataset",
-    "load_dataset",
 ]
 
 
@@ -78,10 +75,6 @@ class Topology:
         start = sum(self.hop_sizes[: layer - 1])
         return slice(start, start + self.hop_sizes[layer - 1])
 
-    def link_count(self) -> int:
-        sizes = self.hop_sizes
-        return sizes[0] + sum(sizes[b - 1] * sizes[b] for b in range(1, len(sizes)))
-
 
 @dataclass(frozen=True)
 class NoiseProfile:
@@ -112,7 +105,6 @@ class ChannelRealization:
 
     first_hop: np.ndarray
     later_hops: tuple[np.ndarray, ...]
-    block_index: int = 0
 
     def validate(self, topology: Topology) -> None:
         sizes = topology.hop_sizes
@@ -199,65 +191,6 @@ def build_dataset(
     entries = []
     for i in range(count):
         rng = np.random.default_rng([seed, i])
-        ch = sample_channel(topology, noise.channel_var, rng)
-        ch = ChannelRealization(ch.first_hop, ch.later_hops, block_index=i)
-        entries.append((ch, noise))
+        entries.append((sample_channel(topology, noise.channel_var, rng), noise))
     return ChannelDataset(topology=topology, entries=tuple(entries), seed=seed)
 
-
-def _links_flat(ch: ChannelRealization) -> list[list[float]]:
-    # Hop-major, then transmitter-major, then receiver-major link ordering.
-    values: list[complex] = list(ch.first_hop)
-    for mat in ch.later_hops:
-        values.extend(mat.reshape(-1))
-    return [[float(v.real), float(v.imag)] for v in values]
-
-
-def _links_unflat(topology: Topology, pairs: list[list[float]]) -> ChannelRealization:
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    sizes = topology.hop_sizes
-    first = flat[: sizes[0]]
-    later = []
-    pos = sizes[0]
-    for j in range(len(sizes) - 1):
-        n = sizes[j] * sizes[j + 1]
-        later.append(flat[pos : pos + n].reshape(sizes[j], sizes[j + 1]))
-        pos += n
-    return ChannelRealization(first_hop=first, later_hops=tuple(later))
-
-
-def save_dataset(path: str, dataset: ChannelDataset) -> None:
-    """Write a dataset as JSON; floats round-trip exactly."""
-    doc = {
-        "topology": {"hop_sizes": list(dataset.topology.hop_sizes)},
-        "seed": dataset.seed,
-        "entries": [
-            {
-                "block_index": ch.block_index,
-                "noise": {
-                    "hop_noise_vars": list(noise.hop_noise_vars),
-                    "channel_var": noise.channel_var,
-                },
-                "links": _links_flat(ch),
-            }
-            for ch, noise in dataset.entries
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_dataset(path: str) -> ChannelDataset:
-    with open(path) as fh:
-        doc = json.load(fh)
-    topology = Topology(tuple(doc["topology"]["hop_sizes"]))
-    entries = []
-    for item in doc["entries"]:
-        ch = _links_unflat(topology, item["links"])
-        ch = ChannelRealization(ch.first_hop, ch.later_hops, block_index=item["block_index"])
-        noise = NoiseProfile(
-            hop_noise_vars=tuple(item["noise"]["hop_noise_vars"]),
-            channel_var=item["noise"]["channel_var"],
-        )
-        entries.append((ch, noise))
-    return ChannelDataset(topology=topology, entries=tuple(entries), seed=doc["seed"])

@@ -26,10 +26,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument(
-            "--threads", type=int, default=None,
-            help="accepted and ignored; outputs are identical for any value",
-        )
     return parser
 
 
@@ -42,8 +38,6 @@ def main(argv: list[str] | None = None) -> int:
             overrides["seed"] = args.seed
         if args.out is not None:
             overrides["out_dir"] = args.out
-        if args.threads is not None:
-            overrides["threads"] = args.threads
         if config.scenario != args.scenario:
             raise ConfigurationError(
                 f"config declares scenario {config.scenario!r}, "

@@ -9,14 +9,14 @@ the equal-power allocation, the rest from seeded uniform draws over the
 feasible set, so ensembles with growing E are nested and the selected rate is
 non-decreasing in E.
 
-When the input is a pilot block the CSI is first estimated; selection then
-uses the estimate (the true channel is unavailable at inference time) and
-callers evaluate the realized rate separately.
+Under noisy CSI the channels passed in are LMMSE estimates
+(``pilots.lmmse_estimates``); selection then uses the estimate (the true
+channel is unavailable at inference time) and callers evaluate the realized
+rate separately.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -24,10 +24,9 @@ import numpy as np
 
 from . import engine
 from .channels import ChannelRealization, NoiseProfile, topology_of
-from .pilots import PilotBlock, lmmse_estimate
 from .power import project, uniform_init
 
-__all__ = ["EnsembleResult", "BatchResult", "infer", "infer_batch", "member_starts"]
+__all__ = ["BatchResult", "infer_batch", "member_starts"]
 
 # Batch columns (channels x members) per batch in ``infer_batch``; bounds its
 # peak memory whatever the ensemble size.  A step costs about a hundred numpy
@@ -41,36 +40,14 @@ _CHUNK = 2048
 
 
 @dataclass
-class EnsembleResult:
-    """Best allocation over all members and iterations.
+class BatchResult:
+    """Per-channel best allocation over all members and iterations, one row
+    per channel.
 
     ``selected_min_rate_eval`` is measured under the CSI used for selection
     (the estimate, in noisy mode).  ``iteration_index`` counts iterates, so 1
     is the first update; initial guesses are never candidates.
     """
-
-    selected: np.ndarray
-    selected_min_rate_eval: float
-    member_index: int
-    iteration_index: int
-
-    def to_json(self) -> dict:
-        return {
-            "selected": self.selected.tolist(),
-            "selected_min_rate_eval": self.selected_min_rate_eval,
-            "member_index": self.member_index,
-            "iteration_index": self.iteration_index,
-        }
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-
-@dataclass
-class BatchResult:
-    """Per-channel selections of ``infer_batch``, one row per channel; the
-    fields mean what they mean in ``EnsembleResult``."""
 
     selected: np.ndarray                # (channels, rows, N)
     selected_min_rate_eval: np.ndarray  # (channels,)
@@ -96,29 +73,6 @@ def _starts(topology, ensemble_size: int, seeds: Sequence[int]) -> np.ndarray:
         for member in range(1, ensemble_size):
             raw[i, member] = np.random.default_rng([seed, member]).uniform(0.0, 1.0, size=shape)
     return project(raw).reshape((-1,) + shape)
-
-
-def infer(
-    input_csi: ChannelRealization | PilotBlock,
-    noise: NoiseProfile,
-    mu: np.ndarray,
-    ensemble_size: int,
-    seed: int = 0,
-    channel_var: float = 1.0,
-) -> EnsembleResult:
-    """``infer_batch`` on one channel, or on the LMMSE estimate of one pilot
-    block."""
-    if isinstance(input_csi, PilotBlock):
-        csi = lmmse_estimate(input_csi, noise, channel_var)
-    else:
-        csi = input_csi
-    batch = infer_batch([csi], noise, mu, ensemble_size, [seed])
-    return EnsembleResult(
-        selected=batch.selected[0],
-        selected_min_rate_eval=float(batch.selected_min_rate_eval[0]),
-        member_index=int(batch.member_index[0]),
-        iteration_index=int(batch.iteration_index[0]),
-    )
 
 
 def infer_batch(

@@ -18,11 +18,10 @@ import numpy as np
 
 from . import engine
 from .channels import ChannelRealization, NoiseProfile, topology_of
-from .power import is_feasible
+from .power import is_feasible, uniform_init
 
 __all__ = [
     "PgdTrajectory",
-    "pgd_step",
     "run_pgd",
     "run_pgd_batch",
     "calibrate_fixed_step",
@@ -54,19 +53,6 @@ class PgdTrajectory:
         return len(self.iterates) - 1
 
 
-def pgd_step(
-    p: np.ndarray, channel: ChannelRealization, noise: NoiseProfile, mu: float
-) -> np.ndarray:
-    """One ascent step: project(p + mu * gradient)."""
-    p = np.asarray(p, dtype=np.float64)
-    if not is_feasible(p):
-        raise ValueError("pgd_step requires a feasible matrix")
-    _, (stepped, _) = engine.iterate_schedule(
-        topology_of(channel), engine.operands_from(channel, noise), p[None], [float(mu)]
-    )
-    return stepped[0]
-
-
 def run_pgd(
     channel: ChannelRealization,
     noise: NoiseProfile,
@@ -93,11 +79,17 @@ def run_pgd_batch(
     ``p0`` is (batch, rows, N).  A single channel broadcasts over the batch
     (multi-start on one realization); a sequence supplies one channel per
     batch element.  Returns the min rates on the driving channels per
-    iterate, of shape (K+1, batch), and, optionally, all iterates.
+    iterate, of shape (K+1, batch), and, optionally, all iterates.  An empty
+    batch is refused (``ValueError``).
     """
     mu = np.asarray(mu, dtype=np.float64)
     p0 = np.asarray(p0, dtype=np.float64)
-    topology = topology_of(channels if isinstance(channels, ChannelRealization) else channels[0])
+    one = isinstance(channels, ChannelRealization)
+    if not one and not len(channels):
+        raise ValueError("a PGD batch needs at least one channel")
+    if not len(p0):
+        raise ValueError("a PGD batch needs at least one start")
+    topology = topology_of(channels if one else channels[0])
     ops = engine.operands_from(channels, noise)
     rates = np.empty((len(mu) + 1, len(p0)))
     iterates = np.empty((len(mu) + 1,) + p0.shape) if record_iterates else None
@@ -126,8 +118,6 @@ def calibrate_fixed_step(
     first, and only the tail of each candidate's mean sequence is kept.
     Every candidate must be finite (``ValueError`` otherwise).
     """
-    from .power import uniform_init
-
     if not np.isfinite(np.asarray(candidates, dtype=np.float64)).all():
         # the smallest candidate never runs, so iterate_schedule cannot refuse it
         raise ValueError("every step size must be finite")

@@ -12,30 +12,13 @@ reproduces the channel exactly.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelRealization, NoiseProfile, Topology, topology_of
+from .channels import ChannelRealization, NoiseProfile, Topology
 from .engine import stack_channels
 
-__all__ = [
-    "PilotBlock",
-    "make_pilots",
-    "simulate_pilot_rx",
-    "lmmse_estimate",
-    "lmmse_estimates",
-    "block_topology",
-]
-
-
-@dataclass(frozen=True)
-class PilotBlock:
-    """Pilot vectors and the noisy observations they produced, per hop."""
-
-    pilot_length: int
-    pilots: tuple[np.ndarray, ...]     # per hop: (transmitters, T)
-    received: tuple[np.ndarray, ...]   # per hop: (receivers, T)
+__all__ = ["make_pilots", "lmmse_estimates"]
 
 
 def make_pilots(topology: Topology) -> tuple[np.ndarray, ...]:
@@ -89,50 +72,6 @@ def _estimates(
     ]
 
 
-def simulate_pilot_rx(
-    channel: ChannelRealization,
-    noise: NoiseProfile,
-    pilots: tuple[np.ndarray, ...],
-    rng: np.random.Generator | int | None = None,
-) -> PilotBlock:
-    """Received pilot vectors at every node, with per-hop AWGN.
-
-    Noise is circularly symmetric with per-component variance sigma_b^2 (the
-    same sigma as data reception); a zero variance yields exact observations.
-    """
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    topology = topology_of(channel)
-    if len(pilots) != topology.num_hops:
-        raise ValueError("one pilot set per hop is required")
-    received = _received(
-        channel.first_hop[None],
-        [m[None] for m in channel.later_hops],
-        np.array([noise.hop_noise_vars], dtype=np.float64),
-        pilots,
-        [gen],
-    )
-    return PilotBlock(
-        pilot_length=pilots[0].shape[-1],
-        pilots=tuple(pilots),
-        received=tuple(r[0] for r in received),
-    )
-
-
-def lmmse_estimate(
-    block: PilotBlock, noise: NoiseProfile, channel_var: float = 1.0
-) -> ChannelRealization:
-    """Linear MMSE estimate of every link from the received pilots."""
-    if len(noise.hop_noise_vars) != len(block.received):
-        raise ValueError("noise profile length does not match the pilot block")
-    first, *later = _estimates(
-        [r[None] for r in block.received],
-        np.array([noise.hop_noise_vars], dtype=np.float64),
-        block.pilots,
-        channel_var,
-    )
-    return ChannelRealization(first_hop=first[0], later_hops=tuple(m[0] for m in later))
-
-
 def lmmse_estimates(
     channels: Sequence[ChannelRealization],
     noises: Sequence[NoiseProfile],
@@ -140,15 +79,26 @@ def lmmse_estimates(
     rngs: Sequence[np.random.Generator],
     channel_var: float = 1.0,
 ) -> list[ChannelRealization]:
-    """``lmmse_estimate(simulate_pilot_rx(channels[i], noises[i], pilots,
-    rngs[i]), noises[i], channel_var)`` for every i, with the received
-    blocks and the estimates of all channels built as stacked arrays; the
-    estimates are views of them."""
+    """Linear MMSE estimate of every link of every channel from its received
+    pilots.
+
+    Channel i receives ``pilots`` (``make_pilots``) with circularly symmetric
+    AWGN of variance sigma_b^2 per received entry at hop b, from ``noises[i]``
+    (the same sigma as data reception; a zero variance yields exact
+    observations), drawn from ``rngs[i]`` hop by hop, real parts before
+    imaginary parts; a generator passed for several channels is drawn from
+    channel after channel.  The
+    received blocks and the estimates of all channels are built as stacked
+    arrays; the estimates are views of them.
+    """
     if not len(noises) == len(rngs) == len(channels):
         raise ValueError("one noise profile and one generator per channel are required")
     if not channels:
         return []
     var = np.array([n.hop_noise_vars for n in noises], dtype=np.float64).reshape(len(channels), -1)
+    hops = 1 + len(channels[0].later_hops)
+    if len(pilots) != hops or var.shape[1] != hops:
+        raise ValueError("one pilot set and one noise variance per hop are required")
     first, later = stack_channels(list(channels))
     first, *later = _estimates(_received(first, later, var, pilots, rngs), var, pilots, channel_var)
     return [
@@ -156,7 +106,3 @@ def lmmse_estimates(
         for i in range(len(channels))
     ]
 
-
-def block_topology(block: PilotBlock) -> Topology:
-    """Hop structure implied by the receiver counts of a pilot block."""
-    return Topology(tuple(y.shape[0] for y in block.received))

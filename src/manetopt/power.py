@@ -24,7 +24,6 @@ them.  ``project`` takes rows along the last axis.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,6 @@ __all__ = [
     "uniform_init",
     "random_init",
     "is_feasible",
-    "save_power_matrix",
-    "load_power_matrix",
 ]
 
 NORM_TOL = 1e-9
@@ -193,21 +190,3 @@ def is_feasible(p: np.ndarray, norm_tol: float = NORM_TOL) -> bool:
     norms = np.sqrt(np.sum(x * x, axis=-1))
     return bool(np.all(np.abs(norms - 1.0) <= norm_tol))
 
-
-def save_power_matrix(path: str, p: np.ndarray, topology: Topology) -> None:
-    doc = {
-        "topology": {"hop_sizes": list(topology.hop_sizes)},
-        "values": np.asarray(p, dtype=np.float64).tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_power_matrix(path: str) -> tuple[np.ndarray, Topology]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    topology = Topology(tuple(doc["topology"]["hop_sizes"]))
-    values = np.array(doc["values"], dtype=np.float64)
-    if values.shape != (topology.stacked_rows, topology.end_users):
-        raise ValueError("stored matrix does not match its topology header")
-    return values, topology

@@ -26,10 +26,6 @@ from .channels import ChannelRealization, NoiseProfile, Topology, topology_of
 __all__ = [
     "RateReport",
     "compute_report",
-    "first_hop_rate",
-    "gain",
-    "later_hop_rate",
-    "message_rate",
     "min_rate",
 ]
 
@@ -109,45 +105,6 @@ def compute_report(
     )
 
 
-def first_hop_rate(
-    channel: ChannelRealization, p: np.ndarray, noise: NoiseProfile, m: int, n: int
-) -> float:
-    """Rate at which relay ``m`` can recover message ``n`` (hop 1)."""
-    report = compute_report(channel, p, noise)
-    return float(report.first_hop_rates[m, n])
-
-
-def gain(channel: ChannelRealization, p: np.ndarray, hop: int, l: int, n: int) -> float:
-    """Coherent combining gain of message ``n`` at node ``l`` of ``hop`` (>= 2)."""
-    topology = topology_of(channel)
-    _check_hop(topology, hop)
-    noise = NoiseProfile(hop_noise_vars=(1.0,) * topology.num_hops)
-    report = compute_report(channel, p, noise)
-    return float(report.gains[hop - 2][l, n])
-
-
-def later_hop_rate(
-    channel: ChannelRealization,
-    p: np.ndarray,
-    noise: NoiseProfile,
-    hop: int,
-    l: int,
-    n: int,
-) -> float:
-    """Rate at which node ``l`` of ``hop`` (>= 2) can recover message ``n``."""
-    _check_hop(topology_of(channel), hop)
-    report = compute_report(channel, p, noise)
-    return float(report.later_hop_rates[hop - 2][l, n])
-
-
-def message_rate(
-    channel: ChannelRealization, p: np.ndarray, noise: NoiseProfile, n: int
-) -> float:
-    """Supported rate of message ``n``: the minimum over all its constraints."""
-    report = compute_report(channel, p, noise)
-    return float(report.message_rates[n])
-
-
 def min_rate(
     channel: ChannelRealization, p: np.ndarray, noise: NoiseProfile
 ) -> tuple[float | np.ndarray, int | np.ndarray]:
@@ -155,7 +112,3 @@ def min_rate(
     report = compute_report(channel, p, noise)
     return report.min_rate, report.min_index
 
-
-def _check_hop(topology: Topology, hop: int) -> None:
-    if not 2 <= hop <= topology.num_hops:
-        raise ValueError(f"hop must be in 2..{topology.num_hops}, got {hop}")

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import engine
-from .channels import ChannelDataset, ChannelRealization, NoiseProfile, Topology, topology_of
+from .channels import ChannelDataset, ChannelRealization, NoiseProfile, Topology
 from .jsonfile import write_json
 from .pgd import FIXED_STEP
 from .pilots import lmmse_estimates, make_pilots
@@ -45,7 +45,6 @@ __all__ = [
     "TrainConfig",
     "AdamState",
     "adam_update",
-    "loss_grad_mu",
     "train",
     "save_schedule",
     "load_schedule",
@@ -176,29 +175,6 @@ def _batch_loss_grad(
         want_grad=want_grad,
         track_margins=track_margins,
     )
-
-
-def loss_grad_mu(
-    batch: Sequence[tuple[ChannelRealization, NoiseProfile]],
-    mu: np.ndarray,
-    p0: np.ndarray,
-    mode: str = FULL_CSI,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Gradient of the batch-averaged loss with respect to the step sizes."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    topology = topology_of(batch[0][0])
-    opt = None
-    if mode == NOISY_CSI:
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        opt = _estimate_entries(
-            batch, topology, batch[0][1].channel_var, [gen] * len(batch)
-        )
-    elif mode != FULL_CSI:
-        raise ValueError(f"unknown mode {mode!r}")
-    result = _batch_loss_grad(topology, batch, opt, np.asarray(mu, float), p0)
-    return result.grad
 
 
 def train(

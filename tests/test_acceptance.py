@@ -106,7 +106,7 @@ def test_criterion_01_feasibility():
         channel = mo.sample_channel(topology, 1.0, rng)
         p = mo.uniform_init(topology)
         for _ in range(800):
-            p = mo.pgd_step(p, channel, noise, 0.1)
+            p = mo.run_pgd(channel, noise, p, [0.1]).iterates[1]
             assert mo.is_feasible(p)
             invocations += 1
         for _ in range(134):
@@ -196,12 +196,8 @@ def test_criterion_04_grid_capacity_approach(world_122, tmp_path):
     oracle = np.array(
         [mo.grid_capacity(c, noise, 1e-2, cache_dir=CACHE).best_min_rate for c in channels]
     )
-    ensemble = np.array(
-        [
-            mo.infer(ch, noise, mu, 6, seed=derive_seed(MASTER, ENSEMBLE, 0, i)).selected_min_rate_eval
-            for i, ch in enumerate(channels)
-        ]
-    )
+    seeds = [derive_seed(MASTER, ENSEMBLE, 0, i) for i in range(len(channels))]
+    ensemble = mo.infer_batch(channels, noise, mu, 6, seeds).selected_min_rate_eval
     elapsed = time.time() - t0
     ratio = float(ensemble.mean() / oracle.mean())
     excess = float((ensemble - oracle).max())
@@ -309,15 +305,16 @@ def schedule_final_rates(config, channels, noise, mu, level_index=0):
     topology = mo.Topology(config.hop_sizes)
     pilots = mo.make_pilots(topology)
     size = config.ensemble_size
-    estimates, truths, starts = [], [], []
-    for index, ch in enumerate(channels):
-        rng = np.random.default_rng([derive_seed(config.seed, PILOTS, level_index), index])
-        block = mo.simulate_pilot_rx(ch, noise, pilots, rng)
-        estimates += [mo.lmmse_estimate(block, noise, noise.channel_var)] * size
-        truths += [ch] * size
-        starts.append(
-            member_starts(topology, size, derive_seed(config.seed, ENSEMBLE, level_index, index))
-        )
+    indices = range(len(channels))
+    pilot_seed = derive_seed(config.seed, PILOTS, level_index)
+    rngs = [np.random.default_rng([pilot_seed, i]) for i in indices]
+    lmmse = mo.lmmse_estimates(channels, [noise] * len(channels), pilots, rngs, noise.channel_var)
+    estimates = [est for est in lmmse for _ in range(size)]
+    truths = [ch for ch in channels for _ in range(size)]
+    starts = [
+        member_starts(topology, size, derive_seed(config.seed, ENSEMBLE, level_index, i))
+        for i in indices
+    ]
     _, iterates = mo.run_pgd_batch(
         estimates, noise, np.concatenate(starts), mu, record_iterates=True
     )
@@ -435,8 +432,7 @@ def test_criterion_09_lmmse_analytics():
         errs = []
         for _ in range(10_000):
             ch = mo.sample_channel(topology, 1.0, rng)
-            block = mo.simulate_pilot_rx(ch, noise, pilots, rng)
-            est = mo.lmmse_estimate(block, noise, 1.0)
+            [est] = mo.lmmse_estimates([ch], [noise], pilots, [rng])
             errs.append(np.abs(est.first_hop - ch.first_hop) ** 2)
             errs.append(np.abs(est.later_hops[0] - ch.later_hops[0]).ravel() ** 2)
         mse = float(np.mean(np.concatenate(errs)))
@@ -447,8 +443,7 @@ def test_criterion_09_lmmse_analytics():
     # exactness at zero noise
     ch = mo.sample_channel(topology, 1.0, np.random.default_rng(1))
     silent = mo.NoiseProfile((0.0, 0.0))
-    block = mo.simulate_pilot_rx(ch, silent, pilots, np.random.default_rng(2))
-    est = mo.lmmse_estimate(block, silent, 1.0)
+    [est] = mo.lmmse_estimates([ch], [silent], pilots, [np.random.default_rng(2)])
     exact = np.array_equal(est.first_hop, ch.first_hop) and np.array_equal(
         est.later_hops[0], ch.later_hops[0]
     )

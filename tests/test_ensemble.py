@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ def reference_infer(csi, noise, mu, ensemble_size, seed):
     table = rates[1:].T
     flat = int(np.argmax(np.where(np.isnan(table), -np.inf, table)))
     member, slot = divmod(flat, table.shape[1])
-    return mo.EnsembleResult(
+    return SimpleNamespace(
         selected=iterates[slot + 1, member],
         selected_min_rate_eval=float(table[member, slot]),
         member_index=member,
@@ -38,29 +40,31 @@ def world():
 
 def test_single_member_equals_best_over_iterations(world):
     topo, noise, ch, mu = world
-    result = mo.infer(ch, noise, mu, ensemble_size=1, seed=3)
+    result = mo.infer_batch([ch], noise, mu, 1, [3])
     traj = mo.run_pgd(ch, noise, mo.uniform_init(topo), mu)
     best_k = 1 + int(np.argmax(traj.min_rates[1:]))
-    assert result.member_index == 0
-    assert result.iteration_index == best_k
-    assert result.selected_min_rate_eval == traj.min_rates[best_k]
-    assert np.array_equal(result.selected, traj.iterates[best_k])
+    assert result.member_index[0] == 0
+    assert result.iteration_index[0] == best_k
+    assert result.selected_min_rate_eval[0] == traj.min_rates[best_k]
+    assert np.array_equal(result.selected[0], traj.iterates[best_k])
 
 
 def test_selection_is_argmax_with_low_index_ties(world):
     topo, noise, ch, mu = world
-    res = mo.infer(ch, noise, mu, ensemble_size=4, seed=5)
+    res = mo.infer_batch([ch], noise, mu, 4, [5])
     ref = reference_infer(ch, noise, mu, 4, 5)
     rates, _ = _candidates(ch, noise, mu, 4, 5)
-    assert res.selected_min_rate_eval == ref.selected_min_rate_eval == rates[1:].max()
-    assert (res.member_index, res.iteration_index) == (ref.member_index, ref.iteration_index)
-    assert np.array_equal(res.selected, ref.selected)
+    assert res.selected_min_rate_eval[0] == ref.selected_min_rate_eval == rates[1:].max()
+    assert (res.member_index[0], res.iteration_index[0]) == (
+        ref.member_index, ref.iteration_index
+    )
+    assert np.array_equal(res.selected[0], ref.selected)
 
 
 def test_ensemble_monotone_in_size(world):
     topo, noise, ch, mu = world
     values = [
-        mo.infer(ch, noise, mu, ensemble_size=e, seed=9).selected_min_rate_eval
+        mo.infer_batch([ch], noise, mu, e, [9]).selected_min_rate_eval[0]
         for e in (1, 2, 4, 6)
     ]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
@@ -71,8 +75,8 @@ def test_ensemble_monotone_over_channels(world):
     rng = np.random.default_rng(77)
     for i in range(30):
         ch = mo.sample_channel(topo, 1.0, rng)
-        lone = mo.infer(ch, noise, mu, 1, seed=i).selected_min_rate_eval
-        six = mo.infer(ch, noise, mu, 6, seed=i).selected_min_rate_eval
+        lone = mo.infer_batch([ch], noise, mu, 1, [i]).selected_min_rate_eval[0]
+        six = mo.infer_batch([ch], noise, mu, 6, [i]).selected_min_rate_eval[0]
         assert six >= lone - 1e-15
 
 
@@ -126,8 +130,8 @@ def test_bulk_starts_match_per_member_loop(monkeypatch, hop_sizes, ensemble_size
 def test_selected_allocation_feasible(world):
     topo, noise, ch, mu = world
     for e in (1, 3):
-        res = mo.infer(ch, noise, mu, ensemble_size=e, seed=1)
-        assert mo.is_feasible(res.selected)
+        res = mo.infer_batch([ch], noise, mu, e, [1])
+        assert mo.is_feasible(res.selected[0])
 
 
 def test_full_csi_reduces_to_parallel_runs(world):
@@ -144,12 +148,11 @@ def test_full_csi_reduces_to_parallel_runs(world):
 
 def test_pilot_input_estimates_then_optimizes(world):
     topo, noise, ch, mu = world
-    block = mo.simulate_pilot_rx(ch, noise, mo.make_pilots(topo), np.random.default_rng(3))
-    res = mo.infer(block, noise, mu, ensemble_size=2, seed=1)
-    est = mo.lmmse_estimate(block, noise, 1.0)
-    value, _ = mo.min_rate(est, res.selected, noise)
+    [est] = mo.lmmse_estimates([ch], [noise], mo.make_pilots(topo), [np.random.default_rng(3)])
+    res = mo.infer_batch([est], noise, mu, 2, [1])
+    value, _ = mo.min_rate(est, res.selected[0], noise)
     # selection rate is measured under the estimate, not the true channel
-    assert res.selected_min_rate_eval == pytest.approx(value, abs=1e-12)
+    assert res.selected_min_rate_eval[0] == pytest.approx(value, abs=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -159,37 +162,23 @@ def test_noiseless_pilot_inference_matches_full_csi(world):
     # be 0/0 at zero noise, so the comparison is structural.)
     topo, _, ch, mu = world
     clean = mo.NoiseProfile((0.0, 0.0))
-    block = mo.simulate_pilot_rx(ch, clean, mo.make_pilots(topo), np.random.default_rng(4))
-    from_pilots = mo.infer(block, clean, mu, ensemble_size=2, seed=6)
-    direct = mo.infer(ch, clean, mu, ensemble_size=2, seed=6)
+    [est] = mo.lmmse_estimates([ch], [clean], mo.make_pilots(topo), [np.random.default_rng(4)])
+    from_pilots = mo.infer_batch([est], clean, mu, 2, [6])
+    direct = mo.infer_batch([ch], clean, mu, 2, [6])
     assert np.array_equal(from_pilots.selected, direct.selected)
-    assert from_pilots.member_index == direct.member_index
-    assert from_pilots.iteration_index == direct.iteration_index
+    assert np.array_equal(from_pilots.member_index, direct.member_index)
+    assert np.array_equal(from_pilots.iteration_index, direct.iteration_index)
     assert np.array_equal(
-        np.array([from_pilots.selected_min_rate_eval]),
-        np.array([direct.selected_min_rate_eval]),
-        equal_nan=True,
+        from_pilots.selected_min_rate_eval, direct.selected_min_rate_eval, equal_nan=True
     )
 
 
 def test_infer_rejects_empty_ensemble(world):
     topo, noise, ch, mu = world
-    with pytest.raises(ValueError):
-        mo.infer(ch, noise, mu, ensemble_size=0, seed=0)
-    with pytest.raises(ValueError):
-        mo.infer(ch, noise, np.zeros(0), ensemble_size=1, seed=0)
-
-
-def test_result_serializes(world, tmp_path):
-    topo, noise, ch, mu = world
-    res = mo.infer(ch, noise, mu, ensemble_size=2, seed=0)
-    path = tmp_path / "result.json"
-    res.save(str(path))
-    import json
-
-    doc = json.loads(path.read_text())
-    assert doc["member_index"] == res.member_index
-    assert np.allclose(doc["selected"], res.selected)
+    with pytest.raises(ValueError, match="at least one member"):
+        mo.infer_batch([ch], noise, mu, 0, [0])
+    with pytest.raises(ValueError, match="at least one step"):
+        mo.infer_batch([ch], noise, np.zeros(0), 1, [0])
 
 
 def _assert_batch_matches_infer(batch, references):
@@ -225,19 +214,18 @@ def test_infer_batch_matches_infer_from_pilots(world):
     topo, noise, _, mu = world
     rng = np.random.default_rng(41)
     pilots = mo.make_pilots(topo)
-    blocks = [
-        mo.simulate_pilot_rx(mo.sample_channel(topo, 1.0, rng), noise, pilots, rng)
-        for _ in range(5)
-    ]
-    estimates = [mo.lmmse_estimate(block, noise, 1.0) for block in blocks]
+    estimates = []
+    for _ in range(5):
+        ch = mo.sample_channel(topo, 1.0, rng)
+        estimates += mo.lmmse_estimates([ch], [noise], pilots, [rng])
     batch = mo.infer_batch(estimates, noise, mu, 3, [7, 8, 9, 10, 11])
     _assert_batch_matches_infer(
         batch, [reference_infer(e, noise, mu, 3, s) for e, s in zip(estimates, range(7, 12))]
     )
-    for i, block in enumerate(blocks):
-        single = mo.infer(block, noise, mu, 3, seed=7 + i)
-        assert np.array_equal(single.selected, batch.selected[i])
-        assert single.selected_min_rate_eval == batch.selected_min_rate_eval[i]
+    for i, est in enumerate(estimates):
+        single = mo.infer_batch([est], noise, mu, 3, [7 + i])
+        assert np.array_equal(single.selected[0], batch.selected[i])
+        assert single.selected_min_rate_eval[0] == batch.selected_min_rate_eval[i]
 
 
 def test_infer_batch_tie_rule_matches_infer(world):
@@ -269,9 +257,9 @@ def test_nan_candidate_never_beats_a_number(world):
     # member 1's first iterate is finite: that one wins.
     topo, _, ch, mu = world
     clean = mo.NoiseProfile((0.0, 0.0))
-    res = mo.infer(ch, clean, mu, ensemble_size=2, seed=6)
-    assert (res.member_index, res.iteration_index) == (1, 1)
-    assert res.selected_min_rate_eval == pytest.approx(2.3261276, abs=1e-7)
+    res = mo.infer_batch([ch], clean, mu, 2, [6])
+    assert (res.member_index[0], res.iteration_index[0]) == (1, 1)
+    assert res.selected_min_rate_eval[0] == pytest.approx(2.3261276, abs=1e-7)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -15,7 +15,7 @@ def net_122():
 def test_zero_step_is_identity(net_122):
     topo, ch, noise = net_122
     p = mo.random_init(topo, 4)
-    assert np.array_equal(mo.pgd_step(p, ch, noise, 0.0), p)
+    assert np.array_equal(mo.run_pgd(ch, noise, p, [0.0]).iterates[1], p)
 
 
 def test_zero_gradient_keeps_point(net_122):
@@ -25,7 +25,7 @@ def test_zero_gradient_keeps_point(net_122):
         later_hops=(np.zeros((2, 2), dtype=np.complex128),),
     )
     p = mo.uniform_init(topo)
-    assert np.array_equal(mo.pgd_step(p, dead, noise, 0.5), p)
+    assert np.array_equal(mo.run_pgd(dead, noise, p, [0.5]).iterates[1], p)
 
 
 def test_small_step_does_not_decrease_min_rate(net_122):
@@ -40,14 +40,14 @@ def test_small_step_does_not_decrease_min_rate(net_122):
             continue
         checked += 1
         before, _ = mo.min_rate(ch, p, noise)
-        after, _ = mo.min_rate(ch, mo.pgd_step(p, ch, noise, 1e-3), noise)
+        after, _ = mo.min_rate(ch, mo.run_pgd(ch, noise, p, [1e-3]).iterates[1], noise)
         assert after >= before - 1e-12
 
 
 def test_pgd_step_requires_feasible_point(net_122):
     _, ch, noise = net_122
     with pytest.raises(ValueError):
-        mo.pgd_step(np.full((3, 2), 0.9), ch, noise, 0.1)
+        mo.run_pgd(ch, noise, np.full((3, 2), 0.9), [0.1])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -61,7 +61,7 @@ def test_non_finite_steps_are_rejected(net_122, bad):
     per_element = np.full((5, 3), 0.1)
     per_element[4, 1] = bad
     calls = [
-        lambda: mo.pgd_step(p0, ch, noise, bad),
+        lambda: mo.run_pgd(ch, noise, p0, [bad]),
         lambda: mo.run_pgd(ch, noise, p0, mu),
         lambda: mo.run_pgd_batch(ch, noise, np.stack([p0] * 3), mu),
         lambda: mo.run_pgd_batch(ch, noise, np.stack([p0] * 3), per_element),
@@ -112,7 +112,7 @@ def test_run_pgd_matches_step_composition(net_122):
     traj = mo.run_pgd(ch, noise, p0, mu)
     p = p0
     for k, step in enumerate(mu):
-        p = mo.pgd_step(p, ch, noise, step)
+        p = mo.run_pgd(ch, noise, p, [step]).iterates[1]
         assert np.array_equal(traj.iterates[k + 1], p)
 
 
@@ -127,6 +127,14 @@ def test_batch_matches_scalar_runs(net_122):
         single = mo.run_pgd(ch, noise, starts[i], mu)
         assert np.array_equal(rates[:, i], single.min_rates)
         assert np.array_equal(iterates[:, i], np.stack(single.iterates))
+
+
+def test_empty_batch_is_rejected(net_122):
+    topo, ch, noise = net_122
+    with pytest.raises(ValueError, match="at least one start"):
+        mo.run_pgd_batch(ch, noise, np.zeros((0, 3, 2)), [0.1])
+    with pytest.raises(ValueError, match="at least one channel"):
+        mo.run_pgd_batch([], noise, np.zeros((0, 3, 2)), [0.1])
 
 
 def test_batch_broadcasts_single_channel(net_122):

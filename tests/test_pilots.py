@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import manetopt as mo
-from manetopt.pilots import block_topology, lmmse_estimates
+from manetopt.engine import stack_channels
+from manetopt.pilots import _estimates, _received
 
 
 def test_pilot_length_is_max_transmitters():
@@ -27,8 +28,7 @@ def test_noiseless_pilots_reconstruct_exactly():
     topo = mo.Topology((2, 3, 3))
     ch = mo.sample_channel(topo, 1.0, np.random.default_rng(1))
     noise = mo.NoiseProfile((0.0, 0.0, 0.0))
-    block = mo.simulate_pilot_rx(ch, noise, mo.make_pilots(topo), np.random.default_rng(0))
-    est = mo.lmmse_estimate(block, noise, 1.0)
+    [est] = mo.lmmse_estimates([ch], [noise], mo.make_pilots(topo), [np.random.default_rng(0)])
     assert np.array_equal(est.first_hop, ch.first_hop)
     for a, b in zip(est.later_hops, ch.later_hops):
         assert np.array_equal(a, b)
@@ -39,9 +39,11 @@ def test_simulation_reproducible():
     ch = mo.sample_channel(topo, 1.0, np.random.default_rng(2))
     noise = mo.NoiseProfile((1.0, 1.0))
     pilots = mo.make_pilots(topo)
-    a = mo.simulate_pilot_rx(ch, noise, pilots, np.random.default_rng(11))
-    b = mo.simulate_pilot_rx(ch, noise, pilots, np.random.default_rng(11))
-    for ya, yb in zip(a.received, b.received):
+    first, later = stack_channels([ch])
+    var = np.array([noise.hop_noise_vars])
+    a = _received(first, later, var, pilots, [np.random.default_rng(11)])
+    b = _received(first, later, var, pilots, [np.random.default_rng(11)])
+    for ya, yb in zip(a, b):
         assert np.array_equal(ya, yb)
 
 
@@ -51,14 +53,18 @@ def test_pilot_noise_variance():
     noise = mo.NoiseProfile((0.7, 2.0))
     pilots = mo.make_pilots(topo)
     rng = np.random.default_rng(4)
-    samples = {0: [], 1: []}
-    clean = mo.simulate_pilot_rx(ch, mo.NoiseProfile((0.0, 0.0)), pilots, rng)
-    for _ in range(4000):
-        block = mo.simulate_pilot_rx(ch, noise, pilots, rng)
-        for hop in (0, 1):
-            samples[hop].append(block.received[hop] - clean.received[hop])
+    first, later = stack_channels([ch])
+    clean = _received(first, later, np.zeros((1, 2)), pilots, [rng])
+    # one generator for every copy: drawn copy after copy, as 4000 calls would
+    noisy = _received(
+        np.repeat(first, 4000, axis=0),
+        [np.repeat(m, 4000, axis=0) for m in later],
+        np.repeat([noise.hop_noise_vars], 4000, axis=0),
+        pilots,
+        [rng] * 4000,
+    )
     for hop, var in ((0, 0.7), (1, 2.0)):
-        w = np.concatenate([s.ravel() for s in samples[hop]])
+        w = (noisy[hop] - clean[hop]).ravel()
         assert w.size >= 1e4
         assert abs(np.mean(np.abs(w) ** 2) - var) < 0.02 * var
 
@@ -67,13 +73,9 @@ def test_lmmse_hand_value():
     # sigma_h^2 = sigma_b^2 = 1 and matched-filter output 2 -> estimate 1.
     topo = mo.Topology((1, 1))
     pilots = mo.make_pilots(topo)
-    block = mo.PilotBlock(
-        pilot_length=1,
-        pilots=pilots,
-        received=(np.array([[2.0 + 0j]]), np.array([[0.0 + 0j]])),
-    )
-    est = mo.lmmse_estimate(block, mo.NoiseProfile((1.0, 1.0)), 1.0)
-    assert est.first_hop[0] == pytest.approx(1.0)
+    received = [np.array([[[2.0 + 0j]]]), np.array([[[0.0 + 0j]]])]
+    first, _ = _estimates(received, np.array([[1.0, 1.0]]), pilots, 1.0)
+    assert first[0, 0] == pytest.approx(1.0)
 
 
 def test_lmmse_mse_matches_formula():
@@ -84,8 +86,7 @@ def test_lmmse_mse_matches_formula():
     errs = []
     for _ in range(4000):
         ch = mo.sample_channel(topo, 1.0, rng)
-        block = mo.simulate_pilot_rx(ch, noise, pilots, rng)
-        est = mo.lmmse_estimate(block, noise, 1.0)
+        [est] = mo.lmmse_estimates([ch], [noise], pilots, [rng])
         errs.append(np.abs(est.first_hop - ch.first_hop) ** 2)
         errs.append(np.abs(est.later_hops[0] - ch.later_hops[0]).ravel() ** 2)
     mse = np.mean(np.concatenate(errs))
@@ -98,12 +99,14 @@ def test_lmmse_shrinks_matched_filter():
     pilots = mo.make_pilots(topo)
     rng = np.random.default_rng(6)
     ch = mo.sample_channel(topo, 1.0, rng)
-    block = mo.simulate_pilot_rx(ch, noise, pilots, rng)
-    est = mo.lmmse_estimate(block, noise, 1.0)
-    mf_first = block.received[0] @ block.pilots[0][0].conj()
-    assert np.all(np.abs(est.first_hop) <= np.abs(mf_first) + 1e-15)
-    mf_later = block.pilots[1].conj() @ block.received[1].T
-    assert np.all(np.abs(est.later_hops[0]) <= np.abs(mf_later) + 1e-15)
+    first, later = stack_channels([ch])
+    var = np.array([noise.hop_noise_vars])
+    received = _received(first, later, var, pilots, [rng])
+    est_first, est_later = _estimates(received, var, pilots, 1.0)
+    mf_first = received[0][0] @ pilots[0][0].conj()
+    assert np.all(np.abs(est_first[0]) <= np.abs(mf_first) + 1e-15)
+    mf_later = pilots[1].conj() @ received[1][0].T
+    assert np.all(np.abs(est_later[0]) <= np.abs(mf_later) + 1e-15)
 
 
 def test_lmmse_beats_matched_filter_mse():
@@ -111,13 +114,15 @@ def test_lmmse_beats_matched_filter_mse():
     noise = mo.NoiseProfile((2.0, 2.0))
     pilots = mo.make_pilots(topo)
     rng = np.random.default_rng(7)
+    var = np.array([noise.hop_noise_vars])
     lmmse_err, mf_err = [], []
     for _ in range(3000):
         ch = mo.sample_channel(topo, 1.0, rng)
-        block = mo.simulate_pilot_rx(ch, noise, pilots, rng)
-        est = mo.lmmse_estimate(block, noise, 1.0)
-        mf = block.received[0] @ block.pilots[0][0].conj()
-        lmmse_err.append(np.abs(est.first_hop - ch.first_hop) ** 2)
+        first, later = stack_channels([ch])
+        received = _received(first, later, var, pilots, [rng])
+        est_first = _estimates(received, var, pilots, 1.0)[0][0]
+        mf = received[0][0] @ pilots[0][0].conj()
+        lmmse_err.append(np.abs(est_first - ch.first_hop) ** 2)
         mf_err.append(np.abs(mf - ch.first_hop) ** 2)
     assert np.mean(lmmse_err) < np.mean(mf_err)
 
@@ -127,28 +132,31 @@ def test_multiaccess_estimates_do_not_interfere():
     topo = mo.Topology((3, 3))
     ch = mo.sample_channel(topo, 1.0, np.random.default_rng(8))
     noise = mo.NoiseProfile((0.0, 0.0))
-    block = mo.simulate_pilot_rx(ch, noise, mo.make_pilots(topo), np.random.default_rng(0))
-    est = mo.lmmse_estimate(block, noise, 1.0)
+    [est] = mo.lmmse_estimates([ch], [noise], mo.make_pilots(topo), [np.random.default_rng(0)])
     assert np.array_equal(est.later_hops[0], ch.later_hops[0])
-
-
-def test_block_topology():
-    topo = mo.Topology((2, 3, 3))
-    ch = mo.sample_channel(topo, 1.0, np.random.default_rng(9))
-    block = mo.simulate_pilot_rx(
-        ch, mo.NoiseProfile((1.0, 1.0, 1.0)), mo.make_pilots(topo), np.random.default_rng(1)
-    )
-    assert block_topology(block) == topo
 
 
 def test_estimates_feed_the_rate_engine():
     topo = mo.Topology((2, 2))
     noise = mo.NoiseProfile((1.0, 1.0))
     ch = mo.sample_channel(topo, 1.0, np.random.default_rng(10))
-    block = mo.simulate_pilot_rx(ch, noise, mo.make_pilots(topo), np.random.default_rng(2))
-    est = mo.lmmse_estimate(block, noise, 1.0)
+    [est] = mo.lmmse_estimates([ch], [noise], mo.make_pilots(topo), [np.random.default_rng(2)])
     value, _ = mo.min_rate(est, mo.uniform_init(topo), noise)
     assert np.isfinite(value)
+
+
+def test_lmmse_estimates_need_one_pilot_set_and_noise_variance_per_hop():
+    topo = mo.Topology((2, 2))
+    ch = mo.sample_channel(topo, 1.0, np.random.default_rng(12))
+    pilots = mo.make_pilots(topo)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="per hop"):
+        mo.lmmse_estimates([ch], [mo.NoiseProfile((1.0, 1.0))], pilots[:1], [rng])
+    with pytest.raises(ValueError, match="per hop"):
+        mo.lmmse_estimates([ch], [mo.NoiseProfile((1.0, 1.0, 1.0))], pilots, [rng])
+    with pytest.raises(ValueError, match="per channel"):
+        mo.lmmse_estimates([ch], [], pilots, [rng])
+    assert mo.lmmse_estimates([], [], pilots, []) == []
 
 
 def loop_estimate(channel, noise, pilots, gen, channel_var):
@@ -200,11 +208,14 @@ def test_stacked_pilots_equal_the_per_channel_loop(hop_sizes, shared):
     expected = [
         loop_estimate(ch, n, pilots, g, 2.0) for ch, n, g in zip(channels, noises, generators())
     ]
-    stacked = lmmse_estimates(channels, noises, pilots, generators(), 2.0)
+    stacked = mo.lmmse_estimates(channels, noises, pilots, generators(), 2.0)
     for (_, want), got in zip(expected, stacked):
         assert all(same(a, b) for a, b in zip(want, (got.first_hop, *got.later_hops)))
-    for ch, n, g, (received, want) in zip(channels, noises, generators(), expected):
-        block = mo.simulate_pilot_rx(ch, n, pilots, g)
-        assert all(same(a, b) for a, b in zip(received, block.received))
-        got = mo.lmmse_estimate(block, n, 2.0)
+    first, later = stack_channels(channels)
+    var = np.array([n.hop_noise_vars for n in noises])
+    received = _received(first, later, var, pilots, generators())
+    for i, (want, _) in enumerate(expected):
+        assert all(same(a, b[i]) for a, b in zip(want, received))
+    for ch, n, g, (_, want) in zip(channels, noises, generators(), expected):
+        [got] = mo.lmmse_estimates([ch], [n], pilots, [g], 2.0)
         assert all(same(a, b) for a, b in zip(want, (got.first_hop, *got.later_hops)))

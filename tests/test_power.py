@@ -235,12 +235,3 @@ def test_is_feasible():
     assert not mo.is_feasible(np.array([[1.2, 0.0], [0.6, 0.8]]))
     assert not mo.is_feasible(np.array([[np.inf, 0.0]]))
 
-
-def test_power_matrix_roundtrip(tmp_path):
-    topo = mo.Topology((2, 2))
-    p = mo.random_init(topo, 3)
-    path = tmp_path / "p.json"
-    mo.save_power_matrix(str(path), p, topo)
-    back, back_topo = mo.load_power_matrix(str(path))
-    assert back_topo == topo
-    assert np.array_equal(back, p)

@@ -28,34 +28,40 @@ def test_single_user_shannon_rate():
     ch = unit_channel([1.0], [[1.0]])
     p = mo.uniform_init(topo)  # all ones for N=1
     noise = mo.NoiseProfile((1.0, 1.0))
-    assert mo.first_hop_rate(ch, p, noise, 0, 0) == pytest.approx(1.0, abs=1e-12)
+    report = mo.compute_report(ch, p, noise)
+    assert report.first_hop_rates[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tie_counts_as_interference(symmetric_net):
     ch, p, noise = symmetric_net
+    report = mo.compute_report(ch, p, noise)
     for n in (0, 1):
-        assert mo.first_hop_rate(ch, p, noise, 0, n) == pytest.approx(
-            LOG2_4_3, abs=1e-12
-        )
+        assert report.first_hop_rates[0, n] == pytest.approx(LOG2_4_3, abs=1e-12)
 
 
 def test_zero_power_message():
     ch = unit_channel([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
     noise = mo.NoiseProfile((1.0, 1.0))
     p = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    assert mo.first_hop_rate(ch, p, noise, 0, 0) == pytest.approx(1.0)
-    assert mo.first_hop_rate(ch, p, noise, 0, 1) == 0.0
+    report = mo.compute_report(ch, p, noise)
+    assert report.first_hop_rates[0, 0] == pytest.approx(1.0)
+    assert report.first_hop_rates[0, 1] == 0.0
+
+
+def gains(ch, p):
+    """Hop-2 gains (M_2, N); they do not depend on the noise."""
+    return mo.compute_report(ch, p, mo.NoiseProfile((1.0, 1.0))).gains[0]
 
 
 def test_gain_examples():
     topo = mo.Topology((2, 2))
     p = mo.uniform_init(topo)
     coherent = unit_channel([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]])
-    assert mo.gain(coherent, p, 2, 0, 0) == pytest.approx(2.0, rel=1e-12)
+    assert gains(coherent, p)[0, 0] == pytest.approx(2.0, rel=1e-12)
     destructive = unit_channel([1.0, 1.0], [[1.0, 1.0], [-1.0, -1.0]])
-    assert mo.gain(destructive, p, 2, 0, 0) == pytest.approx(0.0, abs=1e-15)
+    assert gains(destructive, p)[0, 0] == pytest.approx(0.0, abs=1e-15)
     zero_col = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    assert mo.gain(coherent, zero_col, 2, 0, 1) == 0.0
+    assert gains(coherent, zero_col)[0, 1] == 0.0
 
 
 def test_later_hop_rate_sic_sets():
@@ -63,13 +69,15 @@ def test_later_hop_rate_sic_sets():
     ch = unit_channel([1.0, 1.0], [[np.sqrt(2.0), 0.0], [1.0, 0.0]])
     p = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     noise = mo.NoiseProfile((1.0, 1.0))
-    assert mo.gain(ch, p, 2, 0, 0) == pytest.approx(2.0)
-    assert mo.gain(ch, p, 2, 0, 1) == pytest.approx(1.0)
-    assert mo.later_hop_rate(ch, p, noise, 2, 0, 0) == pytest.approx(1.0)
-    assert mo.later_hop_rate(ch, p, noise, 2, 0, 1) == pytest.approx(1.0)
+    report = mo.compute_report(ch, p, noise)
+    gain, rate = report.gains[0], report.later_hop_rates[0]
+    assert gain[0, 0] == pytest.approx(2.0)
+    assert gain[0, 1] == pytest.approx(1.0)
+    assert rate[0, 0] == pytest.approx(1.0)
+    assert rate[0, 1] == pytest.approx(1.0)
     # receiver 1 hears nothing: zero gain means zero rate
-    assert mo.gain(ch, p, 2, 1, 0) == 0.0
-    assert mo.later_hop_rate(ch, p, noise, 2, 1, 0) == 0.0
+    assert gain[1, 0] == 0.0
+    assert rate[1, 0] == 0.0
 
 
 def test_later_hop_rate_single_message():
@@ -78,14 +86,15 @@ def test_later_hop_rate_single_message():
     p = mo.uniform_init(topo)
     noise = mo.NoiseProfile((1.0, 4.0))
     # g = 4, sigma^2 = 4 -> log2(2)
-    assert mo.later_hop_rate(ch, p, noise, 2, 0, 0) == pytest.approx(1.0)
+    report = mo.compute_report(ch, p, noise)
+    assert report.later_hop_rates[0][0, 0] == pytest.approx(1.0)
 
 
 def test_message_rate_is_min_of_constraints(symmetric_net):
     ch, p, noise = symmetric_net
     report = mo.compute_report(ch, p, noise)
     for n in (0, 1):
-        rate = mo.message_rate(ch, p, noise, n)
+        rate = report.message_rates[n]
         assert rate <= report.first_hop_rates[:, n].min() + 1e-15
     # symmetric network: all message rates equal
     assert report.message_rates[0] == pytest.approx(report.message_rates[1], abs=1e-12)
@@ -96,9 +105,10 @@ def test_two_hop_single_link_min():
     ch = unit_channel([1.0], [[3.0]])
     p = mo.uniform_init(topo)
     noise = mo.NoiseProfile((1.0, 1.0))
-    r1 = mo.first_hop_rate(ch, p, noise, 0, 0)
-    r2 = mo.later_hop_rate(ch, p, noise, 2, 0, 0)
-    assert mo.message_rate(ch, p, noise, 0) == pytest.approx(min(r1, r2))
+    report = mo.compute_report(ch, p, noise)
+    r1 = report.first_hop_rates[0, 0]
+    r2 = report.later_hop_rates[0][0, 0]
+    assert report.message_rates[0] == pytest.approx(min(r1, r2))
 
 
 def test_min_rate_argmin_and_ties(symmetric_net):
@@ -165,8 +175,8 @@ def test_channel_scaling_single_user():
     p = mo.uniform_init(topo)
     base = unit_channel([1.0], [[5.0]])
     scaled = unit_channel([2.0], [[5.0]])
-    r_base = mo.first_hop_rate(base, p, noise, 0, 0)
-    r_scaled = mo.first_hop_rate(scaled, p, noise, 0, 0)
+    r_base = mo.compute_report(base, p, noise).first_hop_rates[0, 0]
+    r_scaled = mo.compute_report(scaled, p, noise).first_hop_rates[0, 0]
     assert r_scaled == pytest.approx(np.log2(1 + 4.0))
     assert r_scaled > r_base
 

@@ -87,7 +87,7 @@ def test_loss_grad_mu_matches_finite_differences(small_world):
     p0 = mo.random_init(topo, rng)
     result = _batch_loss_grad(topo, batch, None, mu, p0, track_margins=True)
     assert result.min_margin > 1e-4
-    grad = mo.loss_grad_mu(batch, mu, p0)
+    grad = _batch_loss_grad(topo, batch, None, mu, p0).grad
     assert np.allclose(grad, result.grad)
     fd = np.zeros(8)
     delta = 1e-5
@@ -158,7 +158,8 @@ def test_loss_grad_mu_zero_channel(small_world):
         first_hop=np.zeros(2, dtype=np.complex128),
         later_hops=(np.zeros((2, 2), dtype=np.complex128),),
     )
-    grad = mo.loss_grad_mu([(dead, noise)], np.full(4, 0.1), mo.uniform_init(topo))
+    p0 = mo.uniform_init(topo)
+    grad = _batch_loss_grad(topo, [(dead, noise)], None, np.full(4, 0.1), p0).grad
     assert np.array_equal(grad, np.zeros(4))
 
 
@@ -302,7 +303,7 @@ def test_train_matches_reference_loop(small_world):
     for batch_ids in np.array_split(order, 3):
         entries = [ds.entries[i] for i in batch_ids]
         p0 = mo.random_init(topo, start_rng)
-        grad = mo.loss_grad_mu(entries, mu, p0)
+        grad = _batch_loss_grad(topo, entries, None, mu, p0).grad
         state, mu = mo.adam_update(
             state, grad, mu, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps
         )
