@@ -99,8 +99,8 @@ class ChannelRealization:
 
     ``first_hop[m]`` is the source-to-relay-m coefficient.  For hop b >= 2,
     ``later_hops[b - 2][m, i]`` is the coefficient from transmitter m (a relay
-    of layer b-1) to receiving node i of hop b.  Leading batch axes are
-    permitted on both fields as long as they agree.
+    of layer b-1) to receiving node i of hop b.  A batch of channels is a
+    sequence of realizations.
     """
 
     first_hop: np.ndarray
@@ -108,16 +108,14 @@ class ChannelRealization:
 
     def validate(self, topology: Topology) -> None:
         sizes = topology.hop_sizes
-        if self.first_hop.shape[-1] != sizes[0]:
-            raise ValueError("first-hop length does not match the topology")
+        if self.first_hop.shape != (sizes[0],):
+            raise ValueError("first-hop shape does not match the topology")
         if len(self.later_hops) != topology.num_hops - 1:
             raise ValueError("wrong number of multiple-access hops")
         for j, mat in enumerate(self.later_hops):
             expected = (sizes[j], sizes[j + 1])
-            if mat.shape[-2:] != expected:
-                raise ValueError(
-                    f"hop {j + 2} matrix has shape {mat.shape[-2:]}, expected {expected}"
-                )
+            if mat.shape != expected:
+                raise ValueError(f"hop {j + 2} matrix has shape {mat.shape}, expected {expected}")
         for arr in (self.first_hop, *self.later_hops):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("channel coefficients must be finite")
@@ -133,11 +131,10 @@ def topology_of(channel: ChannelRealization) -> Topology:
 
 @dataclass(frozen=True)
 class ChannelDataset:
-    """Ordered channel realizations sharing one topology, plus the seed used."""
+    """Ordered channel realizations sharing one topology."""
 
     topology: Topology
     entries: tuple[tuple[ChannelRealization, NoiseProfile], ...]
-    seed: int
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -192,5 +189,5 @@ def build_dataset(
     for i in range(count):
         rng = np.random.default_rng([seed, i])
         entries.append((sample_channel(topology, noise.channel_var, rng), noise))
-    return ChannelDataset(topology=topology, entries=tuple(entries), seed=seed)
+    return ChannelDataset(topology=topology, entries=tuple(entries))
 

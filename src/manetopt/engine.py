@@ -1,7 +1,8 @@
 """Vectorized rate, gradient and unrolled-optimizer kernels.
 
-Internal module.  Every kernel works on one explicit batch axis ``q``; public
-modules flatten arbitrary leading axes down to it.
+Internal module.  Every kernel works on one batch axis ``q``.  A batch is a
+sequence of q channels and an equal-length stack of q power matrices, and
+every ``ChannelOperands`` array is exactly q columns wide.
 
 Layout: the batch axis is the last axis of every kernel array.  A batch of
 power matrices is ``(stacked_rows, N, q)``, a rate table ``(nodes, N, q)``,
@@ -126,9 +127,8 @@ class ChannelOperands:
     ``ht`` holds the hop-b matrices transposed to (q, receiver, transmitter),
     batch first, with the rows of the real parts above those of the
     imaginary parts, so the real and imaginary gains come from one stacked
-    matmul against the power block.  The batch axis may be 1 for
-    broadcasting against a batch of matrices; such an operand is read at
-    column 0 for every element.
+    matmul against the power block.  Every array is q columns wide; the
+    columns of a channel repeated over the batch may be views of one.
     """
 
     a1: np.ndarray                      # (M1, q) squared first-hop magnitudes
@@ -141,39 +141,42 @@ def prepare_operands(
     later: tuple[np.ndarray, ...],
     sig2: np.ndarray,
 ) -> ChannelOperands:
+    """Operands of q stacked channels: ``first`` (q, M_1), ``later`` one
+    (q, M_{b-1}, M_b) array per hop b >= 2 and ``sig2`` (q, B)."""
     first = np.asarray(first, dtype=np.complex128)
-    if first.ndim == 1:
-        first = first[None, :]
     a1 = batch_last(first.real**2 + first.imag**2)
     ht = []
     for mat in later:
-        mat = np.asarray(mat, dtype=np.complex128)
-        if mat.ndim == 2:
-            mat = mat[None, :, :]
-        t = np.swapaxes(mat, -1, -2)
+        t = np.swapaxes(np.asarray(mat, dtype=np.complex128), -1, -2)
         ht.append(np.concatenate((t.real, t.imag), axis=-2))
-    sig2 = np.asarray(sig2, dtype=np.float64)
-    if sig2.ndim == 1:
-        sig2 = sig2[None, :]
-    return ChannelOperands(a1=a1, ht=tuple(ht), sig2=batch_last(sig2))
+    sig2 = batch_last(np.asarray(sig2, dtype=np.float64))
+    return ChannelOperands(a1=a1, ht=tuple(ht), sig2=sig2)
 
 
 def operands_from(
-    channels: ChannelRealization | Sequence[ChannelRealization],
-    noise: NoiseProfile,
-    repeat: int = 1,
+    channels: Sequence[ChannelRealization], noise: NoiseProfile, repeat: int = 1
 ) -> ChannelOperands:
-    """Operands of one channel, with batch axis 1 so that it broadcasts over
-    any batch, or of a sequence of channels, one per ``repeat`` consecutive
-    batch elements."""
-    if isinstance(channels, ChannelRealization):
-        first, later = channels.first_hop, channels.later_hops
-    else:
-        first, later = stack_channels(list(channels))
-        if repeat > 1:
-            first = np.repeat(first, repeat, axis=0)
-            later = tuple(np.repeat(m, repeat, axis=0) for m in later)
-    return prepare_operands(first, later, np.asarray(noise.hop_noise_vars))
+    """Operands of a sequence of channels under one noise profile, each
+    channel over ``repeat`` consecutive batch columns.  The noise variances
+    of every column, and the columns of a single repeated channel, are
+    stride-0 views of one, so widening one channel to a batch copies no
+    channel data."""
+    first, later = stack_channels(list(channels))
+    count, hops = len(first), len(noise.hop_noise_vars)
+    ops = prepare_operands(first, later, np.broadcast_to(noise.hop_noise_vars, (count, hops)))
+
+    def widen(x: np.ndarray, axis: int) -> np.ndarray:
+        if count > 1:
+            return x if repeat == 1 else np.repeat(x, repeat, axis=axis)
+        shape = list(x.shape)
+        shape[axis] = repeat
+        return np.broadcast_to(x, shape)
+
+    return ChannelOperands(
+        a1=widen(ops.a1, -1),
+        ht=tuple(widen(h, 0) for h in ops.ht),
+        sig2=np.broadcast_to(ops.sig2[:, :1], (hops, count * repeat)),
+    )
 
 
 def stack_channels(channels: list[ChannelRealization]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -273,7 +276,7 @@ def _relay_hop(
     it."""
     ht, sig2 = ops.ht[hop - 2], ops.sig2[hop - 1]
     if cols is not None:
-        ht, sig2 = ht[_at(ht, cols, 0)], sig2[_at(sig2, cols, -1)]
+        ht, sig2 = ht[cols], sig2[cols]
     c = _products(ht, block)
     out = np.empty((len(c) // 2 * 5,) + c.shape[1:])
     out[: len(c)] = c
@@ -351,22 +354,6 @@ def rate_pass(topology: Topology, ops: ChannelOperands, p: np.ndarray) -> RatePa
     ``p`` is (stacked_rows, N, q).
     """
     return _pass_from(ops, p, _relay_hops(topology, ops, p))
-
-
-def _full(arr: np.ndarray, q: int, axis: int) -> np.ndarray:
-    """Broadcast a rate-pass array's batch axis up to the batch size: a pass
-    over one power matrix has batch axis 1."""
-    if arr.shape[axis] == q:
-        return arr
-    shape = list(arr.shape)
-    shape[axis] = q
-    return np.broadcast_to(arr, shape)
-
-
-def _at(operand: np.ndarray, sel: np.ndarray, axis: int) -> np.ndarray | int:
-    """The index of the batch columns ``sel`` along a channel operand's batch
-    axis: column 0 of a batch-1 operand stands for every column."""
-    return sel if operand.shape[axis] > 1 else 0
 
 
 def _constraint_table(rp: RatePass, flat: np.ndarray) -> np.ndarray:
@@ -463,8 +450,7 @@ class _RelayBranch:
         j = self.hop - 2
         rows = topology.block_rows(self.hop - 1)
         si = np.arange(self.sel.size)
-        ht = ops.ht[j]
-        dc = _products(ht[_at(ht, self.sel, 0)], dp[rows][..., self.sel])
+        dc = _products(ops.ht[j][self.sel], dp[rows][..., self.sel])
         dcr = dc[self.node, :, si].T
         dci = dc[self.node + len(dc) // 2, :, si].T
         dg = 2.0 * (self.cr * dcr + self.ci * dci)
@@ -553,11 +539,11 @@ def _hop_gradients(
         if r == 1:
             # a slice, not an index array, when every element binds here
             cols = slice(q) if sel.size == q else sel
-            a = ops.a1[node, _at(ops.a1, sel, -1)]
-            s1 = ops.sig2[0, _at(ops.sig2, cols, -1)]
-            phi = _full(rp.phi, q, -1)[:, cols]
+            a = ops.a1[node, sel]
+            s1 = ops.sig2[0, cols]
+            phi = rp.phi[:, cols]
             phin = phi[n, si]
-            inter = _full(rp.i1, q, -1)[n, sel]
+            inter = rp.i1[n, sel]
             den = a * inter + s1
             sig = a * phin * phin
             tot = sig + den
@@ -573,11 +559,10 @@ def _hop_gradients(
             j = r - 2
             rows = topology.block_rows(r - 1)
             ht = ops.ht[j]
-            at = _at(ht, sel, 0)
             m = ht.shape[1] // 2  # real parts in rows :m, imaginary in m:
-            hre = ht[:, :m][at, node].T[:, None, :]
-            him = ht[:, m:][at, node].T[:, None, :]
-            sb = ops.sig2[r - 1, _at(ops.sig2, sel, -1)]
+            hre = ht[:, :m][sel, node].T[:, None, :]
+            him = ht[:, m:][sel, node].T[:, None, :]
+            sb = ops.sig2[r - 1, sel]
             cr = rp.c_re[r - 1][node, :, sel].T
             ci = rp.c_im[r - 1][node, :, sel].T
             g_row = rp.gains[r - 1][node, :, sel].T
@@ -645,12 +630,13 @@ def iterate_schedule(
 ):
     """Run the step schedule, yielding ``(p_k, rates_k)`` for k = 0..K.
 
-    ``p0`` and every yielded ``p_k`` are (q, stacked_rows, N); ``p_k`` is a
-    view of batch-last memory that is never modified afterwards.
-    ``rates_k`` holds each element's min rate at iterate ``p_k`` on the
-    channel driving the updates.  ``mu[k]`` is a scalar, or an array of
-    shape (q,) for a step per element; every step must be finite
-    (``ValueError`` otherwise, raised by the call itself).
+    ``p0`` and every yielded ``p_k`` are (q, stacked_rows, N), with q the
+    operands' width; ``p_k`` is a view of batch-last memory that is never
+    modified afterwards.  ``rates_k`` holds each element's min rate at
+    iterate ``p_k`` on the channel driving the updates.  ``mu[k]`` is a
+    scalar, or an array of shape (q,) for a step per element.  An empty
+    ``p0``, one of another width than the operands, or a step that is not
+    finite is refused (``ValueError``, raised by the call itself).
 
     A step is block-local.  Step 0 is full: every row is re-projected and
     every relay-fed hop recomputed on every column, as is any step after a
@@ -671,7 +657,20 @@ def iterate_schedule(
     mu = np.asarray(mu, dtype=np.float64)
     if not np.isfinite(mu).all():
         raise ValueError("every step size must be finite")
-    return _iterate(topology, ops, batch_last(np.asarray(p0, dtype=np.float64)), mu)
+    return _iterate(topology, ops, _batch_last_starts(p0, ops), mu)
+
+
+def _batch_last_starts(p0, *operands: ChannelOperands) -> np.ndarray:
+    """The batch-last copy of the starts ``p0`` (q, stacked_rows, N), after
+    checking that there is at least one and that ``operands`` are q columns
+    wide."""
+    p0 = np.asarray(p0, dtype=np.float64)
+    if not len(p0):
+        raise ValueError("a batch needs at least one start")
+    for ops in operands:
+        if ops.a1.shape[-1] != len(p0):
+            raise ValueError(f"{len(p0)} starts for operands {ops.a1.shape[-1]} columns wide")
+    return batch_last(p0)
 
 
 def _iterate(topology: Topology, ops: ChannelOperands, p: np.ndarray, mu: np.ndarray):
@@ -687,9 +686,8 @@ def _iterate(topology: Topology, ops: ChannelOperands, p: np.ndarray, mu: np.nda
         if k == len(mu):
             return
         parts = _hop_gradients(topology, ops, rp, _binding(topology, rp))
-        q = rp.q  # a batch-1 p0 widens to the operands' batch at step 0
         del rp  # hop 1 and the message rates go
-        p, nan = _step(topology, p, parts, mu[k], full, q)
+        p, nan = _step(topology, p, parts, mu[k], full)
         if full:
             relay = users = None  # freed before the new arrays are made
         else:
@@ -709,11 +707,9 @@ def _step(
     parts: list[_HopGradient],
     step: np.ndarray,
     full: bool,
-    q: int,
 ) -> tuple[np.ndarray, bool]:
-    """The next iterate after ``p`` (stacked_rows, N, q, or a batch of 1 at
-    a full step), given the step's ``_hop_gradients``, and whether a
-    projection output holds a NaN.
+    """The next iterate after ``p`` (stacked_rows, N, q), given the step's
+    ``_hop_gradients``, and whether a projection output holds a NaN.
 
     A full step re-projects every row.  Any other step re-projects the
     source row of every element and, for each relay-fed hop's part, the
@@ -721,10 +717,10 @@ def _step(
     projection call: the projection acts on each row alone, so the layout
     changes no bits.
     """
+    n, q = p.shape[-2:]
     if full:
         new = project_with_tangent(p + step * _scatter(topology, parts, q))[0]
         return new, bool(np.isnan(new).any())
-    n = p.shape[-2]
     source = p[-1]
     pieces = []
     for part in parts:
@@ -774,14 +770,12 @@ def _differing_columns(a: ChannelOperands, b: ChannelOperands, q: int) -> np.nda
 
 
 def _with_columns(
-    ops: ChannelOperands, other: ChannelOperands, cols: np.ndarray, q: int
+    ops: ChannelOperands, other: ChannelOperands, cols: np.ndarray
 ) -> ChannelOperands:
-    """The q columns of ``ops`` followed by the columns ``cols`` of ``other``."""
+    """The columns of ``ops`` followed by the columns ``cols`` of ``other``."""
 
     def join(x: np.ndarray, y: np.ndarray, axis: int) -> np.ndarray:
-        head = x if x.shape[axis] == q else np.repeat(x, q, axis=axis)
-        extra = y.take(cols if y.shape[axis] > 1 else np.zeros_like(cols), axis=axis)
-        return np.concatenate((head, extra), axis=axis)
+        return np.concatenate((x, y.take(cols, axis=axis)), axis=axis)
 
     return ChannelOperands(
         a1=join(ops.a1, other.a1, -1),
@@ -810,7 +804,9 @@ def unrolled_loss(
     runs down as ``v = project'(x_k)^T lam_{k+1}``, ``dL/dmu_k = sum(g_k v)``,
     ``lam_k = -(w_k/q) grad R_loss(p_k) + v + mu_k H_k v``, where ``H_k v`` is
     the derivative of ``gradient_pass`` at ``p_k`` in the direction ``v``.
-    ``p0`` and ``final`` are (q, stacked_rows, N).
+    ``p0`` and ``final`` are (q, stacked_rows, N), and both operands are q
+    columns wide; an empty ``p0`` or one of another width is refused
+    (``ValueError``).
 
     One rate pass per step serves both channels: the elements whose driving
     and loss operands differ in any bit get a second column, appended after
@@ -834,7 +830,7 @@ def unrolled_loss(
     count, steps = groups.shape
     if steps < 1:
         raise ValueError("the unrolled optimizer needs at least one iteration")
-    p = batch_last(np.asarray(p0, dtype=np.float64))
+    p = _batch_last_starts(p0, opt_ops, loss_ops)
     q = p.shape[-1]
     if q % count:
         raise ValueError(f"a batch of {q} does not split into {count} equal groups")
@@ -851,7 +847,7 @@ def unrolled_loss(
     # the last axis would give a batch-first layout)
     pass_cols: np.ndarray | None = None
     if differ.size:
-        ops = _with_columns(opt_ops, loss_ops, differ, q)
+        ops = _with_columns(opt_ops, loss_ops, differ)
         loss_cols = np.arange(q)
         loss_cols[differ] = q + np.arange(differ.size)
         shared = np.flatnonzero(loss_cols < q)
@@ -867,7 +863,7 @@ def unrolled_loss(
         rp = rate_pass(topology, ops, p if pass_cols is None else p.take(pass_cols, axis=-1))
         iterate_rates[k] = rp.message.min(axis=0)[loss_cols]
         if track_margins:
-            min_margin = min(min_margin, _pass_margin(topology, rp, slice(q)))
+            min_margin = min(min_margin, _pass_margin(topology, rp, slice(q)).min())
         if want_grad:
             pass_grad, pass_branches = gradient_pass(topology, ops, rp, q)[:2]
             grad = pass_grad[..., :q]
@@ -894,7 +890,7 @@ def unrolled_loss(
     )
     loss = np.subtract.accumulate(terms)[-1]
     if track_margins and differ.size < q:
-        min_margin = min(min_margin, _pass_margin(topology, rp_loss, shared))
+        min_margin = min(min_margin, _pass_margin(topology, rp_loss, shared).min())
     dloss = None
     if want_grad:
         products = np.empty((steps, q) + p.shape[:-1])  # g_k * v, batch first
@@ -922,27 +918,29 @@ def unrolled_loss(
     )
 
 
-def _gap_min(values: np.ndarray) -> float:
+def _gap_min(values: np.ndarray) -> np.ndarray:
     """Smallest nonzero pairwise gap along axis -2, the axis before the batch
-    axis (exact ties are treated as structurally stuck and ignored)."""
+    axis, of each batch column, inf where there is none (exact ties are
+    treated as structurally stuck and ignored)."""
     v = np.sort(values, axis=-2)
     with np.errstate(invalid="ignore"):
         gaps = np.diff(v, axis=-2)
-    nz = gaps[gaps > 0.0]
-    return float(nz.min()) if nz.size else np.inf
+    gaps = np.where(gaps > 0.0, gaps, np.inf)
+    return gaps.reshape(-1, gaps.shape[-1]).min(axis=0, initial=np.inf)
 
 
-def _pass_margin(topology: Topology, rp: RatePass, cols: np.ndarray | slice = slice(None)) -> float:
-    """Smallest distance to any branch switch of the current pass, over its
-    batch columns ``cols``.
+def _pass_margin(
+    topology: Topology, rp: RatePass, cols: np.ndarray | slice = slice(None)
+) -> np.ndarray:
+    """Smallest distance to any branch switch of the current pass, for each
+    of its batch columns ``cols``.
 
     Covers interference-set membership (power and gain ties), the end-user
     decode obligations, the message argmin and the binding-constraint choice.
     """
     margin = _gap_min(rp.phi[:, cols])
     for hop in range(2, topology.num_hops + 1):
-        margin = min(margin, _gap_min(rp.gains[hop - 1][..., cols]))
-    margin = min(margin, _gap_min(rp.message[:, cols]))
+        margin = np.minimum(margin, _gap_min(rp.gains[hop - 1][..., cols]))
+    margin = np.minimum(margin, _gap_min(rp.message[:, cols]))
     table = _constraint_table(rp, rp.message.argmin(axis=0) * rp.q + np.arange(rp.q))
-    margin = min(margin, _gap_min(table[:, cols]))
-    return margin
+    return np.minimum(margin, _gap_min(table[:, cols]))

@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__ as _version
-from .channels import ChannelDataset, ChannelRealization, NoiseProfile, Topology, build_dataset
-from .engine import stack_channels
+from .channels import NoiseProfile, Topology, build_dataset
 from .ensemble import BatchResult, infer_batch
 from .errors import ConfigurationError
 from .gridsearch import grid_capacity, grid_points
@@ -58,7 +57,6 @@ __all__ = [
     "run_transfer",
     "run_oracle_compare",
     "noise_profile",
-    "dataset_fingerprint",
 ]
 
 # Seed-derivation roles; every random stream is keyed (master, role, ...).
@@ -180,15 +178,6 @@ def noise_profile(db: float, hops: int, channel_var: float = 1.0) -> NoiseProfil
 
 def derive_seed(master: int, *path: int) -> int:
     return int(np.random.SeedSequence((master,) + tuple(path)).generate_state(1)[0])
-
-
-def dataset_fingerprint(dataset: ChannelDataset) -> str:
-    digest = hashlib.sha256()
-    for ch, _ in dataset.entries:
-        digest.update(np.ascontiguousarray(ch.first_hop).tobytes())
-        for mat in ch.later_hops:
-            digest.update(np.ascontiguousarray(mat).tobytes())
-    return digest.hexdigest()
 
 
 def _fmt(value) -> str:
@@ -540,9 +529,7 @@ def run_noisy_robustness(config: ExperimentConfig) -> dict:
         )
         count = len(channels)
         clean_full, noisy_full = np.split(batch.selected_min_rate_eval[: 2 * count], 2)
-        realized = min_rate(
-            ChannelRealization(*stack_channels(channels * 2)), batch.selected[2 * count :], noise
-        )[0]
+        realized, _ = min_rate(channels * 2, batch.selected[2 * count :], noise)
         clean_noisy, noisy_noisy = np.split(realized, 2)
         rows.append(
             [db, clean_full.mean(), clean_noisy.mean(), noisy_full.mean(), noisy_noisy.mean()]

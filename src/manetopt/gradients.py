@@ -8,18 +8,22 @@ returned (lowest message index, then lowest (hop, node)).
 
 The per-rate partials are obtained by direct differentiation of the rate
 formulas; ``finite_difference_gradient`` is the independent arbiter used by
-the test suite.
+the test suite.  ``objective_gradient`` and ``tie_margin`` take a batch, as
+the rates do: a sequence of q channels and a (q, rows, N) stack of power
+matrices, and return per-element arrays; the oracle takes one channel and
+one matrix.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine
-from .channels import ChannelRealization, NoiseProfile, topology_of
-from .rates import _flatten
+from .channels import ChannelRealization, NoiseProfile
+from .rates import _batch, min_rate
 
 __all__ = [
     "ObjectiveGradient",
@@ -31,39 +35,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ObjectiveGradient:
-    """Gradient of the minimum message rate with respect to the power matrix.
+    """Gradient of each element's minimum message rate with respect to its
+    power matrix.
 
     ``active_hop`` is the reception hop (1..B) of the binding constraint and
     ``active_node`` its receiving node: a relay for hops below B, an end user
     at hop B.  Nonzero entries live only in the rows feeding that hop.
     """
 
-    values: np.ndarray
-    active_message: int | np.ndarray
-    active_hop: int | np.ndarray
-    active_node: int | np.ndarray
+    values: np.ndarray          # (q, rows, N)
+    active_message: np.ndarray  # (q,)
+    active_hop: np.ndarray      # (q,)
+    active_node: np.ndarray     # (q,)
 
 
 def objective_gradient(
-    channel: ChannelRealization, p: np.ndarray, noise: NoiseProfile
+    channels: Sequence[ChannelRealization], p: np.ndarray, noise: NoiseProfile
 ) -> ObjectiveGradient:
-    topology, ops, pq, batch = _flatten(channel, p, noise)
+    topology, ops, pq = _batch(channels, p, noise)
     rp = engine.rate_pass(topology, ops, pq)
     grad, _, nstar, bind_hop, bind_node = engine.gradient_pass(topology, ops, rp)
-    values = np.moveaxis(grad, -1, 0).reshape(batch + grad.shape[:-1])
-    if batch:
-        return ObjectiveGradient(
-            values=values,
-            active_message=nstar.reshape(batch),
-            active_hop=bind_hop.reshape(batch),
-            active_node=bind_node.reshape(batch),
-        )
-    return ObjectiveGradient(
-        values=values,
-        active_message=int(nstar[0]),
-        active_hop=int(bind_hop[0]),
-        active_node=int(bind_node[0]),
-    )
+    return ObjectiveGradient(engine.batch_first(grad), nstar, bind_hop, bind_node)
 
 
 def finite_difference_gradient(
@@ -88,19 +80,17 @@ def finite_difference_gradient(
     offsets = np.eye(coords) * step
     flat = p.reshape(-1)
     stack = np.concatenate([flat + offsets, flat - offsets]).reshape(2 * coords, rows, n)
-    topology = topology_of(channel)
-    ops = engine.operands_from(channel, noise)
-    values = engine.rate_pass(topology, ops, engine.batch_last(stack)).message.min(axis=0)
+    values = min_rate([channel] * (2 * coords), stack, noise)[0]
     return ((values[:coords] - values[coords:]) / (2.0 * step)).reshape(rows, n)
 
 
 def tie_margin(
-    channel: ChannelRealization, p: np.ndarray, noise: NoiseProfile
-) -> float:
-    """Smallest gap to any branch switch of the objective at ``p``.
+    channels: Sequence[ChannelRealization], p: np.ndarray, noise: NoiseProfile
+) -> np.ndarray:
+    """Each element's smallest gap to any branch switch of the objective.
 
     Exactly coincident values are ignored (they are structurally stuck, not a
     crossing); use this to exclude near-tie points from oracle comparisons.
     """
-    topology, ops, pq, _ = _flatten(channel, p, noise)
+    topology, ops, pq = _batch(channels, p, noise)
     return engine._pass_margin(topology, engine.rate_pass(topology, ops, pq))

@@ -117,7 +117,9 @@ def _block_values(
     rows: slice,
     hop: int,
 ) -> np.ndarray:
-    """Hop ``hop``'s worst rate at every point of the grid over ``rows``."""
+    """Hop ``hop``'s worst rate at every point of the grid over ``rows``,
+    given one channel's operands ``ops`` widened to ``_CHUNK`` columns: a
+    chunk of n points reads their first n columns."""
     shape = (len(grid),) * (rows.stop - rows.start)
     total = int(np.prod(shape))
     values = np.empty(total)
@@ -126,7 +128,11 @@ def _block_values(
         combo = np.array(np.unravel_index(idx, shape))  # (block rows, chunk)
         p = np.broadcast_to(grid[0][:, None], (topology.stacked_rows, 2, len(idx))).copy()
         p[rows] = np.moveaxis(grid[combo], -1, 1)
-        rp = engine.rate_pass(topology, ops, p)
+        n = len(idx)
+        chunk_ops = engine.ChannelOperands(
+            ops.a1[:, :n], tuple(h[:n] for h in ops.ht), ops.sig2[:, :n]
+        )
+        rp = engine.rate_pass(topology, chunk_ops, p)
         hop_rates = rp.user_rates if hop == topology.num_hops else rp.rates[hop - 1]
         values[start : start + len(idx)] = hop_rates.min(axis=(0, 1))
     return values.reshape(shape)
@@ -164,7 +170,7 @@ def grid_capacity(
 
     if topology.end_users == 1:
         best = np.ones((rows, 1))
-        value, _ = min_rate(channel, best, noise)
+        (value,), _ = min_rate([channel], best[None], noise)
         result = GridResult(
             best_min_rate=float(value), best_matrix=best, resolution=resolution,
             evaluations=1,
@@ -174,8 +180,7 @@ def grid_capacity(
     points = _axis_points(resolution)
     axis = np.linspace(0.0, 1.0, points)
     grid = np.stack([axis, np.sqrt(1.0 - axis * axis)], axis=-1)  # (points, 2)
-    ops = engine.operands_from(channel, noise)
-
+    ops = engine.operands_from([channel], noise, repeat=_CHUNK)
     values = [
         _block_values(topology, ops, grid, block, hop) for block, hop in _blocks(topology)
     ]

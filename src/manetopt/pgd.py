@@ -1,11 +1,12 @@
 """Projected gradient ascent on the min-rate objective.
 
 ``run_pgd_batch`` applies K ascent steps with a per-iteration step size to
-many (channel, start) pairs in lockstep and records every iterate's min rate;
-the training loss weights every iteration and the ensemble scans all of them,
-so nothing is discarded.  ``run_pgd`` is its one-start call that also keeps
-the iterates.  The classic fixed-step baseline runs at ``FIXED_STEP``;
-``calibrate_fixed_step`` is the rule that value comes from.
+a batch of (channel, start) pairs in lockstep and records every iterate's
+min rate; the training loss weights every iteration and the ensemble scans
+all of them, so nothing is discarded.  ``run_pgd`` runs one channel from one
+start, a batch of one, and also keeps the iterates.  The classic fixed-step
+baseline runs at ``FIXED_STEP``; ``calibrate_fixed_step`` is the rule that
+value comes from.
 """
 
 from __future__ import annotations
@@ -63,37 +64,33 @@ def run_pgd(
     p0 = np.asarray(p0, dtype=np.float64)
     if not is_feasible(p0):
         raise ValueError("run_pgd requires a feasible starting point")
-    rates, iterates = run_pgd_batch(channel, noise, p0[None], mu, record_iterates=True)
+    rates, iterates = run_pgd_batch([channel], noise, p0[None], mu, record_iterates=True)
     return PgdTrajectory(iterates=list(iterates[:, 0]), min_rates=rates[:, 0])
 
 
 def run_pgd_batch(
-    channels: ChannelRealization | Sequence[ChannelRealization],
+    channels: Sequence[ChannelRealization],
     noise: NoiseProfile,
     p0: np.ndarray,
     mu: Sequence[float] | np.ndarray,
     record_iterates: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Run the schedule over a batch of starts and/or channels.
-
-    ``p0`` is (batch, rows, N).  A single channel broadcasts over the batch
-    (multi-start on one realization); a sequence supplies one channel per
-    batch element.  Returns the min rates on the driving channels per
-    iterate, of shape (K+1, batch), and, optionally, all iterates.  An empty
-    batch is refused (``ValueError``).
+    """Run the schedule over a batch: a sequence of q channels and the
+    (q, rows, N) stack ``p0`` of their starts (several starts on one
+    channel repeat it in the sequence).  Returns the min rates on the
+    driving channels per iterate, of shape (K+1, q), and, optionally, all
+    iterates.  An empty batch, or starts and channels of different counts,
+    are refused (``ValueError``).
     """
     mu = np.asarray(mu, dtype=np.float64)
     p0 = np.asarray(p0, dtype=np.float64)
-    one = isinstance(channels, ChannelRealization)
-    if not one and not len(channels):
+    if not len(channels):
         raise ValueError("a PGD batch needs at least one channel")
-    if not len(p0):
-        raise ValueError("a PGD batch needs at least one start")
-    topology = topology_of(channels if one else channels[0])
-    ops = engine.operands_from(channels, noise)
+    topology = topology_of(channels[0])
+    schedule = engine.iterate_schedule(topology, engine.operands_from(channels, noise), p0, mu)
     rates = np.empty((len(mu) + 1, len(p0)))
     iterates = np.empty((len(mu) + 1,) + p0.shape) if record_iterates else None
-    for k, (p, rate) in enumerate(engine.iterate_schedule(topology, ops, p0, mu)):
+    for k, (p, rate) in enumerate(schedule):
         rates[k] = rate
         if record_iterates:
             iterates[k] = p

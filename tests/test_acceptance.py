@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 import manetopt as mo
-from manetopt import engine
 from manetopt.ensemble import member_starts
 from manetopt.experiments import (
     ENSEMBLE,
@@ -124,7 +123,7 @@ def _interior_point(topology, noise, rng, margin=1e-3):
     while True:
         ch = mo.sample_channel(topology, 1.0, rng)
         p = mo.random_init(topology, rng)
-        if mo.tie_margin(ch, p, noise) > margin:
+        if mo.tie_margin([ch], p[None], noise)[0] > margin:
             return ch, p
 
 
@@ -137,7 +136,7 @@ def test_criterion_02_gradient_correctness():
         rng = np.random.default_rng(202)
         for _ in range(100):
             ch, p = _interior_point(topology, noise, rng)
-            analytic = mo.objective_gradient(ch, p, noise).values
+            analytic = mo.objective_gradient([ch], p[None], noise).values[0]
             fd = mo.finite_difference_gradient(ch, p, noise, 1e-6)
             denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-6)
             worst = max(worst, float(np.max(np.abs(analytic - fd) / denom)))
@@ -318,8 +317,7 @@ def schedule_final_rates(config, channels, noise, mu, level_index=0):
     _, iterates = mo.run_pgd_batch(
         estimates, noise, np.concatenate(starts), mu, record_iterates=True
     )
-    truth = mo.ChannelRealization(*engine.stack_channels(truths))
-    rates, _ = mo.min_rate(truth, iterates[-1], noise)
+    rates, _ = mo.min_rate(truths, iterates[-1], noise)
     return rates.reshape(len(channels), size).mean(axis=1)
 
 

@@ -45,3 +45,34 @@ def test_bench_writes_its_schema(tmp_path):
     assert seen == {(s, n) for s in STAGES for n in networks} | {
         ("grid", "1x2x2"), ("fixed_baseline", "1x4x4"), ("sweep_infer", "1x4x4")
     }
+
+
+CODE_SAMPLE = '''"""Module docstring
+over two lines."""
+
+import os  # a trailing comment
+
+# a comment line
+def f(x):
+    """Docstring."""
+    return (x +
+            1)
+
+
+class C:
+    "one-line docstring"
+    y = """an assigned string
+is code"""
+'''
+
+
+def test_code_lines_counts_a_known_sample(tmp_path):
+    # Counted: import, def, both lines of the return, class, both lines of y.
+    path = tmp_path / "sample.py"
+    path.write_text(CODE_SAMPLE)
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1].split() == ["7", "total"]

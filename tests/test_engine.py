@@ -110,10 +110,6 @@ def ref_rate_pass(topology, ops, p, dp=None):
     return rp
 
 
-def _full(arr, q):
-    return arr if arr.shape[0] == q else np.broadcast_to(arr, (q,) + arr.shape[1:])
-
-
 def ref_select_binding(topology, rp, nstar):
     qi = np.arange(rp.q)
     relay_vals, relay_args = [], []
@@ -166,14 +162,14 @@ def ref_gradient_pass(topology, ops, rp):
             continue
         node, n, si = bind_node[sel], nstar[sel], np.arange(sel.size)
         if r == 1:
-            a = _full(ops.a1, q)[sel, node]
-            s1 = _full(ops.sig2, q)[sel, 0]
-            phi = _full(rp.phi, q)[sel]
+            a = ops.a1[sel, node]
+            s1 = ops.sig2[sel, 0]
+            phi = rp.phi[sel]
             phin = phi[si, n]
-            den = a * _full(rp.i1, q)[sel, n] + s1
+            den = a * rp.i1[sel, n] + s1
             sig = a * phin * phin
             tot = sig + den
-            maskrow = _full(rp.mask1, q)[sel, :, n]
+            maskrow = rp.mask1[sel, :, n]
             w_int = -(2.0 * INV_LN2) * a * sig / (den * tot)
             g = np.where(maskrow, w_int[:, None] * phi, 0.0)
             g[si, n] = (2.0 * INV_LN2) * a * phin / tot
@@ -193,9 +189,9 @@ def ref_gradient_pass(topology, ops, rp):
         else:
             j = r - 2
             rows = topology.block_rows(r - 1)
-            hre = _full(ops.ht_re[j], q)[sel, node, :]
-            him = _full(ops.ht_im[j], q)[sel, node, :]
-            sb = _full(ops.sig2, q)[sel, r - 1]
+            hre = ops.ht_re[j][sel, node, :]
+            him = ops.ht_im[j][sel, node, :]
+            sb = ops.sig2[sel, r - 1]
             cr = rp.c_re[r - 1][sel, node, :]
             ci = rp.c_im[r - 1][sel, node, :]
             gn = rp.gains[r - 1][sel, node, :][si, n]
@@ -432,8 +428,7 @@ def test_iterate_schedule_matches_reference(monkeypatch, hop_sizes, case):
     # and recompute every hop at every step: the engine's kernels stepping
     # densely, and the batch-first reference wherever no rate is NaN (it
     # binds NaN rates by other rules).
-    # "one_start": one start over nine channels, so the first step widens
-    # the batch.
+    # "one_start": one start over nine channels, as a stride-0 stack.
     # "uniform": small constant steps from uniform starts, where the relay
     # blocks of most elements stay still for long stretches of steps.
     # "zero_noise": rates hold NaN once a coefficient reaches 0.
@@ -452,8 +447,10 @@ def test_iterate_schedule_matches_reference(monkeypatch, hop_sizes, case):
     ops, ref_ops = _both_operands([ch for ch, _ in entries], noise_rows)
     mu = np.random.default_rng(3).uniform(0.01, 1.0, 300)
     p0 = _starts(topology, 9, seed=7)
-    if case in ("single", "one_start"):
+    if case == "single":
         p0 = p0[1:2]
+    elif case == "one_start":
+        p0 = np.broadcast_to(p0[1:2], p0.shape)
     elif case == "uniform":
         p0 = np.stack([power.uniform_init(topology)] * 9)
         mu = np.full(300, mo.FIXED_STEP)
@@ -492,12 +489,13 @@ def test_iterate_schedule_recomputes_exactly_the_bound_columns(monkeypatch, hop_
     # any other step, hop b on exactly the columns that bound at hop b,
     # which on (2, 9) include one-column subsets summing nine end users'
     # interference.  Every pass reads kept relay arrays and an end-user
-    # table equal to fresh ones bit for bit.  "broadcast" runs one channel's
-    # batch-1 operands over every start.
+    # table equal to fresh ones bit for bit.  "broadcast" runs one channel
+    # over every start, its operands widened by stride-0 views.
     topology = mo.Topology(hop_sizes)
     q = 6
     entries = _entries(topology, 1 if one_channel else q, seed=[76, len(hop_sizes)])
-    ops = _both_operands([ch for ch, _ in entries], [n.hop_noise_vars for _, n in entries])[0]
+    ops = engine.operands_from([ch for ch, _ in entries], entries[0][1], repeat=q // len(entries))
+    assert one_channel == (ops.ht[-1].strides[0] == 0)  # views of one channel
     p0 = _starts(topology, q, seed=11)
     mu = np.random.default_rng(12).uniform(0.05, 1.0, 40)
     mu[5] = 1e303
@@ -592,12 +590,47 @@ def test_single_element_unrolled_loss_matches_reference(hop_sizes, noisy):
     _check_unrolled_loss(hop_sizes, noisy, slice(0, 1))
 
 
+def _start_batch_calls(topology, count):
+    """``iterate_schedule`` and ``unrolled_loss`` from ``count`` starts on
+    the operands of two channels, and ``unrolled_loss`` scoring them on
+    three."""
+    entries = _entries(topology, 3, seed=[77, count])
+    two = engine.operands_from([ch for ch, _ in entries[:2]], entries[0][1])
+    three = engine.operands_from([ch for ch, _ in entries], entries[0][1])
+    p0 = np.broadcast_to(
+        power.uniform_init(topology), (count, topology.stacked_rows, topology.end_users)
+    )
+    mu = np.array([0.1])
+    return [
+        lambda: engine.iterate_schedule(topology, two, p0, mu),
+        lambda: engine.unrolled_loss(topology, two, two, p0, mu, iteration_weights(1)),
+        lambda: engine.unrolled_loss(topology, two, three, p0, mu, iteration_weights(1)),
+    ]
+
+
+def test_empty_start_batch_is_refused():
+    for call in _start_batch_calls(mo.Topology((2, 2)), 0):
+        with pytest.raises(ValueError, match="at least one start"):
+            call()
+
+
+def test_start_batch_of_another_width_is_refused():
+    # One start is not widened to the operands' two columns, and starts as
+    # wide as the driving operands are not scored on wider loss operands.
+    one, two = (_start_batch_calls(mo.Topology((2, 2)), count) for count in (1, 2))
+    for call in one[:2]:
+        with pytest.raises(ValueError, match="1 starts for operands 2 columns wide"):
+            call()
+    with pytest.raises(ValueError, match="2 starts for operands 3 columns wide"):
+        two[2]()
+
+
 @pytest.mark.parametrize("hop_sizes", [(2, 2), (1, 2, 2)])
 def test_grid_chunk_matches_reference(hop_sizes):
     topology = mo.Topology(hop_sizes)
     channel = mo.sample_channel(topology, 1.0, np.random.default_rng(5))
     noise = mo.NoiseProfile((1.0,) * topology.num_hops)
-    ops = engine.operands_from(channel, noise)
+    ops = engine.operands_from([channel], noise, repeat=gridsearch._CHUNK)
     ref_ops = ref_operands(
         channel.first_hop[None], tuple(m[None] for m in channel.later_hops),
         np.asarray(noise.hop_noise_vars)[None],

@@ -11,7 +11,7 @@ from manetopt.ensemble import member_starts
 def _candidates(csi, noise, mu, ensemble_size, seed):
     """Min rates (K+1, E) and iterates (K+1, E, rows, N) of every member."""
     starts = member_starts(mo.topology_of(csi), ensemble_size, seed)
-    return mo.run_pgd_batch(csi, noise, starts, mu, record_iterates=True)
+    return mo.run_pgd_batch([csi] * ensemble_size, noise, starts, mu, record_iterates=True)
 
 
 def reference_infer(csi, noise, mu, ensemble_size, seed):
@@ -150,7 +150,7 @@ def test_pilot_input_estimates_then_optimizes(world):
     topo, noise, ch, mu = world
     [est] = mo.lmmse_estimates([ch], [noise], mo.make_pilots(topo), [np.random.default_rng(3)])
     res = mo.infer_batch([est], noise, mu, 2, [1])
-    value, _ = mo.min_rate(est, res.selected[0], noise)
+    (value,), _ = mo.min_rate([est], res.selected[:1], noise)
     # selection rate is measured under the estimate, not the true channel
     assert res.selected_min_rate_eval[0] == pytest.approx(value, abs=1e-12)
 

@@ -9,7 +9,7 @@ def interior_point(topo, noise, rng, margin=1e-3):
     for _ in range(200):
         ch = mo.sample_channel(topo, 1.0, rng)
         p = mo.random_init(topo, rng)
-        if mo.tie_margin(ch, p, noise) > margin:
+        if mo.tie_margin([ch], p[None], noise)[0] > margin:
             return ch, p
     raise RuntimeError("could not find an interior point")
 
@@ -28,11 +28,11 @@ def test_first_hop_self_derivative_closed_form():
     )
     noise = mo.NoiseProfile((1.0, 1.0))
     p = np.ones((2, 1))
-    g = mo.objective_gradient(ch, p, noise)
-    assert g.active_hop == 1
-    assert g.values[-1, 0] == pytest.approx(1.0 / np.log(2.0), rel=1e-12)
+    g = mo.objective_gradient([ch], p[None], noise)
+    assert g.active_hop[0] == 1
+    assert g.values[0, -1, 0] == pytest.approx(1.0 / np.log(2.0), rel=1e-12)
     # the relay's own coefficients are not part of the binding constraint
-    assert g.values[0, 0] == 0.0
+    assert g.values[0, 0, 0] == 0.0
 
 
 def test_gradient_support_is_binding_block():
@@ -42,13 +42,13 @@ def test_gradient_support_is_binding_block():
     for _ in range(20):
         ch = mo.sample_channel(topo, 1.0, rng)
         p = mo.random_init(topo, rng)
-        g = mo.objective_gradient(ch, p, noise)
-        mask = np.zeros_like(g.values, dtype=bool)
-        if g.active_hop == 1:
+        g = mo.objective_gradient([ch], p[None], noise)
+        mask = np.zeros_like(g.values[0], dtype=bool)
+        if g.active_hop[0] == 1:
             mask[-1, :] = True
         else:
-            mask[topo.block_rows(g.active_hop - 1), :] = True
-        assert np.all(g.values[~mask] == 0.0)
+            mask[topo.block_rows(g.active_hop[0] - 1), :] = True
+        assert np.all(g.values[0][~mask] == 0.0)
 
 
 def test_self_partial_positive_when_first_hop_binds():
@@ -58,11 +58,11 @@ def test_self_partial_positive_when_first_hop_binds():
     seen = 0
     while seen < 10:
         ch, p = interior_point(topo, noise, rng)
-        g = mo.objective_gradient(ch, p, noise)
-        if g.active_hop != 1:
+        g = mo.objective_gradient([ch], p[None], noise)
+        if g.active_hop[0] != 1:
             continue
         seen += 1
-        assert g.values[-1, g.active_message] > 0.0
+        assert g.values[0, -1, g.active_message[0]] > 0.0
 
 
 @pytest.mark.parametrize("sizes", [(2, 2), (3, 3)])
@@ -73,7 +73,7 @@ def test_gradient_matches_finite_differences(sizes):
     worst = 0.0
     for _ in range(30):
         ch, p = interior_point(topo, noise, rng)
-        analytic = mo.objective_gradient(ch, p, noise).values
+        analytic = mo.objective_gradient([ch], p[None], noise).values[0]
         fd = mo.finite_difference_gradient(ch, p, noise, 1e-6)
         worst = max(worst, rel_err(analytic, fd))
     assert worst <= 1e-4
@@ -86,7 +86,7 @@ def test_gradient_matches_finite_differences_three_hops():
     rng = np.random.default_rng(23)
     for _ in range(10):
         ch, p = interior_point(topo, noise, rng)
-        analytic = mo.objective_gradient(ch, p, noise).values
+        analytic = mo.objective_gradient([ch], p[None], noise).values[0]
         fd = mo.finite_difference_gradient(ch, p, noise, 1e-6)
         assert rel_err(analytic, fd) <= 1e-4
 
@@ -97,7 +97,7 @@ def test_finite_difference_convergence_order():
     noise = mo.NoiseProfile((1.0, 1.0))
     rng = np.random.default_rng(29)
     ch, p = interior_point(topo, noise, rng, margin=5e-3)
-    analytic = mo.objective_gradient(ch, p, noise).values
+    analytic = mo.objective_gradient([ch], p[None], noise).values[0]
     errs = []
     for step in (2e-3, 1e-3, 5e-4):
         fd = mo.finite_difference_gradient(ch, p, noise, step)
@@ -117,41 +117,47 @@ def test_oracle_differs_at_deliberate_tie():
     )
     noise = mo.NoiseProfile((1.0, 1.0))
     p = mo.project(np.array([[1.0, 1.0], [1.0, 1.0], [1.0 + 1e-8, 1.0]]))
-    assert mo.tie_margin(ch, p, noise) < 1e-3
-    analytic = mo.objective_gradient(ch, p, noise).values
+    assert mo.tie_margin([ch], p[None], noise)[0] < 1e-3
+    analytic = mo.objective_gradient([ch], p[None], noise).values[0]
     fd = mo.finite_difference_gradient(ch, p, noise, 1e-6)
     assert not np.allclose(analytic, fd, atol=1e-6)
 
 
 def test_batched_gradient_matches_scalar():
+    # Element i of a batch equals a batch of one on element i, for the
+    # gradient and the tie margin.
     topo = mo.Topology((2, 2))
     noise = mo.NoiseProfile((1.0, 1.0))
     rng = np.random.default_rng(31)
-    ch = mo.sample_channel(topo, 1.0, rng)
+    channels = [mo.sample_channel(topo, 1.0, rng) for _ in range(5)]
     stack = np.stack([mo.random_init(topo, i) for i in range(5)])
-    batched = mo.objective_gradient(ch, stack, noise)
+    batched = mo.objective_gradient(channels, stack, noise)
+    margins = mo.tie_margin(channels, stack, noise)
+    assert margins.shape == (5,)
     for i in range(5):
-        single = mo.objective_gradient(ch, stack[i], noise)
-        assert np.array_equal(batched.values[i], single.values)
-        assert batched.active_message[i] == single.active_message
+        one = (channels[i : i + 1], stack[i : i + 1], noise)
+        single = mo.objective_gradient(*one)
+        assert np.array_equal(batched.values[i], single.values[0])
+        for field in ("active_message", "active_hop", "active_node"):
+            assert getattr(batched, field)[i] == getattr(single, field)[0]
+        assert margins[i] == mo.tie_margin(*one)[0]
+    with pytest.raises(ValueError, match="shape"):
+        mo.objective_gradient(channels, stack[:4], noise)
 
 
 def test_batched_channel_single_matrix():
-    # One allocation evaluated across a stack of channel realizations.
+    # One allocation evaluated across a list of channel realizations.
     topo = mo.Topology((2, 2))
     noise = mo.NoiseProfile((1.0, 1.0))
     singles = [mo.sample_channel(topo, 1.0, np.random.default_rng(i)) for i in range(4)]
-    batched = mo.ChannelRealization(
-        first_hop=np.stack([c.first_hop for c in singles]),
-        later_hops=(np.stack([c.later_hops[0] for c in singles]),),
-    )
     p = mo.random_init(topo, 9)
-    values, idx = mo.min_rate(batched, p, noise)
-    grads = mo.objective_gradient(batched, p, noise)
+    stack = np.repeat(p[None], len(singles), axis=0)
+    values, idx = mo.min_rate(singles, stack, noise)
+    grads = mo.objective_gradient(singles, stack, noise)
     for i, ch in enumerate(singles):
-        v, j = mo.min_rate(ch, p, noise)
+        (v,), (j,) = mo.min_rate([ch], p[None], noise)
         assert values[i] == v and idx[i] == j
-        assert np.array_equal(grads.values[i], mo.objective_gradient(ch, p, noise).values)
+        assert np.array_equal(grads.values[i], mo.objective_gradient([ch], p[None], noise).values[0])
 
 
 def test_fd_rejects_bad_inputs():

@@ -25,7 +25,6 @@ def brute_force_grid(channel, noise, resolution, chunk=131_072):
     total = points**rows
     axis = np.linspace(0.0, 1.0, points)
     other = np.sqrt(1.0 - axis * axis)
-    ops = engine.operands_from(channel, noise)
     best_value = -np.inf
     best_index = 0
     for start in range(0, total, chunk):
@@ -34,6 +33,7 @@ def brute_force_grid(channel, noise, resolution, chunk=131_072):
         p = np.empty((len(idx), rows, 2))
         p[:, :, 0] = axis[combo]
         p[:, :, 1] = other[combo]
+        ops = engine.operands_from([channel], noise, repeat=len(idx))
         values = engine.rate_pass(topology, ops, engine.batch_last(p)).message.min(axis=0)
         local = int(np.argmax(values))
         if values[local] > best_value:
@@ -72,7 +72,7 @@ def test_evaluation_count(world):
 def test_best_matrix_reproduces_best_value(world):
     _, noise, ch = world
     res = mo.grid_capacity(ch, noise, 0.05)
-    value, _ = mo.min_rate(ch, res.best_matrix, noise)
+    (value,), _ = mo.min_rate([ch], res.best_matrix[None], noise)
     assert value == pytest.approx(res.best_min_rate, abs=1e-12)
 
 
@@ -83,7 +83,7 @@ def test_single_user_degenerate():
     res = mo.grid_capacity(ch, noise, 1e-2)
     assert res.evaluations == 1
     assert np.array_equal(res.best_matrix, np.ones((2, 1)))
-    assert res.best_min_rate == mo.min_rate(ch, np.ones((2, 1)), noise)[0]
+    assert res.best_min_rate == mo.min_rate([ch], np.ones((1, 2, 1)), noise)[0][0]
 
 
 def test_refinement_never_decreases(world):
@@ -124,7 +124,7 @@ def test_deeper_and_wider_networks_accepted(sizes):
     res = mo.grid_capacity(ch, noise, 1e-2)
     assert res.evaluations == 101**topology.stacked_rows
     assert mo.is_feasible(res.best_matrix)
-    assert mo.min_rate(ch, res.best_matrix, noise)[0] == res.best_min_rate
+    assert mo.min_rate([ch], res.best_matrix[None], noise)[0][0] == res.best_min_rate
 
 
 @pytest.mark.parametrize(

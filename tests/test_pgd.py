@@ -36,11 +36,11 @@ def test_small_step_does_not_decrease_min_rate(net_122):
     while checked < 20:
         ch = mo.sample_channel(topo, 1.0, rng)
         p = mo.uniform_init(topo)
-        if mo.tie_margin(ch, p, noise) < 1e-3:
+        if mo.tie_margin([ch], p[None], noise)[0] < 1e-3:
             continue
         checked += 1
-        before, _ = mo.min_rate(ch, p, noise)
-        after, _ = mo.min_rate(ch, mo.run_pgd(ch, noise, p, [1e-3]).iterates[1], noise)
+        stepped = mo.run_pgd(ch, noise, p, [1e-3]).iterates[1]
+        (before, after), _ = mo.min_rate([ch] * 2, np.stack([p, stepped]), noise)
         assert after >= before - 1e-12
 
 
@@ -63,8 +63,8 @@ def test_non_finite_steps_are_rejected(net_122, bad):
     calls = [
         lambda: mo.run_pgd(ch, noise, p0, [bad]),
         lambda: mo.run_pgd(ch, noise, p0, mu),
-        lambda: mo.run_pgd_batch(ch, noise, np.stack([p0] * 3), mu),
-        lambda: mo.run_pgd_batch(ch, noise, np.stack([p0] * 3), per_element),
+        lambda: mo.run_pgd_batch([ch] * 3, noise, np.stack([p0] * 3), mu),
+        lambda: mo.run_pgd_batch([ch] * 3, noise, np.stack([p0] * 3), per_element),
         lambda: mo.infer_batch([ch, ch], noise, mu, 2, [0, 1]),
         lambda: mo.calibrate_fixed_step([ch], noise, candidates=(bad, 0.5, 0.1), iterations=3),
     ]
@@ -80,7 +80,7 @@ def test_run_pgd_zero_iterations(net_122):
     assert traj.steps == 0
     assert len(traj.iterates) == 1
     assert traj.min_rates.shape == (1,)
-    assert traj.min_rates[0] == mo.min_rate(ch, p0, noise)[0]
+    assert traj.min_rates[0] == mo.min_rate([ch], p0[None], noise)[0][0]
 
 
 def test_run_pgd_zero_schedule(net_122):
@@ -132,15 +132,18 @@ def test_batch_matches_scalar_runs(net_122):
 def test_empty_batch_is_rejected(net_122):
     topo, ch, noise = net_122
     with pytest.raises(ValueError, match="at least one start"):
-        mo.run_pgd_batch(ch, noise, np.zeros((0, 3, 2)), [0.1])
+        mo.run_pgd_batch([ch], noise, np.zeros((0, 3, 2)), [0.1])
     with pytest.raises(ValueError, match="at least one channel"):
         mo.run_pgd_batch([], noise, np.zeros((0, 3, 2)), [0.1])
+    with pytest.raises(ValueError, match="2 starts for operands 3 columns wide"):
+        mo.run_pgd_batch([ch] * 3, noise, np.stack([mo.uniform_init(topo)] * 2), [0.1])
 
 
 def test_batch_broadcasts_single_channel(net_122):
+    # Several starts on one channel: the channel repeats in the batch.
     topo, ch, noise = net_122
     starts = np.stack([mo.random_init(topo, i) for i in range(3)])
-    rates, _ = mo.run_pgd_batch(ch, noise, starts, np.full(10, 0.1))
+    rates, _ = mo.run_pgd_batch([ch] * 3, noise, starts, np.full(10, 0.1))
     for i in range(3):
         single = mo.run_pgd(ch, noise, starts[i], np.full(10, 0.1))
         assert np.array_equal(rates[:, i], single.min_rates)

@@ -141,8 +141,8 @@ def test_estimates_feed_the_rate_engine():
     noise = mo.NoiseProfile((1.0, 1.0))
     ch = mo.sample_channel(topo, 1.0, np.random.default_rng(10))
     [est] = mo.lmmse_estimates([ch], [noise], mo.make_pilots(topo), [np.random.default_rng(2)])
-    value, _ = mo.min_rate(est, mo.uniform_init(topo), noise)
-    assert np.isfinite(value)
+    value, _ = mo.min_rate([est], mo.uniform_init(topo)[None], noise)
+    assert np.isfinite(value).all()
 
 
 def test_lmmse_estimates_need_one_pilot_set_and_noise_variance_per_hop():

@@ -28,29 +28,29 @@ def test_single_user_shannon_rate():
     ch = unit_channel([1.0], [[1.0]])
     p = mo.uniform_init(topo)  # all ones for N=1
     noise = mo.NoiseProfile((1.0, 1.0))
-    report = mo.compute_report(ch, p, noise)
-    assert report.first_hop_rates[0, 0] == pytest.approx(1.0, abs=1e-12)
+    report = mo.compute_report([ch], p[None], noise)
+    assert report.first_hop_rates[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tie_counts_as_interference(symmetric_net):
     ch, p, noise = symmetric_net
-    report = mo.compute_report(ch, p, noise)
+    report = mo.compute_report([ch], p[None], noise)
     for n in (0, 1):
-        assert report.first_hop_rates[0, n] == pytest.approx(LOG2_4_3, abs=1e-12)
+        assert report.first_hop_rates[0, 0, n] == pytest.approx(LOG2_4_3, abs=1e-12)
 
 
 def test_zero_power_message():
     ch = unit_channel([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
     noise = mo.NoiseProfile((1.0, 1.0))
     p = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    report = mo.compute_report(ch, p, noise)
-    assert report.first_hop_rates[0, 0] == pytest.approx(1.0)
-    assert report.first_hop_rates[0, 1] == 0.0
+    report = mo.compute_report([ch], p[None], noise)
+    assert report.first_hop_rates[0, 0, 0] == pytest.approx(1.0)
+    assert report.first_hop_rates[0, 0, 1] == 0.0
 
 
 def gains(ch, p):
     """Hop-2 gains (M_2, N); they do not depend on the noise."""
-    return mo.compute_report(ch, p, mo.NoiseProfile((1.0, 1.0))).gains[0]
+    return mo.compute_report([ch], p[None], mo.NoiseProfile((1.0, 1.0))).gains[0][0]
 
 
 def test_gain_examples():
@@ -69,8 +69,8 @@ def test_later_hop_rate_sic_sets():
     ch = unit_channel([1.0, 1.0], [[np.sqrt(2.0), 0.0], [1.0, 0.0]])
     p = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     noise = mo.NoiseProfile((1.0, 1.0))
-    report = mo.compute_report(ch, p, noise)
-    gain, rate = report.gains[0], report.later_hop_rates[0]
+    report = mo.compute_report([ch], p[None], noise)
+    gain, rate = report.gains[0][0], report.later_hop_rates[0][0]
     assert gain[0, 0] == pytest.approx(2.0)
     assert gain[0, 1] == pytest.approx(1.0)
     assert rate[0, 0] == pytest.approx(1.0)
@@ -86,18 +86,18 @@ def test_later_hop_rate_single_message():
     p = mo.uniform_init(topo)
     noise = mo.NoiseProfile((1.0, 4.0))
     # g = 4, sigma^2 = 4 -> log2(2)
-    report = mo.compute_report(ch, p, noise)
-    assert report.later_hop_rates[0][0, 0] == pytest.approx(1.0)
+    report = mo.compute_report([ch], p[None], noise)
+    assert report.later_hop_rates[0][0, 0, 0] == pytest.approx(1.0)
 
 
 def test_message_rate_is_min_of_constraints(symmetric_net):
     ch, p, noise = symmetric_net
-    report = mo.compute_report(ch, p, noise)
+    report = mo.compute_report([ch], p[None], noise)
     for n in (0, 1):
-        rate = report.message_rates[n]
-        assert rate <= report.first_hop_rates[:, n].min() + 1e-15
+        rate = report.message_rates[0, n]
+        assert rate <= report.first_hop_rates[0, :, n].min() + 1e-15
     # symmetric network: all message rates equal
-    assert report.message_rates[0] == pytest.approx(report.message_rates[1], abs=1e-12)
+    assert report.message_rates[0, 0] == pytest.approx(report.message_rates[0, 1], abs=1e-12)
 
 
 def test_two_hop_single_link_min():
@@ -105,30 +105,31 @@ def test_two_hop_single_link_min():
     ch = unit_channel([1.0], [[3.0]])
     p = mo.uniform_init(topo)
     noise = mo.NoiseProfile((1.0, 1.0))
-    report = mo.compute_report(ch, p, noise)
-    r1 = report.first_hop_rates[0, 0]
-    r2 = report.later_hop_rates[0][0, 0]
-    assert report.message_rates[0] == pytest.approx(min(r1, r2))
+    report = mo.compute_report([ch], p[None], noise)
+    r1 = report.first_hop_rates[0, 0, 0]
+    r2 = report.later_hop_rates[0][0, 0, 0]
+    assert report.message_rates[0, 0] == pytest.approx(min(r1, r2))
 
 
 def test_min_rate_argmin_and_ties(symmetric_net):
     ch, p, noise = symmetric_net
-    value, idx = mo.min_rate(ch, p, noise)
+    (value,), (idx,) = mo.min_rate([ch], p[None], noise)
     assert idx == 0  # tie breaks to the lowest index
-    report = mo.compute_report(ch, p, noise)
+    report = mo.compute_report([ch], p[None], noise)
     assert value == pytest.approx(report.message_rates.min())
 
 
 def test_min_rate_batched():
+    # Element i of a batch equals a batch of one on element i.
     topo = mo.Topology((2, 2))
     noise = mo.NoiseProfile((1.0, 1.0))
     rng = np.random.default_rng(0)
-    ch = mo.sample_channel(topo, 1.0, rng)
+    channels = [mo.sample_channel(topo, 1.0, rng) for _ in range(4)]
     stack = np.stack([mo.random_init(topo, i) for i in range(4)])
-    values, idx = mo.min_rate(ch, stack, noise)
+    values, idx = mo.min_rate(channels, stack, noise)
     assert values.shape == (4,) and idx.shape == (4,)
     for i in range(4):
-        v, j = mo.min_rate(ch, stack[i], noise)
+        (v,), (j,) = mo.min_rate(channels[i : i + 1], stack[i : i + 1], noise)
         assert values[i] == v and idx[i] == j
 
 
@@ -146,9 +147,9 @@ def test_permutation_equivariance(seed):
     relabeled = mo.ChannelRealization(
         first_hop=ch.first_hop, later_hops=(ch.later_hops[0][:, perm],)
     )
-    base = mo.compute_report(ch, p, noise)
-    permuted = mo.compute_report(relabeled, p[:, perm], noise)
-    assert np.allclose(base.message_rates[perm], permuted.message_rates, atol=1e-12)
+    base = mo.compute_report([ch], p[None], noise)
+    permuted = mo.compute_report([relabeled], p[:, perm][None], noise)
+    assert np.allclose(base.message_rates[:, perm], permuted.message_rates, atol=1e-12)
     assert np.isclose(base.min_rate, permuted.min_rate, atol=1e-12)
 
 
@@ -159,8 +160,8 @@ def test_noise_monotonicity(seed, factor):
     rng = np.random.default_rng(seed)
     ch = mo.sample_channel(topo, 1.0, rng)
     p = mo.random_init(topo, rng)
-    low = mo.compute_report(ch, p, mo.NoiseProfile((1.0, 1.0)))
-    high = mo.compute_report(ch, p, mo.NoiseProfile((factor, factor)))
+    low = mo.compute_report([ch], p[None], mo.NoiseProfile((1.0, 1.0)))
+    high = mo.compute_report([ch], p[None], mo.NoiseProfile((factor, factor)))
     assert np.all(high.message_rates <= low.message_rates + 1e-12)
     assert np.all(low.message_rates >= 0.0)
     assert np.all(low.first_hop_rates >= 0.0)
@@ -175,8 +176,8 @@ def test_channel_scaling_single_user():
     p = mo.uniform_init(topo)
     base = unit_channel([1.0], [[5.0]])
     scaled = unit_channel([2.0], [[5.0]])
-    r_base = mo.compute_report(base, p, noise).first_hop_rates[0, 0]
-    r_scaled = mo.compute_report(scaled, p, noise).first_hop_rates[0, 0]
+    r_base = mo.compute_report([base], p[None], noise).first_hop_rates[0, 0, 0]
+    r_scaled = mo.compute_report([scaled], p[None], noise).first_hop_rates[0, 0, 0]
     assert r_scaled == pytest.approx(np.log2(1 + 4.0))
     assert r_scaled > r_base
 
@@ -184,10 +185,10 @@ def test_channel_scaling_single_user():
 def test_report_serializes():
     topo = mo.Topology((2, 2))
     ch = mo.sample_channel(topo, 1.0, np.random.default_rng(1))
-    report = mo.compute_report(ch, mo.uniform_init(topo), mo.NoiseProfile((1.0, 1.0)))
+    report = mo.compute_report([ch], mo.uniform_init(topo)[None], mo.NoiseProfile((1.0, 1.0)))
     doc = report.to_json()
-    assert len(doc["message_rates"]) == 2
-    assert doc["min_rate"] == report.min_rate
+    assert len(doc["message_rates"][0]) == 2
+    assert doc["min_rate"] == report.min_rate.tolist()
 
 
 def test_end_user_obligation_includes_self():
@@ -198,11 +199,13 @@ def test_end_user_obligation_includes_self():
     ch = mo.sample_channel(topo, 1.0, rng)
     p = mo.random_init(topo, rng)
     noise = mo.NoiseProfile((1.0, 1.0))
-    report = mo.compute_report(ch, p, noise)
+    report = mo.compute_report([ch], p[None], noise)
+    first, later = report.first_hop_rates[0], report.later_hop_rates[0][0]
+    gain = report.gains[0][0]
     for n in (0, 1):
-        constraints = [report.first_hop_rates[m, n] for m in range(2)]
-        constraints.append(report.later_hop_rates[0][n, n])
+        constraints = [first[m, n] for m in range(2)]
+        constraints.append(later[n, n])
         other = 1 - n
-        if report.gains[0][other, n] >= report.gains[0][other, other]:
-            constraints.append(report.later_hop_rates[0][other, n])
-        assert report.message_rates[n] == pytest.approx(min(constraints), abs=1e-12)
+        if gain[other, n] >= gain[other, other]:
+            constraints.append(later[other, n])
+        assert report.message_rates[0, n] == pytest.approx(min(constraints), abs=1e-12)

@@ -18,9 +18,7 @@ def weighted_loss(trajectory, h_true, noise):
     of a trajectory's iterates 1..K, measured on the true channel."""
     steps = trajectory.steps
     weights = iteration_weights(steps)
-    rates = np.array(
-        [mo.min_rate(h_true, trajectory.iterates[k], noise)[0] for k in range(1, steps + 1)]
-    )
+    rates, _ = mo.min_rate([h_true] * steps, np.stack(trajectory.iterates[1:]), noise)
     return float(-(weights * rates).sum())
 
 
@@ -51,7 +49,7 @@ def test_weighted_loss_factorizes(small_world):
     ch = ds.entries[0][0]
     p0 = mo.uniform_init(topo)
     traj = mo.run_pgd(ch, noise, p0, np.zeros(4))  # all iterates identical
-    rate, _ = mo.min_rate(ch, p0, noise)
+    (rate,), _ = mo.min_rate([ch], p0[None], noise)
     expected = -rate * iteration_weights(4).sum()
     assert weighted_loss(traj, ch, noise) == pytest.approx(expected)
 
