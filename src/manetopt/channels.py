@@ -106,20 +106,6 @@ class ChannelRealization:
     first_hop: np.ndarray
     later_hops: tuple[np.ndarray, ...]
 
-    def validate(self, topology: Topology) -> None:
-        sizes = topology.hop_sizes
-        if self.first_hop.shape != (sizes[0],):
-            raise ValueError("first-hop shape does not match the topology")
-        if len(self.later_hops) != topology.num_hops - 1:
-            raise ValueError("wrong number of multiple-access hops")
-        for j, mat in enumerate(self.later_hops):
-            expected = (sizes[j], sizes[j + 1])
-            if mat.shape != expected:
-                raise ValueError(f"hop {j + 2} matrix has shape {mat.shape}, expected {expected}")
-        for arr in (self.first_hop, *self.later_hops):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("channel coefficients must be finite")
-
 
 def topology_of(channel: ChannelRealization) -> Topology:
     """Recover the hop structure from a realization's array shapes."""

@@ -480,17 +480,6 @@ def _first_columns(values: tuple, columns: int | None) -> tuple:
     return tuple([v[cut] for v in values])
 
 
-def _leading(rp: RatePass, q: int) -> RatePass:
-    """The first ``q`` batch columns of a pass, as views."""
-
-    def cut(a: np.ndarray | None) -> np.ndarray | None:
-        return None if a is None else a[..., :q]
-
-    fields = {k: [cut(a) for a in v] if isinstance(v, list) else cut(v)
-              for k, v in vars(rp).items() if k != "q"}
-    return RatePass(q=q, **fields)
-
-
 class _HopGradient(NamedTuple):
     """The elements ``sel`` of a pass that bind at hop ``hop``, the stacked
     rows ``rows`` that feed that hop (the source row's index -1 for hop 1, a
@@ -754,7 +743,6 @@ class UnrolledResult:
     grad: np.ndarray | None          # (K,) or (S, K) d loss / d mu
     iterate_rates: np.ndarray        # (K+1, q) loss-channel min rates per iterate
     final: np.ndarray                # (q, rows, N) last iterate
-    min_margin: float                # smallest tie/kink margin seen (diagnostics)
 
 
 def _differing_columns(a: ChannelOperands, b: ChannelOperands, q: int) -> np.ndarray:
@@ -792,7 +780,6 @@ def unrolled_loss(
     mu: np.ndarray,
     weights: np.ndarray,
     want_grad: bool = True,
-    track_margins: bool = False,
 ) -> UnrolledResult:
     """Iteration-weighted negative min-rate loss of the unrolled optimizer.
 
@@ -811,13 +798,11 @@ def unrolled_loss(
     One rate pass per step serves both channels: the elements whose driving
     and loss operands differ in any bit get a second column, appended after
     the q driving columns, and every other element scores its loss on its
-    driving column.  Only the backward sweep reads the gradient of the
-    appended columns, so without ``want_grad`` each step's gradient pass
-    covers the q driving columns alone.  The backward sweep runs only the
+    driving column.  Each step makes one gradient pass over the pass batch
+    and steps by its q driving columns; only the backward sweep reads the
+    gradient of the appended columns.  The backward sweep runs only the
     tangent of each step's selected branches (``hessian_vector``), which the
-    forward sweep kept, so a call makes K + 1 rate passes.  ``min_margin``
-    covers the driving columns of every step and, at the last iterate, the
-    elements whose loss column is their driving column.
+    forward sweep kept, so a call makes K + 1 rate passes.
 
     ``mu`` is (K,), or (S, K) for S schedules on S equal contiguous groups of
     the batch: group s is elements ``s*q/S`` to ``(s+1)*q/S - 1``, steps by
@@ -838,10 +823,8 @@ def unrolled_loss(
     # each element's step per iteration, (K, q)
     step = np.repeat(groups.T, size, axis=1)
     differ = _differing_columns(opt_ops, loss_ops, q)
-    # each element's loss column in the pass batch, and the elements whose
-    # loss column is their driving column
+    # each element's loss column in the pass batch
     loss_cols: np.ndarray | slice = slice(None)
-    shared: np.ndarray | slice = slice(None)
     ops = opt_ops
     # the pass batch's columns of p (taken, not indexed: an index array on
     # the last axis would give a batch-first layout)
@@ -850,10 +833,8 @@ def unrolled_loss(
         ops = _with_columns(opt_ops, loss_ops, differ)
         loss_cols = np.arange(q)
         loss_cols[differ] = q + np.arange(differ.size)
-        shared = np.flatnonzero(loss_cols < q)
         pass_cols = np.concatenate((np.arange(q), differ))
     iterate_rates = np.empty((steps + 1, q))
-    min_margin = np.inf
     # What the backward sweep reads: for k < K the pass gradient (driving
     # columns, then appended loss columns) and the projection's row factors
     # at x_k, and for 1 <= k < K the branches of the driving columns.
@@ -862,19 +843,8 @@ def unrolled_loss(
     for k in range(steps):
         rp = rate_pass(topology, ops, p if pass_cols is None else p.take(pass_cols, axis=-1))
         iterate_rates[k] = rp.message.min(axis=0)[loss_cols]
-        if track_margins:
-            min_margin = min(min_margin, _pass_margin(topology, rp, slice(q)).min())
-        if want_grad:
-            pass_grad, pass_branches = gradient_pass(topology, ops, rp, q)[:2]
-            grad = pass_grad[..., :q]
-        else:
-            grad = gradient_pass(topology, ops, _leading(rp, q))[0]
-        x = p + step[k] * grad
-        if track_margins:
-            nz = x[x != 0.0]
-            if nz.size:
-                min_margin = min(min_margin, float(np.abs(nz).min()))
-        p, kept = project_with_tangent(x)
+        pass_grad, pass_branches = gradient_pass(topology, ops, rp, q)[:2]
+        p, kept = project_with_tangent(p + step[k] * pass_grad[..., :q])
         if want_grad:
             grads.append(pass_grad)
             factors.append(kept)
@@ -889,8 +859,6 @@ def unrolled_loss(
         iterate_rates[1:].reshape(steps, count, size).mean(axis=2)
     )
     loss = np.subtract.accumulate(terms)[-1]
-    if track_margins and differ.size < q:
-        min_margin = min(min_margin, _pass_margin(topology, rp_loss, shared).min())
     dloss = None
     if want_grad:
         products = np.empty((steps, q) + p.shape[:-1])  # g_k * v, batch first
@@ -914,7 +882,6 @@ def unrolled_loss(
         grad=dloss,
         iterate_rates=iterate_rates,
         final=batch_first(p),
-        min_margin=float(min_margin),
     )
 
 
@@ -929,18 +896,16 @@ def _gap_min(values: np.ndarray) -> np.ndarray:
     return gaps.reshape(-1, gaps.shape[-1]).min(axis=0, initial=np.inf)
 
 
-def _pass_margin(
-    topology: Topology, rp: RatePass, cols: np.ndarray | slice = slice(None)
-) -> np.ndarray:
+def _pass_margin(topology: Topology, rp: RatePass) -> np.ndarray:
     """Smallest distance to any branch switch of the current pass, for each
-    of its batch columns ``cols``.
+    of its batch columns.
 
     Covers interference-set membership (power and gain ties), the end-user
     decode obligations, the message argmin and the binding-constraint choice.
     """
-    margin = _gap_min(rp.phi[:, cols])
+    margin = _gap_min(rp.phi)
     for hop in range(2, topology.num_hops + 1):
-        margin = np.minimum(margin, _gap_min(rp.gains[hop - 1][..., cols]))
-    margin = np.minimum(margin, _gap_min(rp.message[:, cols]))
+        margin = np.minimum(margin, _gap_min(rp.gains[hop - 1]))
+    margin = np.minimum(margin, _gap_min(rp.message))
     table = _constraint_table(rp, rp.message.argmin(axis=0) * rp.q + np.arange(rp.q))
-    return np.minimum(margin, _gap_min(table[:, cols]))
+    return np.minimum(margin, _gap_min(table))

@@ -120,6 +120,10 @@ class ExperimentConfig:
             raise ConfigurationError("at least one noise level is required")
         if not all(math.isfinite(db) for db in self.noise_db):
             raise ConfigurationError("noise levels must be finite")
+        if not math.isfinite(self.reference_db):
+            raise ConfigurationError("reference_db must be finite")
+        if self.fixed_long_iterations < 0:
+            raise ConfigurationError("fixed_long_iterations must be >= 0")
         if not isinstance(self.ensemble_size, numbers.Integral) or self.ensemble_size < 1:
             raise ConfigurationError("ensemble_size must be an integer >= 1")
         if self.test_size < 1:
@@ -275,18 +279,6 @@ def _schedule_key(
     return train_cfg, descriptor, _cache_path(config, "mu", descriptor)
 
 
-def _trained_schedule(
-    config: ExperimentConfig,
-    topology: Topology,
-    db: float,
-    mode: str,
-    artifact: str | None,
-    tag: str,
-) -> np.ndarray:
-    """Load or train the step schedule for one (topology, level, mode)."""
-    return _trained_schedules(config, topology, db, [(mode, artifact, tag)])[0]
-
-
 def _trained_schedules(
     config: ExperimentConfig,
     topology: Topology,
@@ -433,8 +425,8 @@ def run_iter_curve(config: ExperimentConfig) -> dict:
     noise = noise_profile(db, topology.num_hops)
     channels = _test_channels(config, topology)
 
-    mu = _trained_schedule(
-        config, topology, db, FULL_CSI, config.mu_artifact, f"full_{db:g}db"
+    (mu,) = _trained_schedules(
+        config, topology, db, [(FULL_CSI, config.mu_artifact, f"full_{db:g}db")]
     )
     starts = _uniform_starts(topology, len(channels))
     unfolded, _ = run_pgd_batch(channels, noise, starts, mu)
@@ -471,10 +463,9 @@ def run_noise_sweep(config: ExperimentConfig) -> dict:
     for index, db in enumerate(config.noise_db):
         noise = noise_profile(db, topology.num_hops)
         train_db = db if config.train_per_level else config.reference_db
-        mu = _trained_schedule(
-            config, topology, train_db, FULL_CSI, config.mu_artifact,
-            f"full_{train_db:g}db",
-        )
+        (mu,) = _trained_schedules(config, topology, train_db, [
+            (FULL_CSI, config.mu_artifact, f"full_{train_db:g}db"),
+        ])
         (unfolded,) = _ensemble_rates(config, channels, noise, [mu], index)
         # One fixed-step run serves both baselines: the rates at step k do
         # not depend on how many steps follow.
@@ -559,18 +550,17 @@ def run_transfer(config: ExperimentConfig) -> dict:
                 "transfer needs a source schedule artifact or source_hop_sizes"
             )
         source = Topology(config.source_hop_sizes)
-        mu_source = _trained_schedule(
-            config, source, config.reference_db, FULL_CSI, None,
-            f"source_{'x'.join(map(str, source.hop_sizes))}_{config.reference_db:g}db",
-        )
+        (mu_source,) = _trained_schedules(config, source, config.reference_db, [
+            (FULL_CSI, None,
+             f"source_{'x'.join(map(str, source.hop_sizes))}_{config.reference_db:g}db"),
+        ])
     else:
-        mu_source = _trained_schedule(
-            config, target, config.reference_db, FULL_CSI, config.mu_artifact, "source"
-        )
-    mu_native = _trained_schedule(
-        config, target, config.reference_db, FULL_CSI, config.mu_artifact_native,
-        f"native_{config.reference_db:g}db",
-    )
+        (mu_source,) = _trained_schedules(config, target, config.reference_db, [
+            (FULL_CSI, config.mu_artifact, "source"),
+        ])
+    (mu_native,) = _trained_schedules(config, target, config.reference_db, [
+        (FULL_CSI, config.mu_artifact_native, f"native_{config.reference_db:g}db"),
+    ])
     header = ["noise_db", "transferred_mean", "native_mean", "fixed40_mean"]
     chan_header = ["noise_db", "channel", "transferred", "native", "fixed40"]
     rows = []
@@ -596,8 +586,8 @@ def run_oracle_compare(config: ExperimentConfig) -> dict:
     db = config.noise_db[0]
     noise = noise_profile(db, topology.num_hops)
     channels = _test_channels(config, topology)
-    mu = _trained_schedule(
-        config, topology, db, FULL_CSI, config.mu_artifact, f"full_{db:g}db"
+    (mu,) = _trained_schedules(
+        config, topology, db, [(FULL_CSI, config.mu_artifact, f"full_{db:g}db")]
     )
     (ensemble,) = _ensemble_rates(config, channels, noise, [mu], 0)
     oracle = _oracle_rates(config, channels, noise)

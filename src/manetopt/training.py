@@ -148,7 +148,6 @@ def _batch_loss_grad(
     mu: np.ndarray,
     p0: np.ndarray,
     want_grad: bool = True,
-    track_margins: bool = False,
 ) -> engine.UnrolledResult:
     """Unrolled loss over one batch; ``opt_channels`` override the driving CSI.
 
@@ -166,14 +165,7 @@ def _batch_loss_grad(
     p0q = np.broadcast_to(p0, (q,) + p0.shape)
     weights = iteration_weights(np.shape(mu)[-1])
     return engine.unrolled_loss(
-        topology,
-        opt_ops,
-        loss_ops,
-        p0q,
-        mu,
-        weights,
-        want_grad=want_grad,
-        track_margins=track_margins,
+        topology, opt_ops, loss_ops, p0q, mu, weights, want_grad=want_grad
     )
 
 

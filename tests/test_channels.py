@@ -98,18 +98,3 @@ def test_build_dataset_errors():
 def test_sample_channel_rejects_bad_variance():
     with pytest.raises(ValueError):
         mo.sample_channel(mo.Topology((2, 2)), 0.0, np.random.default_rng(0))
-
-
-def test_validate_rejects_wrong_dims():
-    topo = mo.Topology((2, 2))
-    ch = mo.sample_channel(mo.Topology((3, 3)), 1.0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        ch.validate(topo)
-    # a batch is a list of realizations, not one with leading axes
-    ch = mo.sample_channel(topo, 1.0, np.random.default_rng(0))
-    stacked = mo.ChannelRealization(ch.first_hop[None], tuple(m[None] for m in ch.later_hops))
-    with pytest.raises(ValueError, match="first-hop shape"):
-        stacked.validate(topo)
-    stacked = mo.ChannelRealization(ch.first_hop, tuple(m[None] for m in ch.later_hops))
-    with pytest.raises(ValueError, match="hop 2 matrix"):
-        stacked.validate(topo)

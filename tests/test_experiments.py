@@ -140,9 +140,9 @@ def _cache_writes(tmp_path):
     noise = noise_profile(0.0, topology.num_hops)
     channel = next(iter(build_dataset(topology, noise, 1, 5).channels()))
     return {
-        "mu": lambda: experiments._trained_schedule(
-            config, topology, 0.0, FULL_CSI, None, "full"
-        ).tolist(),
+        "mu": lambda: experiments._trained_schedules(
+            config, topology, 0.0, [(FULL_CSI, None, "full")]
+        )[0].tolist(),
         "grid": lambda: grid_capacity(
             channel, noise, 0.1, cache_dir=config.cache_dir
         ).best_min_rate,
@@ -332,8 +332,8 @@ def test_noisy_robustness_trains_only_what_the_cache_lacks(tmp_path, monkeypatch
         tmp_path, "noisy-robustness", out_dir=str(tmp_path / "clean_only"),
         cache_dir=warm.cache_dir,
     )
-    experiments._trained_schedule(
-        clean_only, Topology(warm.hop_sizes), 0.0, FULL_CSI, None, "full_0db"
+    experiments._trained_schedules(
+        clean_only, Topology(warm.hop_sizes), 0.0, [(FULL_CSI, None, "full_0db")]
     )
     calls.clear()
     run_noisy_robustness(warm)
@@ -449,6 +449,8 @@ def test_cli_success_and_exit_codes(tmp_path):
         ("source_hop_sizes", [0, 2]),
         ("train_size", 0),
         ("noise_db", [float("nan")]),
+        ("reference_db", float("nan")),
+        ("fixed_long_iterations", -1),
         ("noise_db", [0.0, float("inf")]),
         ("ensemble_size", 1.5),
     ):
