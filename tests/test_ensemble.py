@@ -173,6 +173,14 @@ def test_noiseless_pilot_inference_matches_full_csi(world):
     )
 
 
+def test_infer_rejects_empty_ensemble(world):
+    topo, noise, ch, mu = world
+    with pytest.raises(ValueError, match="at least one member"):
+        mo.infer_batch([ch], noise, mu, 0, [0])
+    with pytest.raises(ValueError, match="at least one step"):
+        mo.infer_batch([ch], noise, np.zeros(0), 1, [0])
+
+
 def _assert_batch_matches_infer(batch, references):
     assert len(batch.selected) == len(references)
     for i, ref in enumerate(references):
@@ -273,9 +281,9 @@ def test_infer_batch_selects_nan_only_when_every_candidate_is(hop_sizes):
 def test_infer_batch_rejects_empty_ensemble(world):
     topo, noise, ch, mu = world
     with pytest.raises(ValueError, match="at least one member"):
-        mo.infer_batch([ch], noise, mu, 0, [0])
+        mo.infer_batch([ch] * 3, noise, mu, 0, [0, 1, 2])
     with pytest.raises(ValueError, match="at least one step"):
-        mo.infer_batch([ch], noise, np.zeros(0), 1, [0])
+        mo.infer_batch([ch] * 3, noise, np.zeros(0), 1, [0, 1, 2])
 
 
 def test_infer_batch_rejects_seed_count_mismatch(world):
