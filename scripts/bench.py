@@ -29,8 +29,9 @@ M relays, M end users) at batch sizes q = 20 and 350:
 - ``calibrate``: ``pgd.calibrate_fixed_step`` on q // 7 channels (the seven
   default candidates make q runs) at a reduced iteration count;
 - ``infer``: ``ensemble.infer_batch`` on q // E channels of E members;
-- ``grid``: ``gridsearch.grid_capacity`` on one channel (two-user network
-  only, so 1x2x2);
+- ``grid``: ``gridsearch.grid_capacity`` on one channel of a two-user
+  network: 1x2x2 at resolution 0.01 (101^2 + 101 points) and 1x3x2 at 0.02
+  (51^3 + 51 points, a relay block that spans many chunks);
 - ``train`` and ``train_pair``: one epoch of ``training.train`` over 200
   channels in 10 batches of 20 at K steps, for one full-CSI schedule and for
   a full- and a noisy-CSI schedule trained together in one call (per element
@@ -78,6 +79,7 @@ TRAIN_CHANNELS = 200
 TRAIN_BATCHES = 10
 FIXED_CHANNELS = 200
 FIXED_STEPS = 200
+GRIDS = (((2, 2), 1e-2), ((3, 2), 0.02))  # (hop sizes, resolution)
 TINY = {"batches": (7,), "steps": 2, "calib_iterations": 3, "train_channels": 4,
         "train_batches": 2}
 
@@ -200,12 +202,12 @@ def bench_sweep_infer(channels, steps, repeats) -> dict:
             "noise_db": -10.0, "channels": channels, "ensemble": ENSEMBLE}
 
 
-def bench_grid(repeats, resolution) -> dict:
-    topology = mo.Topology((2, 2))
+def bench_grid(hop_sizes, repeats, resolution) -> dict:
+    topology = mo.Topology(hop_sizes)
     channel = _channels(topology, 1, seed=19)[0]
     noise = mo.NoiseProfile((1.0, 1.0))
     seconds = best_of(repeats, lambda: gridsearch.grid_capacity(channel, noise, resolution))
-    return {"name": "grid", "network": "1x2x2", "q": 1, "repeats": repeats,
+    return {"name": "grid", "network": _network(hop_sizes), "q": 1, "repeats": repeats,
             "best_s": seconds, "us_per_element": None, "resolution": resolution}
 
 
@@ -245,12 +247,12 @@ def main(argv: list[str] | None = None) -> Path:
     batches, steps, calib_iterations = BATCHES, STEPS, CALIB_ITERATIONS
     train_channels, train_batches = TRAIN_CHANNELS, TRAIN_BATCHES
     fixed_channels, fixed_steps = FIXED_CHANNELS, FIXED_STEPS
-    resolution = 1e-2
+    grids = GRIDS
     if args.tiny:
         batches, steps, calib_iterations = TINY["batches"], TINY["steps"], TINY["calib_iterations"]
         train_channels, train_batches = TINY["train_channels"], TINY["train_batches"]
         fixed_channels, fixed_steps = TINY["batches"][0], TINY["steps"]
-        resolution = 0.25
+        grids = tuple((hop_sizes, 0.25) for hop_sizes, _ in GRIDS)
     records = []
     for hop_sizes in NETWORKS:
         for q in batches:
@@ -258,7 +260,7 @@ def main(argv: list[str] | None = None) -> Path:
         records += bench_train(hop_sizes, steps, train_channels, train_batches, args.repeats)
     records.append(bench_fixed_baseline(fixed_channels, fixed_steps, args.repeats))
     records.append(bench_sweep_infer(fixed_channels, steps, args.repeats))
-    records.append(bench_grid(args.repeats, resolution))
+    records += [bench_grid(hop_sizes, args.repeats, res) for hop_sizes, res in grids]
     environment = environment_record()
     doc = {"environment": environment, "tiny": args.tiny, "records": records}
     path = Path(args.out) / f"BENCH_{_bench_id(environment)}.json"

@@ -122,12 +122,13 @@ class ExperimentConfig:
             raise ConfigurationError("noise levels must be finite")
         if not math.isfinite(self.reference_db):
             raise ConfigurationError("reference_db must be finite")
-        if self.fixed_long_iterations < 0:
-            raise ConfigurationError("fixed_long_iterations must be >= 0")
-        if not isinstance(self.ensemble_size, numbers.Integral) or self.ensemble_size < 1:
-            raise ConfigurationError("ensemble_size must be an integer >= 1")
-        if self.test_size < 1:
-            raise ConfigurationError("test_size must be >= 1")
+        for name, low in (
+            ("seed", 0), ("train_size", 0), ("test_size", 1), ("ensemble_size", 1),
+            ("fixed_long_iterations", 0),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigurationError(f"{name} must be an integer >= {low}")
         if not 0.0 < self.oracle_resolution <= 1.0:
             raise ConfigurationError("oracle_resolution must be in (0, 1]")
 

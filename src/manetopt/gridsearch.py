@@ -15,6 +15,16 @@ b's worst rate over its nodes and messages, and its maximum over the product
 grid is min_b max v_b.  Each block is searched on its own grid with the other
 rows held fixed, which costs sum_b P^|block| rate evaluations.
 
+Each block is scored on the hop it feeds alone: a relay block's points go
+through that hop's rate kernel (and the end-user table when it feeds hop B),
+and only the source row's P points take a full rate pass.  A column's rates
+do not depend on the columns computed with it (invariant 1 of ``engine``),
+so every value equals a full pass's bit for bit.  The points go through in
+chunks of ``_CHUNK`` columns: a chunk's arrays then take about a
+megabyte, close to the CPU caches, which keeps the process's peak memory
+low, and no wider chunk measured clearly faster (see the ``_CHUNK``
+comment).
+
 Ties go to the lowest C-order index of the product grid, as a brute-force
 search would pick.  A point reaches the optimum exactly when every block
 value is at least the optimum, and the blocks are contiguous in stacked-row
@@ -47,7 +57,14 @@ from .rates import min_rate
 __all__ = ["GridResult", "grid_capacity", "grid_points", "MAX_GRID_POINTS"]
 
 MAX_GRID_POINTS = 10_000_000
-_CHUNK = 131_072
+# Columns per chunk of a block's grid points: the narrowest width within
+# noise of the fastest.  On a 2-core x86-64 box (one BLAS thread, interleaved
+# in-process medians), 12 grid values at 1e-2 on (1, 2, 2), (2, 2, 2),
+# (1, 1, 2, 2) and (3, 2) took 0.96 s at 4096 against 1.02 s at 2048 (9 of
+# 10 pairs), and one (3, 2) grid at 1e-2 took 332 / 313 / 306 ms at 2048 /
+# 4096 / 8192.  The peak RSS of four (2, 2) grid values in a fresh process
+# was 36.8 / 38.0 / 38.6 / 39.1 MB at 2048 / 4096 / 8192 / 131 072.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -117,24 +134,32 @@ def _block_values(
     rows: slice,
     hop: int,
 ) -> np.ndarray:
-    """Hop ``hop``'s worst rate at every point of the grid over ``rows``,
-    given one channel's operands ``ops`` widened to ``_CHUNK`` columns: a
-    chunk of n points reads their first n columns."""
+    """Hop ``hop``'s worst rate at every point of the grid over ``rows``, the
+    block feeding it, given one channel's operands ``ops`` widened to
+    ``_CHUNK`` columns: a chunk of n points reads their first n columns.
+
+    A relay block's points go through that hop alone (and the end-user
+    table when it feeds hop B); only the source row, P points, takes a full
+    rate pass with the other rows at the first grid point."""
     shape = (len(grid),) * (rows.stop - rows.start)
     total = int(np.prod(shape))
     values = np.empty(total)
     for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        combo = np.array(np.unravel_index(idx, shape))  # (block rows, chunk)
-        p = np.broadcast_to(grid[0][:, None], (topology.stacked_rows, 2, len(idx))).copy()
-        p[rows] = np.moveaxis(grid[combo], -1, 1)
-        n = len(idx)
+        n = min(_CHUNK, total - start)
+        combo = np.array(np.unravel_index(np.arange(start, start + n), shape))
+        block = np.moveaxis(grid[combo], -1, 1)  # (block rows, 2, n)
         chunk_ops = engine.ChannelOperands(
             ops.a1[:, :n], tuple(h[:n] for h in ops.ht), ops.sig2[:, :n]
         )
-        rp = engine.rate_pass(topology, chunk_ops, p)
-        hop_rates = rp.user_rates if hop == topology.num_hops else rp.rates[hop - 1]
-        values[start : start + len(idx)] = hop_rates.min(axis=(0, 1))
+        if hop == 1:
+            p = np.broadcast_to(grid[0][:, None], (topology.stacked_rows, 2, n)).copy()
+            p[rows] = block
+            hop_rates = engine.rate_pass(topology, chunk_ops, p).rates[0]
+        else:
+            _, _, g, _, hop_rates = engine._hop_views(engine._relay_hop(chunk_ops, hop, block))
+            if hop == topology.num_hops:
+                hop_rates = engine._end_users(g, hop_rates)[0]
+        values[start : start + n] = hop_rates.min(axis=(0, 1))
     return values.reshape(shape)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
 
@@ -71,8 +72,10 @@ class TrainConfig:
     init_step: float | None = None  # None: FIXED_STEP, the fixed-step baseline's step
 
     def __post_init__(self) -> None:
-        if self.iterations < 1 or self.epochs < 1 or self.batch_count < 1:
-            raise ValueError("iterations, epochs and batch_count must be >= 1")
+        for name, low in (("iterations", 1), ("epochs", 1), ("batch_count", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
         if not self.learning_rate > 0:
             raise ValueError("learning rate must be positive")
         if self.mode not in (FULL_CSI, NOISY_CSI):

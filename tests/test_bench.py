@@ -43,7 +43,8 @@ def test_bench_writes_its_schema(tmp_path):
         seen.add((record["name"], record["network"]))
     networks = {"1x2x2", "1x3x3", "1x4x4"}
     assert seen == {(s, n) for s in STAGES for n in networks} | {
-        ("grid", "1x2x2"), ("fixed_baseline", "1x4x4"), ("sweep_infer", "1x4x4")
+        ("grid", "1x2x2"), ("grid", "1x3x2"), ("fixed_baseline", "1x4x4"),
+        ("sweep_infer", "1x4x4"),
     }
 
 

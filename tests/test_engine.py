@@ -627,8 +627,16 @@ def test_start_batch_of_another_width_is_refused():
         two[2]()
 
 
-@pytest.mark.parametrize("hop_sizes", [(2, 2), (1, 2, 2)])
-def test_grid_chunk_matches_reference(hop_sizes):
+@pytest.mark.parametrize("hop_sizes, chunk", [
+    pytest.param((2, 2), None, id="hop_sizes0"),
+    pytest.param((1, 2, 2), None, id="hop_sizes1"),
+    # Both relay blocks (101^2 points) and the source row span many 7-column
+    # chunks and end on a partial one.
+    pytest.param((2, 2, 2), 7, id="hop_sizes2-chunk7"),
+])
+def test_grid_chunk_matches_reference(hop_sizes, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(gridsearch, "_CHUNK", chunk)
     topology = mo.Topology(hop_sizes)
     channel = mo.sample_channel(topology, 1.0, np.random.default_rng(5))
     noise = mo.NoiseProfile((1.0,) * topology.num_hops)

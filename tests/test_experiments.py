@@ -467,6 +467,22 @@ def test_cli_success_and_exit_codes(tmp_path):
     assert _run_cli(tmp_path, "oracle-compare", frozen) == 0
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", 1.5), ("seed", -1), ("train_size", 4.5), ("test_size", 2.5),
+    ("test_size", True), ("ensemble_size", True), ("fixed_long_iterations", 1.5),
+    ("train.iterations", 2.5), ("train.epochs", 1.5), ("train.batch_count", 1.5),
+    ("train.seed", 1.5), ("train.seed", -1),
+])
+def test_cli_refuses_counts_that_are_not_integers(tmp_path, key, value):
+    doc = tiny_config(tmp_path, "noise-sweep").to_dict()
+    section, _, name = key.rpartition(".")
+    (doc[section] if section else doc)[name] = value
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["noise-sweep", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_overrides(tmp_path):
     config = tiny_config(tmp_path, "iter-curve", include_oracle=False)
     out2 = tmp_path / "alt"
