@@ -12,12 +12,15 @@ M relays, M end users) at batch sizes q = 20 and 350:
   batch element (K steps over q elements);
 - ``fixed_baseline``: the noise sweep's fixed-step run on 1x4x4 at -10 dB,
   ``pgd.run_pgd_batch`` at ``pgd.FIXED_STEP`` from uniform starts on 200
-  channels, cut to 200 steps, per element step.  Unlike ``step``'s random
+  channels, cut to 200 steps and keeping the two rows the sweep reads
+  (iterations K and 200), per element step.  Unlike ``step``'s random
   starts, most of its steps move only the source row;
 - ``sweep_infer``: the noise sweep's inference on 1x4x4 at -10 dB,
   ``ensemble.infer_batch`` on 200 channels of E members at the frozen K=40
   schedule of the study benchmark's ``sweep-4x4`` workload
   (``studybench/inputs/mu_4x4_m10db.json``), per element step;
+  ``fixed_baseline`` and ``sweep_infer`` also give ``peak_traced_mb``, the
+  ``tracemalloc`` peak (MB of 2^20 bytes) of one more, untimed call;
 - ``rate_pass``, ``gradient_pass``, ``project_with_tangent`` and
   ``project_adjoint``: the kernels of one step, each called K times on the
   same random feasible iterates (the projection at the point one step of
@@ -54,6 +57,7 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,6 +95,16 @@ def best_of(repeats: int, fn) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return min(times)
+
+
+def peak_traced_mb(fn) -> float:
+    """The ``tracemalloc`` peak of one call of ``fn``, in MB of 2^20 bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def _channels(topology, count, seed):
@@ -174,18 +188,23 @@ def bench_train(hop_sizes, steps, channels, batches, repeats) -> list[dict]:
     return records
 
 
-def bench_fixed_baseline(channels, steps, repeats) -> dict:
+def bench_fixed_baseline(channels, steps, long_steps, repeats) -> dict:
     topology = mo.Topology((4, 4))
     noise = experiments.noise_profile(-10.0, topology.num_hops)
     test = _channels(topology, channels, seed=22)
     starts = np.broadcast_to(
         power.uniform_init(topology), (channels, topology.stacked_rows, topology.end_users)
     )
-    mu = np.full(steps, pgd.FIXED_STEP)
-    seconds = best_of(repeats, lambda: pgd.run_pgd_batch(test, noise, starts, mu))
-    return {"name": "fixed_baseline", "network": "1x4x4", "q": channels, "K": steps,
+    mu = np.full(max(steps, long_steps), pgd.FIXED_STEP)
+
+    def run():
+        pgd.run_pgd_batch(test, noise, starts, mu, keep=(steps, long_steps))
+
+    seconds = best_of(repeats, run)
+    return {"name": "fixed_baseline", "network": "1x4x4", "q": channels, "K": len(mu),
             "repeats": repeats, "best_s": seconds,
-            "us_per_element": 1e6 * seconds / (channels * steps), "noise_db": -10.0}
+            "us_per_element": 1e6 * seconds / (channels * len(mu)), "noise_db": -10.0,
+            "peak_traced_mb": peak_traced_mb(run)}
 
 
 def bench_sweep_infer(channels, steps, repeats) -> dict:
@@ -195,11 +214,16 @@ def bench_sweep_infer(channels, steps, repeats) -> dict:
     schedule = json.loads((ROOT / "studybench" / "inputs" / "mu_4x4_m10db.json").read_text())
     mu = np.asarray(schedule["steps"][:steps], dtype=np.float64)
     seeds = list(range(channels))
-    seconds = best_of(repeats, lambda: ensemble.infer_batch(test, noise, mu, ENSEMBLE, seeds))
+
+    def run():
+        ensemble.infer_batch(test, noise, mu, ENSEMBLE, seeds)
+
+    seconds = best_of(repeats, run)
     return {"name": "sweep_infer", "network": "1x4x4", "q": channels * ENSEMBLE, "K": len(mu),
             "repeats": repeats, "best_s": seconds,
             "us_per_element": 1e6 * seconds / (channels * ENSEMBLE * len(mu)),
-            "noise_db": -10.0, "channels": channels, "ensemble": ENSEMBLE}
+            "noise_db": -10.0, "channels": channels, "ensemble": ENSEMBLE,
+            "peak_traced_mb": peak_traced_mb(run)}
 
 
 def bench_grid(hop_sizes, repeats, resolution) -> dict:
@@ -258,7 +282,7 @@ def main(argv: list[str] | None = None) -> Path:
         for q in batches:
             records += bench_network(hop_sizes, q, steps, calib_iterations, args.repeats)
         records += bench_train(hop_sizes, steps, train_channels, train_batches, args.repeats)
-    records.append(bench_fixed_baseline(fixed_channels, fixed_steps, args.repeats))
+    records.append(bench_fixed_baseline(fixed_channels, steps, fixed_steps, args.repeats))
     records.append(bench_sweep_infer(fixed_channels, steps, args.repeats))
     records += [bench_grid(hop_sizes, args.repeats, res) for hop_sizes, res in grids]
     environment = environment_record()

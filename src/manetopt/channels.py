@@ -12,6 +12,7 @@ coherence block and independent across blocks.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,8 @@ class Topology:
     hop_sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if any(isinstance(m, bool) or not isinstance(m, numbers.Integral) for m in self.hop_sizes):
+            raise ValueError("every hop size must be an integer")
         sizes = tuple(int(m) for m in self.hop_sizes)
         object.__setattr__(self, "hop_sizes", sizes)
         if len(sizes) < 2:

@@ -108,6 +108,12 @@ class ExperimentConfig:
     cache_dir: str | None = None
 
     def __post_init__(self) -> None:
+        for name, values in (
+            ("noise_db", self.noise_db), ("reference_db", [self.reference_db]),
+            ("oracle_resolution", [self.oracle_resolution]),
+        ):
+            if any(isinstance(x, bool) for x in values):
+                raise ConfigurationError(f"{name} must be a number, not a bool")
         object.__setattr__(self, "noise_db", tuple(float(x) for x in self.noise_db))
         try:
             object.__setattr__(self, "hop_sizes", Topology(self.hop_sizes).hop_sizes)
@@ -396,12 +402,13 @@ def _pilot_estimates(
 
 
 def _fixed_rates(
-    channels, noise: NoiseProfile, iterations: int, topology: Topology
+    channels, noise: NoiseProfile, iterations: int, topology: Topology, keep=None
 ) -> np.ndarray:
-    """Min rates (iterations+1, channels) of fixed-step ascent from uniform."""
+    """Min rates (len(keep), channels) of fixed-step ascent from uniform,
+    one row per kept iteration (``None``: all iterations+1)."""
     starts = _uniform_starts(topology, len(channels))
     rates, _ = run_pgd_batch(
-        list(channels), noise, starts, np.full(iterations, FIXED_STEP)
+        list(channels), noise, starts, np.full(iterations, FIXED_STEP), keep=keep
     )
     return rates
 
@@ -468,13 +475,12 @@ def run_noise_sweep(config: ExperimentConfig) -> dict:
             (FULL_CSI, config.mu_artifact, f"full_{train_db:g}db"),
         ])
         (unfolded,) = _ensemble_rates(config, channels, noise, [mu], index)
-        # One fixed-step run serves both baselines: the rates at step k do
-        # not depend on how many steps follow.
-        fixed = _fixed_rates(
-            channels, noise, max(iterations, config.fixed_long_iterations), topology
+        # One fixed-step run serves both baselines and keeps only their two
+        # rows: the rates at step k do not depend on how many steps follow.
+        fixed40, fixed_long = _fixed_rates(
+            channels, noise, max(iterations, config.fixed_long_iterations), topology,
+            keep=(iterations, config.fixed_long_iterations),
         )
-        fixed40 = fixed[iterations]
-        fixed_long = fixed[config.fixed_long_iterations]
         row = [db, unfolded.mean(), fixed40.mean(), fixed_long.mean()]
         if with_oracle:
             row.append(_oracle_rates(config, channels, noise).mean())
@@ -572,7 +578,9 @@ def run_transfer(config: ExperimentConfig) -> dict:
         transferred, native = _ensemble_rates(
             config, channels, noise, [mu_source, mu_native], index
         )
-        fixed40 = _fixed_rates(channels, noise, config.train.iterations, target)[-1]
+        (fixed40,) = _fixed_rates(
+            channels, noise, config.train.iterations, target, keep=(config.train.iterations,)
+        )
         rows.append([db, transferred.mean(), native.mean(), fixed40.mean()])
         for i in range(len(channels)):
             chan_rows.append([db, i, transferred[i], native[i], fixed40[i]])

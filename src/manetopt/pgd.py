@@ -1,17 +1,20 @@
 """Projected gradient ascent on the min-rate objective.
 
 ``run_pgd_batch`` applies K ascent steps with a per-iteration step size to
-a batch of (channel, start) pairs in lockstep and records every iterate's
-min rate; the training loss weights every iteration and the ensemble scans
-all of them, so nothing is discarded.  ``run_pgd`` runs one channel from one
-start, a batch of one, and also keeps the iterates.  The classic fixed-step
-baseline runs at ``FIXED_STEP``; ``calibrate_fixed_step`` is the rule that
-value comes from.
+a batch of (channel, start) pairs in lockstep and returns the min rates, and
+optionally the iterates, of the iterations it is asked to ``keep``: all K+1
+by default.  The scenarios' fixed-step baseline keeps the one or two rows
+its tables read; ``iter-curve`` and ``run_pgd``, which runs one channel from
+one start, keep every iterate.  Training and the ensemble do not come here:
+they run ``engine.unrolled_loss`` and ``engine.iterate_schedule``.  The
+classic fixed-step baseline runs at ``FIXED_STEP``; ``calibrate_fixed_step``
+is the rule that value comes from.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -74,26 +77,36 @@ def run_pgd_batch(
     p0: np.ndarray,
     mu: Sequence[float] | np.ndarray,
     record_iterates: bool = False,
+    keep: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Run the schedule over a batch: a sequence of q channels and the
     (q, rows, N) stack ``p0`` of their starts (several starts on one
     channel repeat it in the sequence).  Returns the min rates on the
-    driving channels per iterate, of shape (K+1, q), and, optionally, all
-    iterates.  An empty batch, or starts and channels of different counts,
-    are refused (``ValueError``).
+    driving channels, of shape (len(keep), q) with row i at iteration
+    ``keep[i]``, and, optionally, the iterates of those rows.  ``keep``
+    lists iterations in 0..K in any order, repeats allowed; ``None`` keeps
+    all K+1.  An empty batch, starts and channels of different counts, or a
+    kept iteration outside 0..K are refused (``ValueError``) before any step.
     """
     mu = np.asarray(mu, dtype=np.float64)
     p0 = np.asarray(p0, dtype=np.float64)
     if not len(channels):
         raise ValueError("a PGD batch needs at least one channel")
+    keep = range(len(mu) + 1) if keep is None else [operator.index(k) for k in keep]
+    if not all(0 <= k <= len(mu) for k in keep):
+        raise ValueError(f"every kept iteration must lie in 0..{len(mu)}")
+    rows: dict[int, list[int]] = {}
+    for i, k in enumerate(keep):
+        rows.setdefault(k, []).append(i)
     topology = topology_of(channels[0])
     schedule = engine.iterate_schedule(topology, engine.operands_from(channels, noise), p0, mu)
-    rates = np.empty((len(mu) + 1, len(p0)))
-    iterates = np.empty((len(mu) + 1,) + p0.shape) if record_iterates else None
+    rates = np.empty((len(keep), len(p0)))
+    iterates = np.empty((len(keep),) + p0.shape) if record_iterates else None
     for k, (p, rate) in enumerate(schedule):
-        rates[k] = rate
-        if record_iterates:
-            iterates[k] = p
+        for i in rows.get(k, ()):
+            rates[i] = rate
+            if record_iterates:
+                iterates[i] = p
     return rates, iterates
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass
@@ -58,6 +59,14 @@ FULL_CSI = "full-csi"
 NOISY_CSI = "noisy-csi"
 
 
+def _number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite_positive(value) -> bool:
+    return _number(value) and math.isfinite(value) and value > 0
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     iterations: int = 40
@@ -76,8 +85,16 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}")
-        if not self.learning_rate > 0:
-            raise ValueError("learning rate must be positive")
+        if not _finite_positive(self.learning_rate):
+            raise ValueError("learning_rate must be a finite positive number")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not (_number(value) and 0.0 <= value < 1.0):
+                raise ValueError(f"{name} must be a number in [0, 1)")
+        if not _finite_positive(self.eps):
+            raise ValueError("eps must be a finite positive number")
+        if self.init_step is not None and not _finite_positive(self.init_step):
+            raise ValueError("init_step must be None or a finite positive number")
         if self.mode not in (FULL_CSI, NOISY_CSI):
             raise ValueError(f"mode must be '{FULL_CSI}' or '{NOISY_CSI}'")
 

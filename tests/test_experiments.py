@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,31 @@ def test_noise_sweep_fixed_step_rows_match_separate_runs(tmp_path):
             assert row[3] == final[long_steps].mean()
             level = [r[3] for r in chan_rows if r[0] == row[0]]
             assert level == final[config.train.iterations].tolist()
+
+
+def test_noise_sweep_fixed_baseline_memory_does_not_grow_with_its_length(
+    tmp_path, monkeypatch
+):
+    # The fixed-step run keeps the two rows the sweep reads, not one row per
+    # iteration: its traced peak at 2000 steps is within 10% of that at 200.
+    peaks = []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return run_pgd_batch(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(experiments, "run_pgd_batch", traced)
+    for long_steps in (200, 2000):
+        run_noise_sweep(tiny_config(
+            tmp_path, "noise-sweep", test_size=20, include_oracle=False,
+            fixed_long_iterations=long_steps, out_dir=str(tmp_path / f"out{long_steps}"),
+        ))
+    short, long = peaks
+    assert long <= 1.1 * short, peaks
 
 
 def test_no_scenario_calibrates(tmp_path, monkeypatch):
@@ -453,6 +479,12 @@ def test_cli_success_and_exit_codes(tmp_path):
         ("fixed_long_iterations", -1),
         ("noise_db", [0.0, float("inf")]),
         ("ensemble_size", 1.5),
+        ("hop_sizes", [2.7, 2]),
+        ("hop_sizes", [True, 2]),
+        ("source_hop_sizes", [2.5, 2]),
+        ("oracle_resolution", True),
+        ("noise_db", [True]),
+        ("reference_db", True),
     ):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(dict(oracle, **{key: value})))
@@ -472,6 +504,9 @@ def test_cli_success_and_exit_codes(tmp_path):
     ("test_size", True), ("ensemble_size", True), ("fixed_long_iterations", 1.5),
     ("train.iterations", 2.5), ("train.epochs", 1.5), ("train.batch_count", 1.5),
     ("train.seed", 1.5), ("train.seed", -1),
+    ("train.init_step", float("nan")), ("train.init_step", -1.0), ("train.init_step", True),
+    ("train.learning_rate", float("inf")), ("train.beta1", 1.0), ("train.beta2", 1.5),
+    ("train.eps", 0),
 ])
 def test_cli_refuses_counts_that_are_not_integers(tmp_path, key, value):
     doc = tiny_config(tmp_path, "noise-sweep").to_dict()

@@ -129,6 +129,37 @@ def test_batch_matches_scalar_runs(net_122):
         assert np.array_equal(iterates[:, i], np.stack(single.iterates))
 
 
+@pytest.mark.parametrize("keep", [(2, 5, 9), (9, 5, 2), (4, 7, 4), (0,), (9, 0, 9, 3)])
+def test_kept_rows_are_the_full_runs_rows(net_122, keep):
+    # Any order, repeats and iteration 0: row i is the full run's row keep[i],
+    # bit for bit, also for the recorded iterates.
+    topo, _, noise = net_122
+    rng = np.random.default_rng(78)
+    channels = [mo.sample_channel(topo, 1.0, rng) for _ in range(4)]
+    starts = np.stack([mo.random_init(topo, i) for i in range(4)])
+    mu = np.full(9, 0.15)
+    rates, iterates = mo.run_pgd_batch(channels, noise, starts, mu, record_iterates=True)
+    kept_rates, kept_iterates = mo.run_pgd_batch(
+        channels, noise, starts, mu, record_iterates=True, keep=keep
+    )
+    assert np.array_equal(kept_rates, rates[list(keep)])
+    assert np.array_equal(kept_iterates, iterates[list(keep)])
+    only_rates, no_iterates = mo.run_pgd_batch(channels, noise, starts, mu, keep=keep)
+    assert np.array_equal(only_rates, rates[list(keep)]) and no_iterates is None
+
+
+@pytest.mark.parametrize("keep", [(3, 10), (-1,)])
+def test_kept_iteration_out_of_range_is_rejected(net_122, monkeypatch, keep):
+    topo, ch, noise = net_122
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("stepped before refusing")
+
+    monkeypatch.setattr(mo.engine, "iterate_schedule", no_steps)
+    with pytest.raises(ValueError, match="0..9"):
+        mo.run_pgd_batch([ch], noise, mo.uniform_init(topo)[None], np.full(9, 0.1), keep=keep)
+
+
 def test_empty_batch_is_rejected(net_122):
     topo, ch, noise = net_122
     with pytest.raises(ValueError, match="at least one start"):
