@@ -147,8 +147,7 @@ def bench_network(hop_sizes, q, steps, calib_iterations, repeats) -> list[dict]:
         ("project_adjoint", lambda: power.project_adjoint(x, grad)),
     ):
         record(name, best_of(repeats, lambda: [kernel() for _ in range(steps)]), q * steps)
-    pilots = mo.make_pilots(topology)
-    estimates = mo.lmmse_estimates(channels, [noise] * q, pilots, [rng] * q)
+    estimates = mo.lmmse_estimates(channels, [noise] * q, [rng] * q)
     est_ops = engine.operands_from(estimates, noise)
     for name, drive, want_grad in (
         ("loss", ops, False), ("loss_grad", ops, True), ("loss_grad_noisy", est_ops, True)

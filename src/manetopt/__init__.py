@@ -26,7 +26,7 @@ from .pgd import (
     run_pgd_batch,
     write_trajectory_csv,
 )
-from .pilots import lmmse_estimates, make_pilots
+from .pilots import lmmse_estimates
 from .power import is_feasible, project, random_init, uniform_init
 from .rates import RateReport, compute_report, min_rate
 from .training import (

@@ -62,12 +62,6 @@ class Topology:
     def stacked_rows(self) -> int:
         return 1 + sum(self.hop_sizes[:-1])
 
-    def transmitters(self, hop: int) -> int:
-        """Number of devices transmitting into ``hop`` (1-based hop number)."""
-        if not 1 <= hop <= self.num_hops:
-            raise ValueError(f"hop must be in 1..{self.num_hops}, got {hop}")
-        return 1 if hop == 1 else self.hop_sizes[hop - 2]
-
     def block_rows(self, layer: int) -> slice:
         """Rows of the stacked matrix holding relay layer ``layer`` (1..B-1).
 

@@ -42,7 +42,7 @@ from .errors import ConfigurationError
 from .gridsearch import grid_capacity, grid_points
 from .jsonfile import write_json
 from .pgd import FIXED_STEP, run_pgd_batch
-from .pilots import lmmse_estimates, make_pilots
+from .pilots import lmmse_estimates
 from .power import uniform_init
 from .rates import min_rate
 from .training import FULL_CSI, NOISY_CSI, TrainConfig, load_schedule, save_schedule, train
@@ -137,6 +137,9 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} must be an integer >= {low}")
         if not 0.0 < self.oracle_resolution <= 1.0:
             raise ConfigurationError("oracle_resolution must be in (0, 1]")
+        for name in ("include_oracle", "train_per_level", "allow_training"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigurationError(f"{name} must be true or false")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -305,7 +308,10 @@ def _trained_schedules(
     keys = []  # per schedule: (train config, cache path), None for an artifact
     for mode, artifact, tag in wanted:
         if artifact is not None:
-            mu, _ = load_schedule(artifact)
+            try:
+                mu, _ = load_schedule(artifact)
+            except (OSError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigurationError(f"cannot load schedule {artifact}: {exc!r}") from exc
             if len(mu) != iterations:
                 raise ConfigurationError(
                     f"schedule {artifact} has {len(mu)} steps, config expects {iterations}"
@@ -313,8 +319,6 @@ def _trained_schedules(
             mus.append(mu)
             keys.append(None)
             continue
-        if not config.allow_training and config.cache_dir is None:
-            raise _training_disabled(tag)  # no cache could hold the schedule
         train_cfg, _, path = _schedule_key(config, topology, db, mode)
         cached = _read_cache(path)
         if cached is None and not config.allow_training:
@@ -395,9 +399,7 @@ def _pilot_estimates(
     return lmmse_estimates(
         channels,
         [noise] * len(channels),
-        make_pilots(Topology(config.hop_sizes)),
         [np.random.default_rng([pilot_seed, i]) for i in range(len(channels))],
-        noise.channel_var,
     )
 
 

@@ -39,7 +39,7 @@ from . import engine
 from .channels import ChannelDataset, ChannelRealization, NoiseProfile, Topology
 from .jsonfile import write_json
 from .pgd import FIXED_STEP
-from .pilots import lmmse_estimates, make_pilots
+from .pilots import lmmse_estimates
 from .power import random_init
 
 __all__ = [
@@ -145,22 +145,6 @@ def _stack_entries(
     return first, later, sig2
 
 
-def _estimate_entries(
-    entries: Sequence[tuple[ChannelRealization, NoiseProfile]],
-    topology: Topology,
-    channel_var: float,
-    rngs: Sequence[np.random.Generator],
-) -> list[ChannelRealization]:
-    pairs = list(zip(entries, rngs))
-    return lmmse_estimates(
-        [ch for (ch, _), _ in pairs],
-        [n for (_, n), _ in pairs],
-        make_pilots(topology),
-        [rng for _, rng in pairs],
-        channel_var,
-    )
-
-
 def _batch_loss_grad(
     topology: Topology,
     entries: Sequence[tuple[ChannelRealization, NoiseProfile]],
@@ -245,10 +229,8 @@ def train(
                     np.random.default_rng([lead.seed, 2, epoch, int(i)])
                     for i in batch_ids
                 ]
-                estimates = _estimate_entries(
-                    entries, topology, entries[0][1].channel_var, rngs
-                )
                 truth = [ch for ch, _ in entries]
+                estimates = lmmse_estimates(truth, [n for _, n in entries], rngs)
                 opt = [ch for n in noisy for ch in (estimates if n else truth)]
             result = _batch_loss_grad(topology, entries * len(configs), opt, mu, p0)
             for s, c in enumerate(configs):

@@ -44,7 +44,6 @@ from manetopt.training import (
     MIN_STEP,
     TrainConfig,
     _batch_loss_grad,
-    _estimate_entries,
     load_schedule,
 )
 
@@ -165,12 +164,12 @@ def test_criterion_03_mu_gradient_correctness():
         mu = np.abs(rng.normal(0.15, 0.05, 10)) + 0.02
         p0 = mo.random_init(topology, rng)
         noisy = checked >= 15
+        truth = [ch for ch, _ in entries]
         opt = None
         if noisy:
-            opt = _estimate_entries(
-                entries, topology, 1.0, [np.random.default_rng([404, seed, i]) for i in range(4)]
+            opt = mo.lmmse_estimates(
+                truth, [noise] * 4, [np.random.default_rng([404, seed, i]) for i in range(4)]
             )
-        truth = [ch for ch, _ in entries]
         starts = np.broadcast_to(p0, (len(entries),) + p0.shape)
         if unrolled_min_margin(truth if opt is None else opt, truth, noise, starts, mu) < 1e-4:
             continue
@@ -308,12 +307,11 @@ def schedule_final_rates(config, channels, noise, mu, level_index=0):
     measures the unrolled optimizer rather than the ensemble's pick.
     """
     topology = mo.Topology(config.hop_sizes)
-    pilots = mo.make_pilots(topology)
     size = config.ensemble_size
     indices = range(len(channels))
     pilot_seed = derive_seed(config.seed, PILOTS, level_index)
     rngs = [np.random.default_rng([pilot_seed, i]) for i in indices]
-    lmmse = mo.lmmse_estimates(channels, [noise] * len(channels), pilots, rngs, noise.channel_var)
+    lmmse = mo.lmmse_estimates(channels, [noise] * len(channels), rngs)
     estimates = [est for est in lmmse for _ in range(size)]
     truths = [ch for ch in channels for _ in range(size)]
     starts = [
@@ -427,7 +425,6 @@ def test_criterion_08_transfer(tmp_path_factory):
 
 def test_criterion_09_lmmse_analytics():
     topology = mo.Topology((2, 2))
-    pilots = mo.make_pilots(topology)
     results = []
     ok = True
     for var in (0.1, 1.0, 10.0):
@@ -436,7 +433,7 @@ def test_criterion_09_lmmse_analytics():
         errs = []
         for _ in range(10_000):
             ch = mo.sample_channel(topology, 1.0, rng)
-            [est] = mo.lmmse_estimates([ch], [noise], pilots, [rng])
+            [est] = mo.lmmse_estimates([ch], [noise], [rng])
             errs.append(np.abs(est.first_hop - ch.first_hop) ** 2)
             errs.append(np.abs(est.later_hops[0] - ch.later_hops[0]).ravel() ** 2)
         mse = float(np.mean(np.concatenate(errs)))
@@ -447,7 +444,7 @@ def test_criterion_09_lmmse_analytics():
     # exactness at zero noise
     ch = mo.sample_channel(topology, 1.0, np.random.default_rng(1))
     silent = mo.NoiseProfile((0.0, 0.0))
-    [est] = mo.lmmse_estimates([ch], [silent], pilots, [np.random.default_rng(2)])
+    [est] = mo.lmmse_estimates([ch], [silent], [np.random.default_rng(2)])
     exact = np.array_equal(est.first_hop, ch.first_hop) and np.array_equal(
         est.later_hops[0], ch.later_hops[0]
     )

@@ -19,10 +19,12 @@ def test_topology_validation():
 
 
 def test_transmitters_and_blocks():
+    # hop 1 has the source as its one transmitter; hop b >= 2 one row of
+    # its link matrix per relay of layer b-1
     topo = mo.Topology((2, 3, 3))
-    assert topo.transmitters(1) == 1
-    assert topo.transmitters(2) == 2
-    assert topo.transmitters(3) == 3
+    ch = mo.sample_channel(topo, 1.0, np.random.default_rng(0))
+    assert ch.first_hop.shape == (2,)
+    assert [m.shape for m in ch.later_hops] == [(2, 3), (3, 3)]
     assert topo.block_rows(1) == slice(0, 2)
     assert topo.block_rows(2) == slice(2, 5)
     assert topo.stacked_rows == 6

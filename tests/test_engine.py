@@ -23,7 +23,7 @@ import pytest
 
 import manetopt as mo
 from manetopt import engine, gridsearch, power
-from manetopt.training import _estimate_entries, iteration_weights
+from manetopt.training import iteration_weights
 
 from margins import unrolled_min_margin
 
@@ -558,8 +558,9 @@ def _check_unrolled_loss(hop_sizes, noisy, pick):
     loss_ops, ref_loss_ops = _both_operands(truth, noise_rows)
     opt_ops, ref_opt_ops = loss_ops, ref_loss_ops
     if noisy:
-        drive = _estimate_entries(
-            entries, topology, 1.0, [np.random.default_rng([9, i]) for i in range(8)]
+        drive = mo.lmmse_estimates(
+            truth, [n for _, n in entries],
+            [np.random.default_rng([9, i]) for i in range(len(entries))],
         )
         opt_ops, ref_opt_ops = _both_operands(drive, noise_rows)
     p0 = _starts(topology, 8, seed=8)[pick]
@@ -705,8 +706,9 @@ def test_grouped_unrolled_loss_matches_separate_calls(hop_sizes, drive):
     entries = _entries(topology, groups * size, seed=[73, len(hop_sizes), hop_sizes[-1]])
     noise_rows = np.array([n.hop_noise_vars for _, n in entries])
     truth = [ch for ch, _ in entries]
-    estimates = _estimate_entries(
-        entries, topology, 1.0, [np.random.default_rng([10, i]) for i in range(len(entries))]
+    estimates = mo.lmmse_estimates(
+        truth, [n for _, n in entries],
+        [np.random.default_rng([10, i]) for i in range(len(entries))],
     )
     for i in range(3 * size, groups * size, 2):
         estimates[i] = mo.ChannelRealization(
@@ -753,8 +755,8 @@ def test_unrolled_loss_makes_one_rate_pass_per_step(monkeypatch):
     size, steps = 5, 7
     entries = _entries(topology, size, seed=74)
     truth = [ch for ch, _ in entries]
-    estimates = _estimate_entries(
-        entries, topology, 1.0, [np.random.default_rng([11, i]) for i in range(size)]
+    estimates = mo.lmmse_estimates(
+        truth, [n for _, n in entries], [np.random.default_rng([11, i]) for i in range(size)]
     )
     estimates[0] = truth[0]
     noise_rows = [n.hop_noise_vars for _, n in entries] * 2

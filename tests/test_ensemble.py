@@ -148,7 +148,7 @@ def test_full_csi_reduces_to_parallel_runs(world):
 
 def test_pilot_input_estimates_then_optimizes(world):
     topo, noise, ch, mu = world
-    [est] = mo.lmmse_estimates([ch], [noise], mo.make_pilots(topo), [np.random.default_rng(3)])
+    [est] = mo.lmmse_estimates([ch], [noise], [np.random.default_rng(3)])
     res = mo.infer_batch([est], noise, mu, 2, [1])
     (value,), _ = mo.min_rate([est], res.selected[:1], noise)
     # selection rate is measured under the estimate, not the true channel
@@ -162,7 +162,7 @@ def test_noiseless_pilot_inference_matches_full_csi(world):
     # be 0/0 at zero noise, so the comparison is structural.)
     topo, _, ch, mu = world
     clean = mo.NoiseProfile((0.0, 0.0))
-    [est] = mo.lmmse_estimates([ch], [clean], mo.make_pilots(topo), [np.random.default_rng(4)])
+    [est] = mo.lmmse_estimates([ch], [clean], [np.random.default_rng(4)])
     from_pilots = mo.infer_batch([est], clean, mu, 2, [6])
     direct = mo.infer_batch([ch], clean, mu, 2, [6])
     assert np.array_equal(from_pilots.selected, direct.selected)
@@ -213,11 +213,10 @@ def test_infer_batch_matches_infer_full_csi(monkeypatch, hop_sizes, ensemble_siz
 def test_infer_batch_matches_infer_from_pilots(world):
     topo, noise, _, mu = world
     rng = np.random.default_rng(41)
-    pilots = mo.make_pilots(topo)
     estimates = []
     for _ in range(5):
         ch = mo.sample_channel(topo, 1.0, rng)
-        estimates += mo.lmmse_estimates([ch], [noise], pilots, [rng])
+        estimates += mo.lmmse_estimates([ch], [noise], [rng])
     batch = mo.infer_batch(estimates, noise, mu, 3, [7, 8, 9, 10, 11])
     _assert_batch_matches_infer(
         batch, [reference_infer(e, noise, mu, 3, s) for e, s in zip(estimates, range(7, 12))]

@@ -485,6 +485,10 @@ def test_cli_success_and_exit_codes(tmp_path):
         ("oracle_resolution", True),
         ("noise_db", [True]),
         ("reference_db", True),
+        ("include_oracle", "false"),
+        ("train_per_level", 1),
+        ("allow_training", "false"),
+        ("allow_training", None),
     ):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(dict(oracle, **{key: value})))
@@ -497,6 +501,18 @@ def test_cli_success_and_exit_codes(tmp_path):
         out_dir=str(tmp_path / "frozen"),
     )
     assert _run_cli(tmp_path, "oracle-compare", frozen) == 0
+
+
+@pytest.mark.parametrize("content", [None, '{"steps": [0.1, 0.1]}', "[0.1]", "not json"])
+def test_cli_refuses_a_bad_schedule_artifact(tmp_path, capsys, content):
+    # A missing or malformed schedule artifact is a configuration error that
+    # names the file, not a traceback.
+    artifact = tmp_path / "mu_bad.json"
+    if content is not None:
+        artifact.write_text(content)
+    config = tiny_config(tmp_path, "iter-curve", include_oracle=False, mu_artifact=str(artifact))
+    assert _run_cli(tmp_path, "iter-curve", config) == 2
+    assert str(artifact) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -7,16 +8,20 @@ import manetopt as mo
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(mo.__path__))
 
-# One-element wrappers of the batch entry points and JSON writers that no
-# scenario called, with the module that held each.
+# One-element wrappers of the batch entry points, JSON writers that no
+# scenario called and the explicit pilot simulation that the closed-form
+# estimate replaced, with the module that held each.
 REMOVED = {
     "channels": ("save_dataset", "load_dataset", "_links_flat", "_links_unflat"),
     "ensemble": ("infer", "EnsembleResult"),
     "pgd": ("pgd_step",),
-    "pilots": ("PilotBlock", "simulate_pilot_rx", "lmmse_estimate", "block_topology"),
+    "pilots": (
+        "PilotBlock", "simulate_pilot_rx", "lmmse_estimate", "block_topology",
+        "make_pilots", "_received", "_estimates",
+    ),
     "power": ("save_power_matrix", "load_power_matrix"),
     "rates": ("first_hop_rate", "gain", "later_hop_rate", "message_rate", "_check_hop"),
-    "training": ("loss_grad_mu",),
+    "training": ("loss_grad_mu", "_estimate_entries"),
 }
 
 
@@ -35,4 +40,7 @@ def test_removed_names_are_gone():
         module = importlib.import_module(f"manetopt.{name}")
         assert [n for n in removed if hasattr(module, n) or hasattr(mo, n)] == []
     assert not hasattr(mo.Topology, "link_count")
+    assert not hasattr(mo.Topology, "transmitters")
+    # pilots follow from the channels, channel_var from each noise profile
+    assert list(inspect.signature(mo.lmmse_estimates).parameters) == ["channels", "noises", "rngs"]
     assert "block_index" not in mo.ChannelRealization.__dataclass_fields__

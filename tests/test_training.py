@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 import manetopt as mo
-from manetopt.training import (
-    _batch_loss_grad,
-    _estimate_entries,
-    iteration_weights,
-)
+from manetopt.training import _batch_loss_grad, iteration_weights
 
 from margins import unrolled_min_margin
 
@@ -110,8 +106,8 @@ def test_gradient_leaves_the_forward_sweep_bit_identical(small_world):
     # other half only.
     topo, noise, ds = small_world
     entries = list(ds.entries[:6])
-    estimates = _estimate_entries(
-        entries, topo, 1.0, [np.random.default_rng([2, i]) for i in range(6)]
+    estimates = mo.lmmse_estimates(
+        [ch for ch, _ in entries], [noise] * 6, [np.random.default_rng([2, i]) for i in range(6)]
     )
     copies = [
         mo.ChannelRealization(ch.first_hop.copy(), tuple(m.copy() for m in ch.later_hops))
@@ -143,10 +139,10 @@ def test_noisy_gradient_matches_directional_difference_deep_and_long():
         entries = [(mo.sample_channel(topo, 1.0, rng), noise) for _ in range(4)]
         mu = np.abs(rng.normal(0.15, 0.05, 40)) + 0.02
         p0 = mo.random_init(topo, rng)
-        opt = _estimate_entries(
-            entries, topo, 1.0, [np.random.default_rng([606, seed, i]) for i in range(4)]
-        )
         truth = [ch for ch, _ in entries]
+        opt = mo.lmmse_estimates(
+            truth, [noise] * 4, [np.random.default_rng([606, seed, i]) for i in range(4)]
+        )
         starts = np.broadcast_to(p0, (4,) + p0.shape)
         if unrolled_min_margin(opt, truth, noise, starts, mu) <= 1e-4:
             continue
@@ -194,8 +190,9 @@ def test_estimate_entries_reproducible(small_world):
     topo, noise, ds = small_world
     entries = list(ds.entries[:3])
     rngs = lambda: [np.random.default_rng([1, i]) for i in range(3)]
-    a = _estimate_entries(entries, topo, 1.0, rngs())
-    b = _estimate_entries(entries, topo, 1.0, rngs())
+    channels, noises = [ch for ch, _ in entries], [n for _, n in entries]
+    a = mo.lmmse_estimates(channels, noises, rngs())
+    b = mo.lmmse_estimates(channels, noises, rngs())
     for x, y in zip(a, b):
         assert np.array_equal(x.first_hop, y.first_hop)
 
