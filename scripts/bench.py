@@ -19,8 +19,9 @@ M relays, M end users) at batch sizes q = 20 and 350:
   ``ensemble.infer_batch`` on 200 channels of E members at the frozen K=40
   schedule of the study benchmark's ``sweep-4x4`` workload
   (``studybench/inputs/mu_4x4_m10db.json``), per element step;
-  ``fixed_baseline`` and ``sweep_infer`` also give ``peak_traced_mb``, the
-  ``tracemalloc`` peak (MB of 2^20 bytes) of one more, untimed call;
+  ``fixed_baseline``, ``sweep_infer`` and ``grid`` also give
+  ``peak_traced_mb``, the ``tracemalloc`` peak (MB of 2^20 bytes) of one
+  more, untimed call;
 - ``rate_pass``, ``gradient_pass``, ``project_with_tangent`` and
   ``project_adjoint``: the kernels of one step, each called K times on the
   same random feasible iterates (the projection at the point one step of
@@ -229,9 +230,14 @@ def bench_grid(hop_sizes, repeats, resolution) -> dict:
     topology = mo.Topology(hop_sizes)
     channel = _channels(topology, 1, seed=19)[0]
     noise = mo.NoiseProfile((1.0, 1.0))
-    seconds = best_of(repeats, lambda: gridsearch.grid_capacity(channel, noise, resolution))
+
+    def run():
+        gridsearch.grid_capacity(channel, noise, resolution)
+
+    seconds = best_of(repeats, run)
     return {"name": "grid", "network": _network(hop_sizes), "q": 1, "repeats": repeats,
-            "best_s": seconds, "us_per_element": None, "resolution": resolution}
+            "best_s": seconds, "us_per_element": None, "resolution": resolution,
+            "peak_traced_mb": peak_traced_mb(run)}
 
 
 def _bench_id(environment: dict) -> str:

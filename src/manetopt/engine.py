@@ -319,8 +319,11 @@ def _pass_from(
     phi2 = phi * phi
     i1 = _masked_sum(_interferers(phi), phi2)
     a1 = ops.a1[:, None, :]
-    u1 = a1 * phi2 / (a1 * i1 + ops.sig2[0])
-    rates = [np.log1p(u1) * INV_LN2]
+    u1 = a1 * phi2  # the SINR a1 phi^2 / (a1 i1 + sigma_1^2), in place its rate
+    u1 /= a1 * i1 + ops.sig2[0]
+    np.log1p(u1, out=u1)
+    u1 *= INV_LN2
+    rates = [u1]
     c_re, c_im, gains, ib_list = [None], [None], [None], [None]
     for hop in relay:
         cr, ci, g, ib, rate = _hop_views(hop)
@@ -676,18 +679,34 @@ def _iterate(topology: Topology, ops: ChannelOperands, p: np.ndarray, mu: np.nda
             return
         parts = _hop_gradients(topology, ops, rp, _binding(topology, rp))
         del rp  # hop 1 and the message rates go
-        p, nan = _step(topology, p, parts, mu[k], full)
         if full:
-            relay = users = None  # freed before the new arrays are made
-        else:
-            for part in [part for part in parts if part.hop > 1]:
-                fresh = _relay_hop(ops, part.hop, p[part.rows].take(part.sel, axis=-1), part.sel)
-                relay[part.hop - 2][..., part.sel] = fresh
-                if part.hop == topology.num_hops:
-                    fresh_users = _end_users(*_hop_views(fresh)[2::2])
-                    for kept, new in zip(users, fresh_users):
-                        kept[..., part.sel] = new
+            relay = users = None  # freed before the step makes new arrays
+        p, nan = _step(topology, p, parts, mu[k], full)
+        if not full:
+            _refresh(topology, ops, p, parts, relay, users)
+        del parts  # the step's gradients go before the next rate pass
         full = nan
+
+
+def _refresh(
+    topology: Topology,
+    ops: ChannelOperands,
+    p: np.ndarray,
+    parts: list[_HopGradient],
+    relay: list[np.ndarray],
+    users: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """Recompute, in place, the columns of ``relay`` and ``users`` that a
+    block-local step moved: relay-fed hop b at the new iterate ``p`` on the
+    columns its part of ``parts`` binds, and the end-user table with hop B."""
+    for part in parts:
+        if part.hop == 1:
+            continue
+        fresh = _relay_hop(ops, part.hop, p[part.rows].take(part.sel, axis=-1), part.sel)
+        relay[part.hop - 2][..., part.sel] = fresh
+        if part.hop == topology.num_hops:
+            for kept, new in zip(users, _end_users(*_hop_views(fresh)[2::2])):
+                kept[..., part.sel] = new
 
 
 def _step(

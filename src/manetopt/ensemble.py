@@ -35,7 +35,9 @@ __all__ = ["BatchResult", "infer_batch", "member_starts"]
 # 480 as one batch.  On 1x4x4 at K=40 the sweep's inference took 2.39 us per
 # column step at 384 columns (four batches) and 1.32 us at 1200 (2-core
 # x86-64, one BLAS thread, medians of 16 interleaved runs, start draws
-# excluded); the study's peak RSS grew by about 2 MB (39.2 -> 41.2 MB).
+# excluded); the study's peak RSS grows by about 2 MB (``sweep-4x4``,
+# ``studybench/run.py --seconds 10``, 2 seeds: 37.6 MB in four batches,
+# 39.6 MB in one).
 _CHUNK = 2048
 
 
@@ -118,26 +120,36 @@ def infer_batch(
     parts = []
     for start in range(0, len(channels), per_chunk):
         chunk = channels[start : start + per_chunk]
-        ops = engine.operands_from(chunk, noise, repeat=ensemble_size)
-        starts = _starts(topology, ensemble_size, seeds[start : start + per_chunk])
         steps = mu
         if mu.ndim == 2:
             # each element's step per iteration, (K, elements)
             owner = np.arange(start, start + len(chunk)) // size
             steps = np.repeat(groups[owner].T, ensemble_size, axis=1)
-        trajectory = engine.iterate_schedule(topology, ops, starts, steps)
-        next(trajectory)  # initial guesses are never candidates
-        p, best = next(trajectory)
-        # batch-last, as the iterates are laid out
-        best_p = p.transpose(1, 2, 0).copy()
-        iteration = np.ones(len(best), dtype=np.int64)
-        for k, (p, rate) in enumerate(trajectory, start=2):
-            better = (rate > best) | (np.isnan(best) & ~np.isnan(rate))
-            best = np.where(better, rate, best)
-            np.copyto(best_p, p.transpose(1, 2, 0), where=better)
-            iteration[better] = k
-        ranked = np.where(np.isnan(best), -np.inf, best)
-        member = np.argmax(ranked.reshape(len(chunk), ensemble_size), axis=1)
-        pick = np.arange(len(chunk)) * ensemble_size + member
-        parts.append((engine.batch_first(best_p[..., pick]), best[pick], member, iteration[pick]))
+        parts.append(_chunk_best(
+            topology, chunk, noise, steps, ensemble_size, seeds[start : start + per_chunk]
+        ))
     return BatchResult(*(np.concatenate(field) for field in zip(*parts)))
+
+
+def _chunk_best(topology, chunk, noise, steps, ensemble_size: int, seeds) -> tuple:
+    """``infer_batch``'s per-channel fields for the channels ``chunk``, run
+    as one batch at ``steps``.  Nothing the batch builds outlives the call,
+    so a single chunk's arrays are alive at a time."""
+    ops = engine.operands_from(chunk, noise, repeat=ensemble_size)
+    trajectory = engine.iterate_schedule(
+        topology, ops, _starts(topology, ensemble_size, seeds), steps
+    )
+    next(trajectory)  # initial guesses are never candidates
+    p, best = next(trajectory)
+    # batch-last, as the iterates are laid out
+    best_p = p.transpose(1, 2, 0).copy()
+    iteration = np.ones(len(best), dtype=np.int64)
+    for k, (p, rate) in enumerate(trajectory, start=2):
+        better = (rate > best) | (np.isnan(best) & ~np.isnan(rate))
+        best = np.where(better, rate, best)
+        np.copyto(best_p, p.transpose(1, 2, 0), where=better)
+        iteration[better] = k
+    ranked = np.where(np.isnan(best), -np.inf, best)
+    member = np.argmax(ranked.reshape(len(chunk), ensemble_size), axis=1)
+    pick = np.arange(len(chunk)) * ensemble_size + member
+    return engine.batch_first(best_p[..., pick]), best[pick], member, iteration[pick]

@@ -40,12 +40,14 @@ from .channels import NoiseProfile, Topology, build_dataset
 from .ensemble import BatchResult, infer_batch
 from .errors import ConfigurationError
 from .gridsearch import grid_capacity, grid_points
-from .jsonfile import write_json
+from .jsonfile import read_entry, write_json
 from .pgd import FIXED_STEP, run_pgd_batch
 from .pilots import lmmse_estimates
 from .power import uniform_init
 from .rates import min_rate
-from .training import FULL_CSI, NOISY_CSI, TrainConfig, load_schedule, save_schedule, train
+from .training import (
+    FULL_CSI, NOISY_CSI, TrainConfig, load_schedule, save_schedule, schedule_steps, train,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -240,16 +242,6 @@ def _cache_path(config: ExperimentConfig, kind: str, descriptor: dict) -> str | 
     return os.path.join(config.cache_dir, f"{kind}_{key}.json")
 
 
-def _read_cache(path: str | None) -> dict | None:
-    if path is None or not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError:
-        return None  # partial write from an interrupted run; recompute
-
-
 def _test_channels(config: ExperimentConfig, topology: Topology) -> list:
     """The study's ``test_size`` test channels, shared by every noise level:
     channels are drawn at unit channel variance whatever the level, so the
@@ -298,10 +290,12 @@ def _trained_schedules(
     """Load or train one step schedule per ``(mode, artifact, tag)`` of one
     (topology, level).
 
-    An artifact is loaded as is; any other schedule is read from the cache
-    under its own key.  The schedules that neither supplies train together in
-    one ``train`` call, which gives each the schedule it would train alone;
-    each is then cached and, like a cache hit, written to ``mu_<tag>.json``.
+    An artifact is loaded as is, and one that ``schedule_steps`` refuses is a
+    ``ConfigurationError``; any other schedule is read from the cache under
+    its own key, where such an entry is a miss.  The schedules that neither
+    supplies train together in one ``train`` call, which gives each the
+    schedule it would train alone; each is then cached and, like a cache
+    hit, written to ``mu_<tag>.json``.
     """
     iterations = config.train.iterations
     mus: list[np.ndarray | None] = []
@@ -310,7 +304,7 @@ def _trained_schedules(
         if artifact is not None:
             try:
                 mu, _ = load_schedule(artifact)
-            except (OSError, KeyError, TypeError, ValueError) as exc:
+            except (OSError, ValueError) as exc:
                 raise ConfigurationError(f"cannot load schedule {artifact}: {exc!r}") from exc
             if len(mu) != iterations:
                 raise ConfigurationError(
@@ -320,10 +314,10 @@ def _trained_schedules(
             keys.append(None)
             continue
         train_cfg, _, path = _schedule_key(config, topology, db, mode)
-        cached = _read_cache(path)
+        cached = read_entry(path, lambda doc: schedule_steps(doc, iterations))
         if cached is None and not config.allow_training:
             raise _training_disabled(tag)
-        mus.append(None if cached is None else np.array(cached["steps"], dtype=np.float64))
+        mus.append(cached)
         keys.append((train_cfg, path))
     missing = [i for i, mu in enumerate(mus) if mu is None]
     if missing:

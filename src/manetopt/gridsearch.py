@@ -20,10 +20,10 @@ through that hop's rate kernel (and the end-user table when it feeds hop B),
 and only the source row's P points take a full rate pass.  A column's rates
 do not depend on the columns computed with it (invariant 1 of ``engine``),
 so every value equals a full pass's bit for bit.  The points go through in
-chunks of ``_CHUNK`` columns: a chunk's arrays then take about a
-megabyte, close to the CPU caches, which keeps the process's peak memory
-low, and no wider chunk measured clearly faster (see the ``_CHUNK``
-comment).
+chunks of ``_CHUNK`` columns, one chunk alive at a time: a (2, 2) grid value
+then traces a peak of 1.24 MiB, 0.38 MiB of it the operands widened to the
+chunk, close to the CPU caches, which keeps the process's peak memory low,
+and no wider chunk measured clearly faster (see the ``_CHUNK`` comment).
 
 Ties go to the lowest C-order index of the product grid, as a brute-force
 search would pick.  A point reaches the optimum exactly when every block
@@ -42,7 +42,6 @@ resolution).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 
@@ -51,7 +50,7 @@ import numpy as np
 from . import engine
 from .channels import ChannelRealization, NoiseProfile, Topology, topology_of
 from .errors import CapabilityError
-from .jsonfile import write_json
+from .jsonfile import read_entry, write_json
 from .rates import min_rate
 
 __all__ = ["GridResult", "grid_capacity", "grid_points", "MAX_GRID_POINTS"]
@@ -63,7 +62,9 @@ MAX_GRID_POINTS = 10_000_000
 # (1, 1, 2, 2) and (3, 2) took 0.96 s at 4096 against 1.02 s at 2048 (9 of
 # 10 pairs), and one (3, 2) grid at 1e-2 took 332 / 313 / 306 ms at 2048 /
 # 4096 / 8192.  The peak RSS of four (2, 2) grid values in a fresh process
-# was 36.8 / 38.0 / 38.6 / 39.1 MB at 2048 / 4096 / 8192 / 131 072.
+# (no bytecode cache, medians of 5) was 36.0 / 36.6 / 38.0 / 38.6 MB at
+# 2048 / 4096 / 8192 / 131 072, against 35.3 MB for its imports and channel
+# draws alone.
 _CHUNK = 4096
 
 
@@ -146,21 +147,37 @@ def _block_values(
     values = np.empty(total)
     for start in range(0, total, _CHUNK):
         n = min(_CHUNK, total - start)
-        combo = np.array(np.unravel_index(np.arange(start, start + n), shape))
-        block = np.moveaxis(grid[combo], -1, 1)  # (block rows, 2, n)
-        chunk_ops = engine.ChannelOperands(
-            ops.a1[:, :n], tuple(h[:n] for h in ops.ht), ops.sig2[:, :n]
-        )
-        if hop == 1:
-            p = np.broadcast_to(grid[0][:, None], (topology.stacked_rows, 2, n)).copy()
-            p[rows] = block
-            hop_rates = engine.rate_pass(topology, chunk_ops, p).rates[0]
-        else:
-            _, _, g, _, hop_rates = engine._hop_views(engine._relay_hop(chunk_ops, hop, block))
-            if hop == topology.num_hops:
-                hop_rates = engine._end_users(g, hop_rates)[0]
-        values[start : start + n] = hop_rates.min(axis=(0, 1))
+        values[start : start + n] = _chunk_values(topology, ops, grid, rows, hop, shape, start, n)
     return values.reshape(shape)
+
+
+def _chunk_values(
+    topology: Topology,
+    ops: engine.ChannelOperands,
+    grid: np.ndarray,
+    rows: slice,
+    hop: int,
+    shape: tuple[int, ...],
+    start: int,
+    n: int,
+) -> np.ndarray:
+    """``_block_values`` at the n grid points from flat index ``start`` of
+    the block grid ``shape``, as an (n,) array.  Nothing the chunk builds
+    outlives the call, so a single chunk's arrays are alive at a time."""
+    combo = np.array(np.unravel_index(np.arange(start, start + n), shape))
+    block = np.moveaxis(grid[combo], -1, 1)  # (block rows, 2, n)
+    del combo  # not held through the rate kernels
+    chunk_ops = engine.ChannelOperands(
+        ops.a1[:, :n], tuple(h[:n] for h in ops.ht), ops.sig2[:, :n]
+    )
+    if hop == 1:
+        p = np.broadcast_to(grid[0][:, None], (topology.stacked_rows, 2, n)).copy()
+        p[rows] = block
+        return engine.rate_pass(topology, chunk_ops, p).rates[0].min(axis=(0, 1))
+    _, _, g, _, rates = engine._hop_views(engine._relay_hop(chunk_ops, hop, block))
+    if hop == topology.num_hops:
+        rates = engine._end_users(g, rates)[0]
+    return rates.min(axis=(0, 1))
 
 
 def grid_capacity(
@@ -180,18 +197,9 @@ def grid_capacity(
         cache_path = os.path.join(
             cache_dir, _cache_key(channel, noise, resolution) + ".json"
         )
-        if os.path.exists(cache_path):
-            try:
-                with open(cache_path) as fh:
-                    doc = json.load(fh)
-                return GridResult(
-                    best_min_rate=doc["best_min_rate"],
-                    best_matrix=np.array(doc["best_matrix"]),
-                    resolution=doc["resolution"],
-                    evaluations=doc["evaluations"],
-                )
-            except (json.JSONDecodeError, KeyError):
-                pass  # partial write from an interrupted run; recompute
+        cached = read_entry(cache_path, lambda doc: _cached_result(doc, topology))
+        if cached is not None:
+            return cached
 
     if topology.end_users == 1:
         best = np.ones((rows, 1))
@@ -221,6 +229,32 @@ def grid_capacity(
         evaluations=points**rows,
     )
     return _maybe_cache(result, cache_path)
+
+
+def _cached_result(doc, topology: Topology) -> GridResult:
+    """The ``GridResult`` of a cache entry ``_maybe_cache`` wrote for a
+    channel of ``topology``.  ValueError unless ``doc`` holds every field
+    with its type, a finite best min rate and a best matrix of shape
+    (stacked rows, end users)."""
+    fields = {"best_min_rate", "best_matrix", "resolution", "evaluations"}
+    if not isinstance(doc, dict) or set(doc) != fields:
+        raise ValueError("not a grid result")
+    shape = (topology.stacked_rows, topology.end_users)
+    matrix = doc["best_matrix"]
+    if not (
+        type(doc["best_min_rate"]) is float and np.isfinite(doc["best_min_rate"])
+        and type(doc["resolution"]) in (int, float) and type(doc["evaluations"]) is int
+        and isinstance(matrix, list) and len(matrix) == shape[0]
+        and all(isinstance(row, list) and len(row) == shape[1] for row in matrix)
+        and all(type(v) is float for row in matrix for v in row)
+    ):
+        raise ValueError("not a grid result of this network")
+    return GridResult(
+        best_min_rate=doc["best_min_rate"],
+        best_matrix=np.array(matrix),
+        resolution=doc["resolution"],
+        evaluations=doc["evaluations"],
+    )
 
 
 def _maybe_cache(result: GridResult, cache_path: str | None) -> GridResult:

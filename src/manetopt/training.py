@@ -270,9 +270,27 @@ def save_schedule(
 
 
 def load_schedule(path: str) -> tuple[np.ndarray, dict]:
+    """The steps and document of the schedule file at ``path``, checked by
+    ``schedule_steps`` against the file's own ``"iterations"``."""
     with open(path) as fh:
         doc = json.load(fh)
-    mu = np.array(doc["steps"], dtype=np.float64)
-    if len(mu) != doc["iterations"]:
-        raise ValueError("schedule length disagrees with its metadata")
-    return mu, doc
+    iterations = doc.get("iterations") if isinstance(doc, dict) else None
+    return schedule_steps(doc, iterations), doc
+
+
+def schedule_steps(doc, iterations: int) -> np.ndarray:
+    """The (iterations,) steps of the schedule document ``doc``, as
+    ``save_schedule`` writes it.  ValueError unless ``doc`` is a dict whose
+    ``"steps"`` is a list of ``iterations`` finite numbers."""
+    steps = doc.get("steps") if isinstance(doc, dict) else None
+    if not isinstance(steps, list) or any(type(v) not in (int, float) for v in steps):
+        raise ValueError("not a schedule: no list of numeric steps")
+    if len(steps) != iterations:
+        raise ValueError(f"{len(steps)} steps where {iterations} are expected")
+    try:
+        mu = np.array(steps, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        mu = np.array([np.inf])
+    if not np.isfinite(mu).all():
+        raise ValueError("a step size is not finite")
+    return mu

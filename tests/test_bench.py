@@ -41,7 +41,7 @@ def test_bench_writes_its_schema(tmp_path):
         per = record["us_per_element"]
         assert per is None or per >= 0.0
         seen.add((record["name"], record["network"]))
-        if record["name"] in ("fixed_baseline", "sweep_infer"):
+        if record["name"] in ("fixed_baseline", "sweep_infer", "grid"):
             assert record["peak_traced_mb"] >= 0.0
     networks = {"1x2x2", "1x3x3", "1x4x4"}
     assert seen == {(s, n) for s in STAGES for n in networks} | {

@@ -173,6 +173,41 @@ def test_failed_cache_write_leaves_nothing(tmp_path, monkeypatch, kind):
     assert json.loads(entry.read_text())
 
 
+def _drop_best_matrix(doc):
+    del doc["best_matrix"]
+    return doc
+
+
+@pytest.mark.parametrize("kind, corrupt", [
+    ("mu", lambda doc: {"nope": 1}),
+    ("mu", lambda doc: [1]),
+    ("mu", lambda doc: {**doc, "steps": doc["steps"][:-1]}),
+    ("mu", lambda doc: {**doc, "steps": [float("nan")] + doc["steps"][1:]}),
+    ("grid", lambda doc: [1]),
+    ("grid", _drop_best_matrix),
+    ("grid", lambda doc: {**doc, "best_min_rate": float("inf")}),
+    ("grid", lambda doc: {**doc, "best_matrix": doc["best_matrix"][:-1]}),
+], ids=["mu-not-a-schedule", "mu-a-list", "mu-short-steps", "mu-nan-step",
+        "grid-a-list", "grid-missing-key", "grid-infinite-rate", "grid-short-matrix"])
+def test_malformed_cache_entry_is_recomputed(tmp_path, kind, corrupt):
+    # A cache entry that parses but is not one of its kind is a miss: the run
+    # recomputes it, rewrites it, and writes what a clean run writes.
+    clean = tiny_config(tmp_path, "oracle-compare", out_dir=str(tmp_path / "clean"))
+    run_oracle_compare(clean)
+    cache = tmp_path / "cache"
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    entries = [p for p in cache.iterdir() if p.name.startswith("mu_") == (kind == "mu")]
+    assert entries
+    for path in entries:
+        (kept / path.name).write_bytes(path.read_bytes())
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    run_oracle_compare(tiny_config(tmp_path, "oracle-compare", out_dir=str(tmp_path / "again")))
+    assert _dirs_identical(tmp_path / "clean", tmp_path / "again")
+    for path in entries:
+        assert path.read_bytes() == (kept / path.name).read_bytes()
+
+
 def test_noise_sweep_outputs(tmp_path):
     config = tiny_config(tmp_path, "noise-sweep", noise_db=(0.0, 5.0))
     tables = run_noise_sweep(config)
@@ -503,7 +538,10 @@ def test_cli_success_and_exit_codes(tmp_path):
     assert _run_cli(tmp_path, "oracle-compare", frozen) == 0
 
 
-@pytest.mark.parametrize("content", [None, '{"steps": [0.1, 0.1]}', "[0.1]", "not json"])
+@pytest.mark.parametrize("content", [
+    None, '{"steps": [0.1, 0.1]}', "[0.1]", "not json",
+    '{"steps": [NaN, 0.1, 0.1, 0.1, 0.1, 0.1], "iterations": 6}',
+])
 def test_cli_refuses_a_bad_schedule_artifact(tmp_path, capsys, content):
     # A missing or malformed schedule artifact is a configuration error that
     # names the file, not a traceback.

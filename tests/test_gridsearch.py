@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,20 @@ def test_evaluation_count(world):
     res = mo.grid_capacity(ch, noise, 1e-2)
     assert res.evaluations == 101**3 == 1_030_301
     assert mo.is_feasible(res.best_matrix)
+
+
+def test_one_chunk_alive_at_a_time(world):
+    # One chunk of a 2x2 grid value traces about 1.3 MB at its peak; a second
+    # chunk's arrays alive while the next is built would take it past 2 MB.
+    _, noise, ch = world
+    mo.grid_capacity(ch, noise, 1e-2)  # warm the per-topology caches
+    tracemalloc.start()
+    try:
+        mo.grid_capacity(ch, noise, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7 * 2**20
 
 
 def test_best_matrix_reproduces_best_value(world):
