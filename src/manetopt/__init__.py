@@ -18,14 +18,7 @@ from .gradients import (
 )
 from .gridsearch import GridResult, grid_capacity
 from .errors import CapabilityError, ConfigurationError
-from .pgd import (
-    FIXED_STEP,
-    PgdTrajectory,
-    calibrate_fixed_step,
-    run_pgd,
-    run_pgd_batch,
-    write_trajectory_csv,
-)
+from .pgd import FIXED_STEP, calibrate_fixed_step, run_pgd_batch
 from .pilots import lmmse_estimates
 from .power import is_feasible, project, random_init, uniform_init
 from .rates import RateReport, compute_report, min_rate

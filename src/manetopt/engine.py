@@ -199,10 +199,8 @@ class RatePass:
     phi: np.ndarray                     # (N, q) source coefficients
     i1: np.ndarray                      # (N, q) first-hop interference sums
     rates: list[np.ndarray]             # reception rates per hop 1..B, each (nodes, N, q)
-    c_re: list[np.ndarray | None]       # per hop (index b-1; None for hop 1)
-    c_im: list[np.ndarray | None]       # (M_b, N, q), views of one product
-    gains: list[np.ndarray | None]      # (M_b, N, q) per hop b>=2
-    ib: list[np.ndarray | None]         # (M_b, N, q) interference sums
+    relay: list[np.ndarray]             # per hop b>=2 (index b-2): its (5 M_b, N, q)
+                                        # array, read through ``_hop_views``
     user_rates: np.ndarray              # (N, N, q) end-user rates [l, n], inf where
                                         # l is not obliged to decode n
     message: np.ndarray                 # (N, q)
@@ -314,7 +312,7 @@ def _pass_from(
     """The rate pass at ``p`` (stacked_rows, N, q), given ``relay``, its
     ``_relay_hops``, and ``users``, the ``_end_users`` of the last (computed
     here when not given): hop 1 and the message rates are computed here,
-    and the pass holds views of the relay hops' arrays."""
+    and the pass holds the relay hops' arrays."""
     phi = p[-1]
     phi2 = phi * phi
     i1 = _masked_sum(_interferers(phi), phi2)
@@ -323,17 +321,8 @@ def _pass_from(
     u1 /= a1 * i1 + ops.sig2[0]
     np.log1p(u1, out=u1)
     u1 *= INV_LN2
-    rates = [u1]
-    c_re, c_im, gains, ib_list = [None], [None], [None], [None]
-    for hop in relay:
-        cr, ci, g, ib, rate = _hop_views(hop)
-        c_re.append(cr)
-        c_im.append(ci)
-        gains.append(g)
-        ib_list.append(ib)
-        rates.append(rate)
-
-    user_rates, message = users or _end_users(gains[-1], rates[-1])
+    rates = [u1] + [_hop_views(hop)[4] for hop in relay]
+    user_rates, message = users or _end_users(*_hop_views(relay[-1])[2::2])
     for r in range(1, len(rates)):
         message = np.minimum(message, rates[r - 1].min(axis=0))
 
@@ -342,10 +331,7 @@ def _pass_from(
         phi=phi,
         i1=i1,
         rates=rates,
-        c_re=c_re,
-        c_im=c_im,
-        gains=gains,
-        ib=ib_list,
+        relay=relay,
         user_rates=user_rates,
         message=message,
     )
@@ -555,11 +541,12 @@ def _hop_gradients(
             hre = ht[:, :m][sel, node].T[:, None, :]
             him = ht[:, m:][sel, node].T[:, None, :]
             sb = ops.sig2[r - 1, sel]
-            cr = rp.c_re[r - 1][node, :, sel].T
-            ci = rp.c_im[r - 1][node, :, sel].T
-            g_row = rp.gains[r - 1][node, :, sel].T
+            c_re, c_im, gains, ib, _ = _hop_views(rp.relay[j])
+            cr = c_re[node, :, sel].T
+            ci = c_im[node, :, sel].T
+            g_row = gains[node, :, sel].T
             gn = g_row[n, si]
-            inter = rp.ib[r - 1][node, n, sel]
+            inter = ib[node, n, sel]
             den = inter + sb
             tot = gn + den
             maskrow = g_row <= gn
@@ -915,7 +902,7 @@ def _gap_min(values: np.ndarray) -> np.ndarray:
     return gaps.reshape(-1, gaps.shape[-1]).min(axis=0, initial=np.inf)
 
 
-def _pass_margin(topology: Topology, rp: RatePass) -> np.ndarray:
+def _pass_margin(rp: RatePass) -> np.ndarray:
     """Smallest distance to any branch switch of the current pass, for each
     of its batch columns.
 
@@ -923,8 +910,8 @@ def _pass_margin(topology: Topology, rp: RatePass) -> np.ndarray:
     decode obligations, the message argmin and the binding-constraint choice.
     """
     margin = _gap_min(rp.phi)
-    for hop in range(2, topology.num_hops + 1):
-        margin = np.minimum(margin, _gap_min(rp.gains[hop - 1]))
+    for hop in rp.relay:
+        margin = np.minimum(margin, _gap_min(_hop_views(hop)[2]))
     margin = np.minimum(margin, _gap_min(rp.message))
     table = _constraint_table(rp, rp.message.argmin(axis=0) * rp.q + np.arange(rp.q))
     return np.minimum(margin, _gap_min(table))

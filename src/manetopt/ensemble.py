@@ -57,17 +57,12 @@ class BatchResult:
     iteration_index: np.ndarray
 
 
-def member_starts(topology, ensemble_size: int, seed: int) -> np.ndarray:
-    """Initial guesses (E, rows, N): equal power first, then for member m a
-    uniform draw from ``default_rng([seed, m])``, projected as by
-    ``random_init``.  The one-seed case of the starts ``infer_batch`` builds."""
-    return _starts(topology, ensemble_size, [seed])
-
-
-def _starts(topology, ensemble_size: int, seeds: Sequence[int]) -> np.ndarray:
-    """``member_starts`` of every seed, stacked seed-major into
-    (len(seeds) * E, rows, N), with one projection for all of them: it acts
-    on each row alone, and returns the feasible uniform row unchanged."""
+def member_starts(topology, ensemble_size: int, seeds: Sequence[int]) -> np.ndarray:
+    """Initial guesses of every seed, stacked seed-major into
+    (len(seeds) * E, rows, N): for each seed, equal power first, then for
+    member m a uniform draw from ``default_rng([seed, m])``, projected as by
+    ``random_init``.  One projection serves all of them: it acts on each row
+    alone, and returns the feasible uniform row unchanged."""
     shape = (topology.stacked_rows, topology.end_users)
     raw = np.empty((len(seeds), ensemble_size) + shape)
     raw[:, 0] = uniform_init(topology)
@@ -95,9 +90,7 @@ def infer_batch(
     at most ``_CHUNK`` columns (of one channel at least) and keeps its best
     iterate so far (strict ``>``: the earliest iteration wins a tie, and a
     number replaces a NaN); the lowest member holding the channel's best
-    value is selected.  A chunk's starts are those of
-    ``member_starts`` for each of its seeds, drawn from the same per-member
-    streams and projected in one call.
+    value is selected.  A chunk's starts are ``member_starts`` of its seeds.
     """
     if ensemble_size < 1:
         raise ValueError("the ensemble needs at least one member")
@@ -137,7 +130,7 @@ def _chunk_best(topology, chunk, noise, steps, ensemble_size: int, seeds) -> tup
     so a single chunk's arrays are alive at a time."""
     ops = engine.operands_from(chunk, noise, repeat=ensemble_size)
     trajectory = engine.iterate_schedule(
-        topology, ops, _starts(topology, ensemble_size, seeds), steps
+        topology, ops, member_starts(topology, ensemble_size, seeds), steps
     )
     next(trajectory)  # initial guesses are never candidates
     p, best = next(trajectory)

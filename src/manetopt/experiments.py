@@ -114,8 +114,9 @@ class ExperimentConfig:
             ("noise_db", self.noise_db), ("reference_db", [self.reference_db]),
             ("oracle_resolution", [self.oracle_resolution]),
         ):
-            if any(isinstance(x, bool) for x in values):
-                raise ConfigurationError(f"{name} must be a number, not a bool")
+            # a string noise_db iterates as strings, which float() would read
+            if any(isinstance(x, (bool, str)) for x in values):
+                raise ConfigurationError(f"{name} must hold numbers, not bools or strings")
         object.__setattr__(self, "noise_db", tuple(float(x) for x in self.noise_db))
         try:
             object.__setattr__(self, "hop_sizes", Topology(self.hop_sizes).hop_sizes)
@@ -126,10 +127,14 @@ class ExperimentConfig:
             raise ConfigurationError(f"bad hop sizes: {exc}") from exc
         if not self.noise_db:
             raise ConfigurationError("at least one noise level is required")
-        if not all(math.isfinite(db) for db in self.noise_db):
-            raise ConfigurationError("noise levels must be finite")
-        if not math.isfinite(self.reference_db):
-            raise ConfigurationError("reference_db must be finite")
+        levels = self.noise_db + (self.reference_db,)
+        if not all(math.isfinite(db) for db in levels):
+            raise ConfigurationError("noise levels and reference_db must be finite")
+        try:
+            for db in levels:
+                noise_profile(db, 1)
+        except OverflowError as exc:
+            raise ConfigurationError(f"noise level {db:g} dB overflows its variance") from exc
         for name, low in (
             ("seed", 0), ("train_size", 0), ("test_size", 1), ("ensemble_size", 1),
             ("fixed_long_iterations", 0),
@@ -145,6 +150,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"a config is a JSON object, not {type(doc).__name__}")
         doc = dict(doc)
         train_doc = doc.pop("train", {})
         try:
@@ -170,14 +177,18 @@ class ExperimentConfig:
     def identity(self) -> dict:
         """The config as it identifies the experiment, not where or how fast
         it ran: without the output, cache and thread settings, and with each
-        schedule artifact given as ``sha256:<digest>`` of its contents."""
+        schedule artifact given as ``sha256:<digest>`` of its contents; an
+        artifact that cannot be read is a ``ConfigurationError``."""
         doc = self.to_dict()
         for key in ("out_dir", "threads", "cache_dir"):
             doc.pop(key)
         for key in ARTIFACT_FIELDS:
             if doc[key] is not None:
-                with open(doc[key], "rb") as fh:
-                    doc[key] = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+                try:
+                    with open(doc[key], "rb") as fh:
+                        doc[key] = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+                except OSError as exc:
+                    raise ConfigurationError(f"cannot read {key}: {exc}") from exc
         return doc
 
     def config_hash(self) -> str:
@@ -614,6 +625,10 @@ SCENARIOS: dict[str, Callable[[ExperimentConfig], dict]] = {
 
 
 def run_scenario(config: ExperimentConfig) -> dict:
+    """Run the config's scenario, after checking that its identity can be
+    taken: an artifact field the scenario never reads still goes into the
+    manifest, so an unreadable one is refused before any output."""
     if config.scenario not in SCENARIOS:
         raise ConfigurationError(f"unknown scenario {config.scenario!r}")
+    config.identity()
     return SCENARIOS[config.scenario](config)

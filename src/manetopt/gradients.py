@@ -93,4 +93,4 @@ def tie_margin(
     crossing); use this to exclude near-tie points from oracle comparisons.
     """
     topology, ops, pq = _batch(channels, p, noise)
-    return engine._pass_margin(topology, engine.rate_pass(topology, ops, pq))
+    return engine._pass_margin(engine.rate_pass(topology, ops, pq))

@@ -3,20 +3,19 @@
 ``run_pgd_batch`` applies K ascent steps with a per-iteration step size to
 a batch of (channel, start) pairs in lockstep and returns the min rates, and
 optionally the iterates, of the iterations it is asked to ``keep``: all K+1
-by default.  The scenarios' fixed-step baseline keeps the one or two rows
-its tables read; ``iter-curve`` and ``run_pgd``, which runs one channel from
-one start, keep every iterate.  Training and the ensemble do not come here:
-they run ``engine.unrolled_loss`` and ``engine.iterate_schedule``.  The
-classic fixed-step baseline runs at ``FIXED_STEP``; ``calibrate_fixed_step``
-is the rule that value comes from.
+by default.  It is PGD's one entry point: one channel from one start is a
+batch of one.  The scenarios' fixed-step baseline keeps the one or two rows
+its tables read, ``iter-curve`` keeps every row, and ``calibrate_fixed_step``
+keeps the tail of each candidate's run.  Training and the ensemble do not
+come here: they run ``engine.unrolled_loss`` and ``engine.iterate_schedule``.
+The classic fixed-step baseline runs at ``FIXED_STEP``;
+``calibrate_fixed_step`` is the rule that value comes from.
 """
 
 from __future__ import annotations
 
-import csv
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +24,8 @@ from .channels import ChannelRealization, NoiseProfile, topology_of
 from .power import is_feasible, uniform_init
 
 __all__ = [
-    "PgdTrajectory",
-    "run_pgd",
     "run_pgd_batch",
     "calibrate_fixed_step",
-    "write_trajectory_csv",
     "FIXED_STEP",
     "STEP_CANDIDATES",
 ]
@@ -43,32 +39,6 @@ STEP_CANDIDATES = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
 # candidate.  On a set of a few channels the rule can settle on a larger
 # step; the baseline does not follow it there.
 FIXED_STEP = 0.01
-
-
-@dataclass
-class PgdTrajectory:
-    """Every iterate P^(0)..P^(K) and its min rate on the driving channel."""
-
-    iterates: list[np.ndarray]
-    min_rates: np.ndarray
-
-    @property
-    def steps(self) -> int:
-        return len(self.iterates) - 1
-
-
-def run_pgd(
-    channel: ChannelRealization,
-    noise: NoiseProfile,
-    p0: np.ndarray,
-    mu: Sequence[float] | np.ndarray,
-) -> PgdTrajectory:
-    """Apply the step schedule ``mu`` from ``p0``, keeping all iterates."""
-    p0 = np.asarray(p0, dtype=np.float64)
-    if not is_feasible(p0):
-        raise ValueError("run_pgd requires a feasible starting point")
-    rates, iterates = run_pgd_batch([channel], noise, p0[None], mu, record_iterates=True)
-    return PgdTrajectory(iterates=list(iterates[:, 0]), min_rates=rates[:, 0])
 
 
 def run_pgd_batch(
@@ -85,13 +55,16 @@ def run_pgd_batch(
     driving channels, of shape (len(keep), q) with row i at iteration
     ``keep[i]``, and, optionally, the iterates of those rows.  ``keep``
     lists iterations in 0..K in any order, repeats allowed; ``None`` keeps
-    all K+1.  An empty batch, starts and channels of different counts, or a
-    kept iteration outside 0..K are refused (``ValueError``) before any step.
+    all K+1.  An empty batch, starts and channels of different counts, a
+    start that ``is_feasible`` rejects, or a kept iteration outside 0..K are
+    refused (``ValueError``) before any step.
     """
     mu = np.asarray(mu, dtype=np.float64)
     p0 = np.asarray(p0, dtype=np.float64)
     if not len(channels):
         raise ValueError("a PGD batch needs at least one channel")
+    if not is_feasible(p0):
+        raise ValueError("every start of a PGD batch must be feasible")
     keep = range(len(mu) + 1) if keep is None else [operator.index(k) for k in keep]
     if not all(0 <= k <= len(mu) for k in keep):
         raise ValueError(f"every kept iteration must lie in 0..{len(mu)}")
@@ -124,12 +97,12 @@ def calibrate_fixed_step(
     non-decreasing (within ``tol``) over the final ``tail_fraction`` of the
     run, i.e. the largest step that has settled rather than oscillating, and
     the smallest candidate if none of the larger ones settles.  So the
-    smallest candidate never runs.  The others run as one batch, candidates
-    first, and only the tail of each candidate's mean sequence is kept.
+    smallest candidate never runs.  The others run as one ``run_pgd_batch``
+    call, candidates first, that keeps only the tail iterations.
     Every candidate must be finite (``ValueError`` otherwise).
     """
     if not np.isfinite(np.asarray(candidates, dtype=np.float64)).all():
-        # the smallest candidate never runs, so iterate_schedule cannot refuse it
+        # the smallest candidate never runs, so run_pgd_batch cannot refuse it
         raise ValueError("every step size must be finite")
     topology = topology_of(channels[0])
     ordered = sorted(float(c) for c in candidates)[::-1]
@@ -142,20 +115,12 @@ def calibrate_fixed_step(
         uniform_init(topology), (q, topology.stacked_rows, topology.end_users)
     )
     mu = np.broadcast_to(np.repeat(tried, count), (iterations, q))
-    ops = engine.operands_from(list(channels) * len(tried), noise)
-    keep = min(iterations + 1, max(2, int(round(tail_fraction * iterations))))
-    tail = np.empty((keep, len(tried)))
-    for k, (_, rates) in enumerate(engine.iterate_schedule(topology, ops, p0, mu)):
-        row = k - (iterations + 1 - keep)
-        if row >= 0:
-            tail[row] = rates.reshape(len(tried), count).mean(axis=1)
+    kept = min(iterations + 1, max(2, int(round(tail_fraction * iterations))))
+    rates, _ = run_pgd_batch(
+        list(channels) * len(tried), noise, p0, mu,
+        keep=range(iterations + 1 - kept, iterations + 1),
+    )
+    tail = rates.reshape(kept, len(tried), count).mean(axis=2)
     settled = np.all(np.diff(tail, axis=0) >= -tol, axis=0)
     return tried[int(np.argmax(settled))] if settled.any() else ordered[-1]
 
-
-def write_trajectory_csv(trajectory: PgdTrajectory, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "min_rate"])
-        for k, rate in enumerate(trajectory.min_rates):
-            writer.writerow([k, format(float(rate), ".17g")])

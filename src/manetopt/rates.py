@@ -81,7 +81,7 @@ def compute_report(
     return RateReport(
         first_hop_rates=engine.batch_first(rp.rates[0]),
         later_hop_rates=tuple(engine.batch_first(r) for r in rp.rates[1:]),
-        gains=tuple(engine.batch_first(g) for g in rp.gains[1:]),
+        gains=tuple(engine.batch_first(engine._hop_views(hop)[2]) for hop in rp.relay),
         message_rates=message,
         min_rate=message.min(axis=-1),
         min_index=message.argmin(axis=-1),

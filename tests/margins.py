@@ -1,5 +1,6 @@
 """The smallest branch-switch margin along an unrolled PGD run, from public
-calls.
+calls on the iterates of ``engine.iterate_schedule`` (which, unlike
+``run_pgd_batch``, also runs from starts off the feasible set).
 
 A central difference of the unrolled loss is meaningful only when no
 perturbed run crosses a kink of the objective: a tie of two powers, gains,
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 import manetopt as mo
+from manetopt import engine
 
 
 def _bits(channel: mo.ChannelRealization) -> list[np.ndarray]:
@@ -37,7 +39,10 @@ def unrolled_min_margin(drive, truth, noise, p0, mu) -> float:
     channels agree in every bit.
     """
     mu = np.asarray(mu, dtype=np.float64)
-    _, iterates = mo.run_pgd_batch(drive, noise, p0, mu, record_iterates=True)
+    run = engine.iterate_schedule(
+        mo.topology_of(drive[0]), engine.operands_from(drive, noise), p0, mu
+    )
+    iterates = [p for p, _ in run]
     margin = np.inf
     for k, step in enumerate(mu):
         p = iterates[k]

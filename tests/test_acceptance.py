@@ -108,13 +108,16 @@ def test_criterion_01_feasibility():
         channel = mo.sample_channel(topology, 1.0, rng)
         p = mo.uniform_init(topology)
         for _ in range(800):
-            p = mo.run_pgd(channel, noise, p, [0.1]).iterates[1]
+            p = mo.run_pgd_batch([channel], noise, p[None], [0.1], record_iterates=True)[1][1, 0]
             assert mo.is_feasible(p)
             invocations += 1
         for _ in range(134):
             ch = mo.sample_channel(topology, 1.0, rng)
-            traj = mo.run_pgd(ch, noise, mo.random_init(topology, rng), np.full(5, 0.2))
-            assert all(mo.is_feasible(it) for it in traj.iterates)
+            _, iterates = mo.run_pgd_batch(
+                [ch], noise, mo.random_init(topology, rng)[None], np.full(5, 0.2),
+                record_iterates=True,
+            )
+            assert all(mo.is_feasible(it) for it in iterates[:, 0])
             invocations += 1
     elapsed = time.time() - t0
     ok = invocations >= 10_000 and elapsed < 10.0
@@ -314,13 +317,10 @@ def schedule_final_rates(config, channels, noise, mu, level_index=0):
     lmmse = mo.lmmse_estimates(channels, [noise] * len(channels), rngs)
     estimates = [est for est in lmmse for _ in range(size)]
     truths = [ch for ch in channels for _ in range(size)]
-    starts = [
-        member_starts(topology, size, derive_seed(config.seed, ENSEMBLE, level_index, i))
-        for i in indices
-    ]
-    _, iterates = mo.run_pgd_batch(
-        estimates, noise, np.concatenate(starts), mu, record_iterates=True
+    starts = member_starts(
+        topology, size, [derive_seed(config.seed, ENSEMBLE, level_index, i) for i in indices]
     )
+    _, iterates = mo.run_pgd_batch(estimates, noise, starts, mu, record_iterates=True)
     rates, _ = mo.min_rate(truths, iterates[-1], noise)
     return rates.reshape(len(channels), size).mean(axis=1)
 

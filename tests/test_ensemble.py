@@ -10,7 +10,7 @@ from manetopt.ensemble import member_starts
 
 def _candidates(csi, noise, mu, ensemble_size, seed):
     """Min rates (K+1, E) and iterates (K+1, E, rows, N) of every member."""
-    starts = member_starts(mo.topology_of(csi), ensemble_size, seed)
+    starts = member_starts(mo.topology_of(csi), ensemble_size, [seed])
     return mo.run_pgd_batch([csi] * ensemble_size, noise, starts, mu, record_iterates=True)
 
 
@@ -41,12 +41,14 @@ def world():
 def test_single_member_equals_best_over_iterations(world):
     topo, noise, ch, mu = world
     result = mo.infer_batch([ch], noise, mu, 1, [3])
-    traj = mo.run_pgd(ch, noise, mo.uniform_init(topo), mu)
-    best_k = 1 + int(np.argmax(traj.min_rates[1:]))
+    rates, iterates = mo.run_pgd_batch(
+        [ch], noise, mo.uniform_init(topo)[None], mu, record_iterates=True
+    )
+    best_k = 1 + int(np.argmax(rates[1:, 0]))
     assert result.member_index[0] == 0
     assert result.iteration_index[0] == best_k
-    assert result.selected_min_rate_eval[0] == traj.min_rates[best_k]
-    assert np.array_equal(result.selected[0], traj.iterates[best_k])
+    assert result.selected_min_rate_eval[0] == rates[best_k, 0]
+    assert np.array_equal(result.selected[0], iterates[best_k, 0])
 
 
 def test_selection_is_argmax_with_low_index_ties(world):
@@ -82,8 +84,8 @@ def test_ensemble_monotone_over_channels(world):
 
 def test_member_starts_nested(world):
     topo, *_ = world
-    small = member_starts(topo, 3, seed=4)
-    large = member_starts(topo, 6, seed=4)
+    small = member_starts(topo, 3, seeds=[4])
+    large = member_starts(topo, 6, seeds=[4])
     assert np.array_equal(small, large[:3])
     assert np.allclose(small[0], 1.0 / np.sqrt(2))
 
@@ -100,14 +102,15 @@ def _looped_starts(topology, ensemble_size, seed):
 @pytest.mark.parametrize("hop_sizes", [(2, 2), (3, 3), (1, 2, 2), (4, 4)])
 @pytest.mark.parametrize("ensemble_size", [1, 2, 6])
 def test_bulk_starts_match_per_member_loop(monkeypatch, hop_sizes, ensemble_size):
-    # member_starts, and the starts infer_batch builds for a whole chunk at
-    # once, equal the per-member loop bit for bit.  Seven channels in chunks
-    # of three cross two chunk boundaries and end in a partial chunk.
+    # member_starts, of one seed and of several, and the starts infer_batch
+    # builds for a whole chunk at once, equal the per-member loop bit for bit.
+    # Seven channels in chunks of three cross two chunk boundaries and end in
+    # a partial chunk.
     topo = mo.Topology(hop_sizes)
     seeds = [0, 1, 7, 42, 99, 123456789, 2**63 + 5]
     for seed in seeds:
         expected = _looped_starts(topo, ensemble_size, seed)
-        assert member_starts(topo, ensemble_size, seed).tobytes() == expected.tobytes()
+        assert member_starts(topo, ensemble_size, [seed]).tobytes() == expected.tobytes()
 
     seen = []
     iterate = ensemble.engine.iterate_schedule
@@ -125,6 +128,7 @@ def test_bulk_starts_match_per_member_loop(monkeypatch, hop_sizes, ensemble_size
     assert [len(p0) for p0 in seen] == [3 * ensemble_size, 3 * ensemble_size, ensemble_size]
     expected = np.concatenate([_looped_starts(topo, ensemble_size, s) for s in seeds])
     assert np.concatenate(seen).tobytes() == expected.tobytes()
+    assert member_starts(topo, ensemble_size, seeds).tobytes() == expected.tobytes()
 
 
 def test_selected_allocation_feasible(world):
@@ -138,12 +142,13 @@ def test_full_csi_reduces_to_parallel_runs(world):
     # With true channels the ensemble is E independent runs plus an argmax.
     topo, noise, ch, mu = world
     rates, iterates = _candidates(ch, noise, mu, 3, 8)
-    starts = member_starts(topo, 3, seed=8)
+    starts = member_starts(topo, 3, seeds=[8])
     for e in range(3):
-        traj = mo.run_pgd(ch, noise, starts[e], mu)
-        assert np.array_equal(rates[:, e], traj.min_rates)
-        for a, b in zip(iterates[:, e], traj.iterates):
-            assert np.array_equal(a, b)
+        single_rates, single_iterates = mo.run_pgd_batch(
+            [ch], noise, starts[e][None], mu, record_iterates=True
+        )
+        assert np.array_equal(rates[:, e], single_rates[:, 0])
+        assert np.array_equal(iterates[:, e], single_iterates[:, 0])
 
 
 def test_pilot_input_estimates_then_optimizes(world):

@@ -489,7 +489,7 @@ def _run_cli(tmp_path, scenario, config, extra=()):
     return cli.main([scenario, "--config", str(cfg_path), *extra])
 
 
-def test_cli_success_and_exit_codes(tmp_path):
+def test_cli_success_and_exit_codes(tmp_path, capsys):
     config = tiny_config(tmp_path, "iter-curve", include_oracle=False)
     assert _run_cli(tmp_path, "iter-curve", config) == 0
     # scenario mismatch -> configuration error
@@ -528,6 +528,22 @@ def test_cli_success_and_exit_codes(tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(dict(oracle, **{key: value})))
         assert cli.main(["oracle-compare", "--config", str(cfg_path)]) == 2, key
+    # refused with a message before any output: a config that is JSON but not
+    # an object, a string noise level, levels whose variance overflows, and an
+    # unreadable artifact field that the scenario does not read
+    fresh = dict(oracle, out_dir=str(tmp_path / "fresh"))
+    capsys.readouterr()
+    for doc in (
+        [1, 2],
+        dict(fresh, noise_db="10"),
+        dict(fresh, noise_db=[4000]),
+        dict(fresh, reference_db=4000),
+        dict(fresh, mu_artifact_native=str(tmp_path / "nope.json")),
+    ):
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["oracle-compare", "--config", str(cfg_path)]) == 2, doc
+        assert capsys.readouterr().err.startswith("configuration error: "), doc
+        assert not (tmp_path / "fresh").exists(), doc
     # train_size only matters when a schedule has to train
     artifact = tmp_path / "mu.json"
     save_schedule(str(artifact), np.full(6, 0.1), Topology((2, 2)), "full-csi", 3)

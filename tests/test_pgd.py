@@ -12,10 +12,17 @@ def net_122():
     return topo, ch, noise
 
 
+def one_run(ch, noise, p0, mu):
+    """Min rates (K+1,) and iterates (K+1, rows, N) of one channel from one
+    start: a batch of one."""
+    rates, iterates = mo.run_pgd_batch([ch], noise, p0[None], mu, record_iterates=True)
+    return rates[:, 0], iterates[:, 0]
+
+
 def test_zero_step_is_identity(net_122):
     topo, ch, noise = net_122
     p = mo.random_init(topo, 4)
-    assert np.array_equal(mo.run_pgd(ch, noise, p, [0.0]).iterates[1], p)
+    assert np.array_equal(one_run(ch, noise, p, [0.0])[1][1], p)
 
 
 def test_zero_gradient_keeps_point(net_122):
@@ -25,7 +32,7 @@ def test_zero_gradient_keeps_point(net_122):
         later_hops=(np.zeros((2, 2), dtype=np.complex128),),
     )
     p = mo.uniform_init(topo)
-    assert np.array_equal(mo.run_pgd(dead, noise, p, [0.5]).iterates[1], p)
+    assert np.array_equal(one_run(dead, noise, p, [0.5])[1][1], p)
 
 
 def test_small_step_does_not_decrease_min_rate(net_122):
@@ -39,15 +46,23 @@ def test_small_step_does_not_decrease_min_rate(net_122):
         if mo.tie_margin([ch], p[None], noise)[0] < 1e-3:
             continue
         checked += 1
-        stepped = mo.run_pgd(ch, noise, p, [1e-3]).iterates[1]
+        stepped = one_run(ch, noise, p, [1e-3])[1][1]
         (before, after), _ = mo.min_rate([ch] * 2, np.stack([p, stepped]), noise)
         assert after >= before - 1e-12
 
 
-def test_pgd_step_requires_feasible_point(net_122):
-    _, ch, noise = net_122
-    with pytest.raises(ValueError):
-        mo.run_pgd(ch, noise, np.full((3, 2), 0.9), [0.1])
+def test_pgd_step_requires_feasible_point(net_122, monkeypatch):
+    # One infeasible start refuses the whole batch before any step.
+    topo, ch, noise = net_122
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("stepped before refusing")
+
+    monkeypatch.setattr(mo.engine, "iterate_schedule", no_steps)
+    uniform = mo.uniform_init(topo)
+    for starts in (np.full((1, 3, 2), 0.9), np.stack([uniform, np.full((3, 2), 0.9), uniform])):
+        with pytest.raises(ValueError, match="feasible"):
+            mo.run_pgd_batch([ch] * len(starts), noise, starts, [0.1])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -61,8 +76,8 @@ def test_non_finite_steps_are_rejected(net_122, bad):
     per_element = np.full((5, 3), 0.1)
     per_element[4, 1] = bad
     calls = [
-        lambda: mo.run_pgd(ch, noise, p0, [bad]),
-        lambda: mo.run_pgd(ch, noise, p0, mu),
+        lambda: mo.run_pgd_batch([ch], noise, p0[None], [bad]),
+        lambda: mo.run_pgd_batch([ch], noise, p0[None], mu),
         lambda: mo.run_pgd_batch([ch] * 3, noise, np.stack([p0] * 3), mu),
         lambda: mo.run_pgd_batch([ch] * 3, noise, np.stack([p0] * 3), per_element),
         lambda: mo.infer_batch([ch, ch], noise, mu, 2, [0, 1]),
@@ -76,32 +91,31 @@ def test_non_finite_steps_are_rejected(net_122, bad):
 def test_run_pgd_zero_iterations(net_122):
     topo, ch, noise = net_122
     p0 = mo.uniform_init(topo)
-    traj = mo.run_pgd(ch, noise, p0, np.zeros(0))
-    assert traj.steps == 0
-    assert len(traj.iterates) == 1
-    assert traj.min_rates.shape == (1,)
-    assert traj.min_rates[0] == mo.min_rate([ch], p0[None], noise)[0][0]
+    rates, iterates = mo.run_pgd_batch([ch], noise, p0[None], np.zeros(0), record_iterates=True)
+    assert rates.shape == (1, 1)
+    assert np.array_equal(iterates, p0[None, None])
+    assert rates[0, 0] == mo.min_rate([ch], p0[None], noise)[0][0]
 
 
 def test_run_pgd_zero_schedule(net_122):
     topo, ch, noise = net_122
     p0 = mo.uniform_init(topo)
-    traj = mo.run_pgd(ch, noise, p0, np.zeros(5))
-    assert all(np.array_equal(it, p0) for it in traj.iterates)
+    _, iterates = one_run(ch, noise, p0, np.zeros(5))
+    assert len(iterates) == 6
+    assert all(np.array_equal(it, p0) for it in iterates)
 
 
 def test_run_pgd_deterministic_and_feasible(net_122):
     topo, ch, noise = net_122
     p0 = mo.random_init(topo, 9)
     mu = np.full(60, 0.1)
-    a = mo.run_pgd(ch, noise, p0, mu)
-    b = mo.run_pgd(ch, noise, p0, mu)
-    for it_a, it_b in zip(a.iterates, b.iterates):
-        assert np.array_equal(it_a, it_b)
-        assert mo.is_feasible(it_a)
-    assert np.array_equal(a.min_rates, b.min_rates)
+    rates_a, iterates_a = one_run(ch, noise, p0, mu)
+    rates_b, iterates_b = one_run(ch, noise, p0, mu)
+    assert np.array_equal(iterates_a, iterates_b)
+    assert all(mo.is_feasible(it) for it in iterates_a)
+    assert np.array_equal(rates_a, rates_b)
     # running maximum never decreases by construction
-    running = np.maximum.accumulate(a.min_rates)
+    running = np.maximum.accumulate(rates_a)
     assert np.all(np.diff(running) >= 0)
 
 
@@ -109,11 +123,11 @@ def test_run_pgd_matches_step_composition(net_122):
     topo, ch, noise = net_122
     p0 = mo.uniform_init(topo)
     mu = np.array([0.3, 0.1, 0.05])
-    traj = mo.run_pgd(ch, noise, p0, mu)
+    _, iterates = one_run(ch, noise, p0, mu)
     p = p0
     for k, step in enumerate(mu):
-        p = mo.run_pgd(ch, noise, p, [step]).iterates[1]
-        assert np.array_equal(traj.iterates[k + 1], p)
+        p = one_run(ch, noise, p, [step])[1][1]
+        assert np.array_equal(iterates[k + 1], p)
 
 
 def test_batch_matches_scalar_runs(net_122):
@@ -124,9 +138,9 @@ def test_batch_matches_scalar_runs(net_122):
     mu = np.full(25, 0.15)
     rates, iterates = mo.run_pgd_batch(channels, noise, starts, mu, record_iterates=True)
     for i, ch in enumerate(channels):
-        single = mo.run_pgd(ch, noise, starts[i], mu)
-        assert np.array_equal(rates[:, i], single.min_rates)
-        assert np.array_equal(iterates[:, i], np.stack(single.iterates))
+        single_rates, single_iterates = one_run(ch, noise, starts[i], mu)
+        assert np.array_equal(rates[:, i], single_rates)
+        assert np.array_equal(iterates[:, i], single_iterates)
 
 
 @pytest.mark.parametrize("keep", [(2, 5, 9), (9, 5, 2), (4, 7, 4), (0,), (9, 0, 9, 3)])
@@ -176,8 +190,8 @@ def test_batch_broadcasts_single_channel(net_122):
     starts = np.stack([mo.random_init(topo, i) for i in range(3)])
     rates, _ = mo.run_pgd_batch([ch] * 3, noise, starts, np.full(10, 0.1))
     for i in range(3):
-        single = mo.run_pgd(ch, noise, starts[i], np.full(10, 0.1))
-        assert np.array_equal(rates[:, i], single.min_rates)
+        single_rates, _ = one_run(ch, noise, starts[i], np.full(10, 0.1))
+        assert np.array_equal(rates[:, i], single_rates)
 
 
 def test_calibrate_fixed_step_small():
@@ -267,13 +281,3 @@ def test_fixed_step_is_what_calibration_returns():
     calib = mo.build_dataset(topo, noise, 50, derive_seed(0, CALIB_DATA))
     assert mo.calibrate_fixed_step(list(calib.channels()), noise) == mo.FIXED_STEP
 
-
-def test_trajectory_csv(tmp_path, net_122):
-    topo, ch, noise = net_122
-    traj = mo.run_pgd(ch, noise, mo.uniform_init(topo), np.full(3, 0.1))
-    path = tmp_path / "traj.csv"
-    mo.write_trajectory_csv(traj, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,min_rate"
-    assert len(lines) == 5
-    assert float(lines[1].split(",")[1]) == traj.min_rates[0]

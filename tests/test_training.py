@@ -11,12 +11,17 @@ from margins import unrolled_min_margin
 LOG2_3 = 1.584962500721156
 
 
-def weighted_loss(trajectory, h_true, noise):
+def iterates_of(ch, noise, p0, mu):
+    """The iterates (K+1, rows, N) of one channel's run from ``p0``."""
+    return mo.run_pgd_batch([ch], noise, p0[None], mu, record_iterates=True)[1][:, 0]
+
+
+def weighted_loss(iterates, h_true, noise):
     """Reference loss of one channel: the iteration-weighted negative min rate
-    of a trajectory's iterates 1..K, measured on the true channel."""
-    steps = trajectory.steps
+    of a run's iterates 1..K, measured on the true channel."""
+    steps = len(iterates) - 1
     weights = iteration_weights(steps)
-    rates, _ = mo.min_rate([h_true] * steps, np.stack(trajectory.iterates[1:]), noise)
+    rates, _ = mo.min_rate([h_true] * steps, iterates[1:], noise)
     return float(-(weights * rates).sum())
 
 
@@ -37,19 +42,21 @@ def test_weights_increasing():
 def test_weighted_loss_single_step(small_world):
     topo, noise, ds = small_world
     ch = ds.entries[0][0]
-    traj = mo.run_pgd(ch, noise, mo.uniform_init(topo), np.array([0.1]))
-    loss = weighted_loss(traj, ch, noise)
-    assert loss == pytest.approx(-traj.min_rates[1])
+    rates, iterates = mo.run_pgd_batch(
+        [ch], noise, mo.uniform_init(topo)[None], np.array([0.1]), record_iterates=True
+    )
+    loss = weighted_loss(iterates[:, 0], ch, noise)
+    assert loss == pytest.approx(-rates[1, 0])
 
 
 def test_weighted_loss_factorizes(small_world):
     topo, noise, ds = small_world
     ch = ds.entries[0][0]
     p0 = mo.uniform_init(topo)
-    traj = mo.run_pgd(ch, noise, p0, np.zeros(4))  # all iterates identical
+    iterates = iterates_of(ch, noise, p0, np.zeros(4))  # all iterates identical
     (rate,), _ = mo.min_rate([ch], p0[None], noise)
     expected = -rate * iteration_weights(4).sum()
-    assert weighted_loss(traj, ch, noise) == pytest.approx(expected)
+    assert weighted_loss(iterates, ch, noise) == pytest.approx(expected)
 
 
 def test_weighted_loss_hand_value():
@@ -66,13 +73,12 @@ def test_loss_grad_mu_causality(small_world):
     ch = ds.entries[0][0]
     p0 = mo.uniform_init(topo)
     mu = np.full(6, 0.2)
-    base = mo.run_pgd(ch, noise, p0, mu)
+    base = iterates_of(ch, noise, p0, mu)
     bumped = mu.copy()
     bumped[3] += 0.05
-    after = mo.run_pgd(ch, noise, p0, bumped)
-    for k in range(4):
-        assert np.array_equal(base.iterates[k], after.iterates[k])
-    assert not np.array_equal(base.iterates[4], after.iterates[4])
+    after = iterates_of(ch, noise, p0, bumped)
+    assert np.array_equal(base[:4], after[:4])
+    assert not np.array_equal(base[4], after[4])
 
 
 def test_loss_grad_mu_matches_finite_differences(small_world):
@@ -181,8 +187,8 @@ def test_noisy_mode_uses_estimates_for_steps_and_truth_for_loss(small_world):
 
     expected_loss = 0.0
     for (true_ch, _), est_ch in zip(entries, estimates):
-        traj = mo.run_pgd(est_ch, noise, p0, mu)  # steps follow the estimate
-        expected_loss += weighted_loss(traj, true_ch, noise)
+        iterates = iterates_of(est_ch, noise, p0, mu)  # steps follow the estimate
+        expected_loss += weighted_loss(iterates, true_ch, noise)
     assert result.loss == pytest.approx(expected_loss / 3.0, rel=1e-12)
 
 
